@@ -188,13 +188,19 @@ def _scenario_i_holds(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     )
 
 
+def _nested_pair(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
+    """The left-nested ordering holds in one orientation of the pair."""
+    return _scenario_i_holds(spec_i, spec_j) or _scenario_i_holds(spec_j, spec_i)
+
+
 def _v11_closed(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Closed-form kernel double integral under the left-nested ordering.
+    """Closed-form kernel double integral under the left-nested ordering,
+    taken in whichever orientation of the pair it holds.
 
     The tail cross term multiplies the bracket
     ``(1-b_i) H_i(1-b_i) - a_j H_i(a_j) - int H_i`` by ``int H_j`` over
@@ -203,6 +209,8 @@ def _v11_closed(
     transcription writes H_j(a_j) instead, which breaks the identity
     whenever the two transforms differ; see the regression tests).
     """
+    if not _scenario_i_holds(spec_i, spec_j):
+        spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b
@@ -238,10 +246,8 @@ def _v11_any(
 ) -> float:
     """Kernel double integral by closed form where the ordering permits,
     quadrature otherwise.  Symmetric in the pair."""
-    if _scenario_i_holds(spec_i, spec_j):
+    if _nested_pair(spec_i, spec_j):
         return _v11_closed(spec_i, spec_j, ch_i, ch_j)
-    if _scenario_i_holds(spec_j, spec_i):
-        return _v11_closed(spec_j, spec_i, ch_j, ch_i)
     return _kernel_v11(spec_i, spec_j, ch_i, ch_j)
 
 
@@ -253,16 +259,12 @@ def sigma_mtm_closed(
 ) -> float:
     """Closed form under the left-nested trimming ordering (either
     orientation of the pair)."""
-    if _scenario_i_holds(spec_i, spec_j):
-        v11 = _v11_closed(spec_i, spec_j, ch_i, ch_j)
-    elif _scenario_i_holds(spec_j, spec_i):
-        v11 = _v11_closed(spec_j, spec_i, ch_j, ch_i)
-    else:
+    if not _nested_pair(spec_i, spec_j):
         raise OrderingError(
             "closed form needs a_i <= a_j < 1-b_i <= 1-b_j (possibly after "
             "swapping the pair); use the kernel or alpha form instead"
         )
-    return gamma_factor(spec_i, spec_j) * v11
+    return gamma_factor(spec_i, spec_j) * _v11_closed(spec_i, spec_j, ch_i, ch_j)
 
 
 def sigma_mtm_equal_props(
@@ -437,9 +439,7 @@ def sigma_pair(
         if mode is Mode.MTM:
             if equal:
                 method = CovMethod.EQUAL_PROPS
-            elif _scenario_i_holds(spec_i, spec_j) or _scenario_i_holds(
-                spec_j, spec_i
-            ):
+            elif _nested_pair(spec_i, spec_j):
                 method = CovMethod.CLOSED
             else:
                 method = CovMethod.KERNEL

@@ -13,7 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .asymcov import CovMethod, sigma_pair
+from .asymcov import CovMethod, _nested_pair, sigma_pair
 from .models import (
     CompositeH,
     DistributionModel,
@@ -205,11 +205,7 @@ def _run_audit(cases, routes) -> AuditResult:
 
 def _mtm_routes(case: AuditCase):
     routes = [CovMethod.ALPHA, CovMethod.KERNEL]
-    try:
-        sigma_pair(case.spec_i, case.spec_j, *case.composites(), CovMethod.CLOSED)
-    except Exception:
-        pass
-    else:
+    if _nested_pair(case.spec_i, case.spec_j):
         routes.append(CovMethod.CLOSED)
     if (
         case.spec_i.a == case.spec_j.a

@@ -15,7 +15,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class RunConfig:
     replications: int = 500
     tolerance: float = 0.10
     config_file: str | None = None
-    extra: tuple[tuple[str, str], ...] = field(default=())
 
     def canonical(self) -> str:
         """Stable one-line form; parsing it back yields an equal config."""
@@ -73,9 +72,8 @@ class RunConfig:
             parts.append("--csv")
         if self.command in ("asymcov",):
             parts.append(f"--method {self.method}")
-        if self.command in ("equivalence", "simulate"):
-            parts.append(f"--seed {self.seed}")
         if self.command == "simulate":
+            parts.append(f"--seed {self.seed}")
             parts.append(f"-n {self.n}")
             parts.append(f"-R {self.replications}")
             parts.append(f"--tolerance {self.tolerance:g}")
@@ -184,7 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "the worst pairwise relative deviation."
         ),
     )
-    p.add_argument("--seed", type=int, default=0, help="reserved; corpus is deterministic")
     p.add_argument("--out", help="write output to this file atomically")
     p.add_argument("--csv", action="store_true", help="CSV output")
 
@@ -241,6 +238,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# simulate --config key -> (RunConfig field, parser of the value text)
+_CONFIG_KEYS = {
+    "family": ("model", str),
+    "transform": ("transforms", lambda v: tuple(t.strip() for t in v.split(";"))),
+    "trim": ("trims", lambda v: tuple(_trim_pair(t.strip()) for t in v.split(";"))),
+    "mode": ("mode", str),
+    "seed": ("seed", int),
+    "n": ("n", int),
+    "replications": ("replications", int),
+    "tolerance": ("tolerance", float),
+}
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     transforms = tuple(getattr(ns, "transform", None) or ())
@@ -263,26 +273,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
     if cfg.command == "simulate" and cfg.config_file:
         kv = _read_config_file(cfg.config_file)
-        trims = cfg.trims
-        transforms = cfg.transforms
-        if "trim" in kv:
-            trims = tuple(_trim_pair(t.strip()) for t in kv["trim"].split(";"))
-        if "transform" in kv:
-            transforms = tuple(t.strip() for t in kv["transform"].split(";"))
-        cfg = RunConfig(
-            command=cfg.command,
-            model=kv.get("family", cfg.model),
-            transforms=transforms,
-            trims=trims,
-            mode=kv.get("mode", cfg.mode),
-            out=cfg.out,
-            csv=cfg.csv,
-            seed=int(kv.get("seed", cfg.seed)),
-            n=int(kv.get("n", cfg.n)),
-            replications=int(kv.get("replications", cfg.replications)),
-            tolerance=float(kv.get("tolerance", cfg.tolerance)),
-            config_file=cfg.config_file,
-        )
+        for key, (name, parse) in _CONFIG_KEYS.items():
+            if key in kv:
+                cfg = replace(cfg, **{name: parse(kv[key])})
     return cfg
 
 
@@ -319,6 +312,11 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _num(x) -> str:
+    """A CSV number cell: the shortest text that round-trips the float."""
+    return repr(float(x))
+
+
 def _format_matrix(cov: CovMatrix, csv: bool) -> str:
     buf = io.StringIO()
     k = cov.k
@@ -326,7 +324,7 @@ def _format_matrix(cov: CovMatrix, csv: bool) -> str:
         buf.write("i,j,sigma2,method\n")
         for i in range(k):
             for j in range(k):
-                buf.write(f"{i},{j},{cov.entries[i, j]!r},{cov.methods[i][j]}\n")
+                buf.write(f"{i},{j},{_num(cov.entries[i, j])},{cov.methods[i][j]}\n")
     else:
         for i in range(k):
             row = "  ".join(f"{cov.entries[i, j]: .12e}" for j in range(k))
@@ -350,11 +348,13 @@ def _run_moments(config: RunConfig) -> str:
     for j, spec in enumerate(specs):
         if sample is not None:
             v = sample_moment(sample, spec)
-            lines.append(f"{j},sample,{v!r}" if csv else f"[{j}] sample    {v:.12g}")
+            lines.append(
+                f"{j},sample,{_num(v)}" if csv else f"[{j}] sample    {v:.12g}"
+            )
         if model is not None:
             v = population_moment(CompositeH(model, spec.transform), spec)
             lines.append(
-                f"{j},population,{v!r}" if csv else f"[{j}] population {v:.12g}"
+                f"{j},population,{_num(v)}" if csv else f"[{j}] population {v:.12g}"
             )
     return "\n".join(lines) + "\n"
 
@@ -378,7 +378,7 @@ def _run_equivalence(config: RunConfig) -> tuple[str, bool]:
         buf.write("audit,cases,comparisons,max_deviation,runtime_s,status\n")
         for name, r in results.items():
             buf.write(
-                f"{name},{r.cases},{r.comparisons},{r.max_deviation!r},"
+                f"{name},{r.cases},{r.comparisons},{_num(r.max_deviation)},"
                 f"{r.runtime_s:.2f},{'PASS' if r.passed else 'FAIL'}\n"
             )
     else:
@@ -409,7 +409,7 @@ def _run_fit(config: RunConfig) -> str:
     if config.csv:
         buf.write("parameter,estimate,std_error\n")
         for i, (th, s) in enumerate(zip(result.theta_hat, se)):
-            buf.write(f"{i},{th!r},{s!r}\n")
+            buf.write(f"{i},{_num(th)},{_num(s)}\n")
     else:
         buf.write(f"model: {result.model}\n")
         for i, (th, s) in enumerate(zip(result.theta_hat, se)):
@@ -444,9 +444,9 @@ def _run_simulate(config: RunConfig) -> tuple[str, bool]:
         for i in range(k):
             for j in range(k):
                 buf.write(
-                    f"{i},{j},{report.empirical_cov.entries[i, j]!r},"
-                    f"{report.theoretical_cov.entries[i, j]!r},"
-                    f"{report.per_entry_dev[i, j]!r}\n"
+                    f"{i},{j},{_num(report.empirical_cov.entries[i, j])},"
+                    f"{_num(report.theoretical_cov.entries[i, j])},"
+                    f"{_num(report.per_entry_dev[i, j])}\n"
                 )
     else:
         buf.write("empirical covariance:\n")

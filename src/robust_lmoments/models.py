@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, SingularityError, UnboundedQuantileError
@@ -73,6 +74,11 @@ class DistributionModel:
     def quantile_density(self, u: float) -> float:
         raise NotImplementedError
 
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        """Array form of ``quantile``: same values, same domain errors.
+        Families without a numpy expression fall back to this adapter."""
+        return np.vectorize(self.quantile, otypes=[float])(u)
+
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -90,6 +96,14 @@ class DistributionModel:
             raise UnboundedQuantileError(
                 f"{self.family}: quantile at 1 is +infinity"
             )
+
+    def _check_endpoints(self, u: np.ndarray) -> np.ndarray:
+        """``_check_endpoint`` over an array, through its extremes only."""
+        u = np.asarray(u, dtype=float)
+        if u.size:
+            self._check_endpoint(float(u.min()))
+            self._check_endpoint(float(u.max()))
+        return u
 
     def __str__(self) -> str:
         inner = ",".join(f"{p:g}" for p in self.params)
@@ -119,6 +133,10 @@ class Uniform(DistributionModel):
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
+        return self.lo + (self.hi - self.lo) * u
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
         return self.lo + (self.hi - self.lo) * u
 
     def quantile_density(self, u: float) -> float:
@@ -155,6 +173,10 @@ class Exponential(DistributionModel):
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
         return -self.scale * math.log1p(-u)
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        return -self.scale * np.log1p(-u)
 
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
@@ -196,6 +218,10 @@ class Pareto(DistributionModel):
         self._check_endpoint(u)
         return self.xm * (1.0 - u) ** (-1.0 / self.shape)
 
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        return self.xm * (1.0 - u) ** (-1.0 / self.shape)
+
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         if u == 1.0:
@@ -234,6 +260,11 @@ class Lognormal(DistributionModel):
             return 0.0
         return math.exp(self.mu + self.sigma * float(ndtri(u)))
 
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        # ndtri(0) = -inf, so u = 0 maps to exp(-inf) = 0 as in the scalar form
+        u = self._check_endpoints(u)
+        return np.exp(self.mu + self.sigma * ndtri(u))
+
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         if u in (0.0, 1.0):
@@ -270,6 +301,10 @@ class Normal(DistributionModel):
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
         return self.mu + self.sigma * float(ndtri(u))
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        return self.mu + self.sigma * ndtri(u)
 
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
@@ -392,6 +427,11 @@ class HTransform:
     def deriv(self, x: float) -> float:
         raise NotImplementedError
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Array form of ``value``: same values, same domain errors.
+        Custom transforms fall back to this adapter."""
+        return np.vectorize(self.value, otypes=[float])(x)
+
     def __str__(self) -> str:
         return self.kind
 
@@ -405,6 +445,9 @@ class Identity(HTransform):
 
     def deriv(self, x: float) -> float:
         return 1.0
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -427,6 +470,12 @@ class Power(HTransform):
             raise DomainError(f"power({self.exponent}) undefined for x={x} < 0")
         return self.exponent * x ** (self.exponent - 1.0)
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.exponent != int(self.exponent) and x.size and x.min() < 0:
+            raise DomainError(f"power({self.exponent}) undefined for x={x.min()} < 0")
+        return x ** self.exponent
+
     def __str__(self) -> str:
         return f"power({self.exponent:g})"
 
@@ -447,6 +496,13 @@ class Log(HTransform):
             raise DomainError(f"log derivative undefined for x={x} <= 0")
         return 1.0 / x
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.size and x.min() < 0:
+            raise DomainError(f"log transform undefined for x={x.min()} < 0")
+        with np.errstate(divide="ignore"):  # log(0) = -inf, as in value()
+            return np.log(x)
+
 
 @dataclass(frozen=True)
 class Shifted(HTransform):
@@ -459,6 +515,9 @@ class Shifted(HTransform):
 
     def deriv(self, x: float) -> float:
         return 1.0
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) + self.offset
 
     def __str__(self) -> str:
         return f"shifted({self.offset:g})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +23,7 @@ __all__ = [
     "Mode",
     "MomentSpec",
     "floor_count",
+    "sorted_sample_moment",
     "sample_moment",
     "sample_trimmed_moment",
     "sample_winsorized_moment",
@@ -82,31 +83,37 @@ def _window(n: int, spec: MomentSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def sample_trimmed_moment(values: Sequence[float], spec: MomentSpec) -> float:
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    if n < 1:
-        raise EmptyWindowError("empty sample")
+def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
+    """The spec's MTM or MWM moment of an ascending, finite sample; the
+    caller validates and sorts (``sample_moment``, or ``run_mc`` per draw)."""
+    n = xs.size
     lo, hi = _window(n, spec)
-    h = spec.transform.value
-    return sum(h(v) for v in x[lo:hi]) / (hi - lo)
+    h = spec.transform.values(xs[lo:hi])
+    if spec.mode is Mode.MTM:
+        return float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
+    return float((lo * h[0] + h.sum() + (n - hi) * h[-1]) / n)
+
+
+def _ascending(values: Sequence[float]) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.size < 1:
+        raise EmptyWindowError("empty sample")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"non-finite sample values at indices {bad.tolist()}")
+    return np.sort(x)
+
+
+def sample_trimmed_moment(values: Sequence[float], spec: MomentSpec) -> float:
+    return sorted_sample_moment(_ascending(values), replace(spec, mode=Mode.MTM))
 
 
 def sample_winsorized_moment(values: Sequence[float], spec: MomentSpec) -> float:
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    if n < 1:
-        raise EmptyWindowError("empty sample")
-    lo, hi = _window(n, spec)
-    h = spec.transform.value
-    core = sum(h(v) for v in x[lo:hi])
-    return (lo * h(x[lo]) + core + (n - hi) * h(x[hi - 1])) / n
+    return sorted_sample_moment(_ascending(values), replace(spec, mode=Mode.MWM))
 
 
 def sample_moment(values: Sequence[float], spec: MomentSpec) -> float:
-    if spec.mode is Mode.MTM:
-        return sample_trimmed_moment(values, spec)
-    return sample_winsorized_moment(values, spec)
+    return sorted_sample_moment(_ascending(values), spec)
 
 
 def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
@@ -134,7 +141,8 @@ def load_sample(path: str | Path) -> np.ndarray:
     """Read a single-column CSV or whitespace-delimited text file.
 
     Blank lines and '#' comment lines are skipped; anything else that
-    fails to parse as one number per row is rejected with its line number.
+    fails to parse as one finite number per row is rejected with its line
+    number.
     """
     path = Path(path)
     values: list[float] = []
@@ -146,11 +154,15 @@ def load_sample(path: str | Path) -> np.ndarray:
                 continue
             token = line.split(",")[0].strip() if "," in line else line.split()[0]
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                values.append(value)
+            else:
                 bad.append(lineno)
     if bad:
         raise SampleFormatError(
-            f"{path}: non-numeric rows at lines {bad}"
+            f"{path}: non-numeric or non-finite rows at lines {bad}"
         )
     return np.asarray(values, dtype=float)

@@ -11,32 +11,16 @@ is unchanged by the presence or absence of the others.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .asymcov import CovMatrix, CovMethod, cov_matrix
-from .errors import DomainError
-from .models import (
-    CompositeH,
-    DistributionModel,
-    Exponential,
-    HTransform,
-    Identity,
-    Log,
-    Lognormal,
-    ModelTemplate,
-    Normal,
-    Pareto,
-    Power,
-    Shifted,
-    Uniform,
-)
-from .moments import Mode, MomentSpec, floor_count, population_moment
+from .errors import DomainError, RobustLMomentsError
+from .models import CompositeH, DistributionModel, ModelTemplate
+from .moments import MomentSpec, population_moment, sorted_sample_moment
 
 __all__ = [
     "SimulationConfig",
@@ -72,7 +56,6 @@ class SimulationConfig:
     n: int
     replications: int
     master_seed: int = 0
-    estimate_parameters: bool = False
     template: ModelTemplate | None = None
 
     def __post_init__(self):
@@ -95,85 +78,31 @@ class SimulationReport:
     normality_stat: float
     failures: int
     runtime_ms: float
-    theta_deviations: np.ndarray | None = field(default=None)
-
-
-def _quantile_array(model: DistributionModel, u: np.ndarray) -> np.ndarray:
-    if isinstance(model, Uniform):
-        return model.lo + (model.hi - model.lo) * u
-    if isinstance(model, Exponential):
-        return -model.scale * np.log1p(-u)
-    if isinstance(model, Pareto):
-        return model.xm * (1.0 - u) ** (-1.0 / model.shape)
-    if isinstance(model, Lognormal):
-        return np.exp(model.mu + model.sigma * ndtri(u))
-    if isinstance(model, Normal):
-        return model.mu + model.sigma * ndtri(u)
-    return np.vectorize(model.quantile)(u)
-
-
-def _transform_array(t: HTransform, x: np.ndarray) -> np.ndarray:
-    if isinstance(t, Identity):
-        return x
-    if isinstance(t, Power):
-        return x ** t.exponent
-    if isinstance(t, Log):
-        return np.log(x)
-    if isinstance(t, Shifted):
-        return x + t.offset
-    return np.vectorize(t.value)(x)
-
-
-def _moments_from_sorted(xs: np.ndarray, specs) -> np.ndarray:
-    n = xs.size
-    out = np.empty(len(specs))
-    for j, spec in enumerate(specs):
-        lo = floor_count(n, spec.a)
-        hi = n - floor_count(n, spec.b)
-        h = _transform_array(spec.transform, xs[lo:hi])
-        if spec.mode is Mode.MTM:
-            out[j] = h.mean()
-        else:
-            out[j] = (lo * h[0] + h.sum() + (n - hi) * h[-1]) / n
-    return out
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ROBUST_LMOMENTS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _run_replications(config: SimulationConfig, task):
-    """Apply ``task(r, sorted_sample)`` over replications, deterministically
-    ordered by replication index regardless of worker count."""
+    """Apply ``task(sorted_sample)`` to each replication in index order.
 
-    def one(r: int):
+    A replication whose task raises a package error counts as a failure;
+    more than 1% failures abort the run with the first cause attached.
+    """
+    results = []
+    causes: list[RobustLMomentsError] = []
+    for r in range(config.replications):
         rng = np.random.Generator(
             np.random.PCG64(replication_seed(config.master_seed, r))
         )
         u = rng.random(config.n)
-        xs = np.sort(_quantile_array(config.model, u))
         try:
-            return task(r, xs)
-        except Exception as exc:
-            return exc
-
-    workers = _worker_count()
-    indices = range(config.replications)
-    if workers == 1:
-        results = [one(r) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    failures = sum(isinstance(res, Exception) for res in results)
-    if failures > 0.01 * config.replications:
-        raise RuntimeError(
-            f"{failures}/{config.replications} replications failed; aborting"
-        )
-    return [res for res in results if not isinstance(res, Exception)], failures
+            results.append(task(np.sort(config.model.quantiles(u))))
+        except RobustLMomentsError as exc:
+            causes.append(exc)
+    if len(causes) > 0.01 * config.replications:
+        raise RobustLMomentsError(
+            f"{len(causes)}/{config.replications} replications failed; "
+            f"first cause: {causes[0]}"
+        ) from causes[0]
+    return results, len(causes)
 
 
 def run_mc(config: SimulationConfig) -> SimulationReport:
@@ -189,10 +118,11 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
     )
     root_n = math.sqrt(config.n)
 
-    rows, failures = _run_replications(
-        config,
-        lambda r, xs: root_n * (_moments_from_sorted(xs, specs) - mu_pop),
-    )
+    def deviations(xs):
+        moments = np.array([sorted_sample_moment(xs, s) for s in specs])
+        return root_n * (moments - mu_pop)
+
+    rows, failures = _run_replications(config, deviations)
     devs = np.vstack(rows)
     if devs.shape[0] < 2:
         raise DomainError("need at least 2 successful replications for a covariance")
@@ -241,7 +171,7 @@ def coverage_check(config: SimulationConfig, confidence: float) -> float:
     z = math.inf if confidence == 1.0 else float(ndtri(0.5 + confidence / 2.0))
     root_n = math.sqrt(config.n)
 
-    def one(r, xs):
+    def one(xs):
         result = fit(template, xs, list(config.specs))
         se = np.sqrt(np.diag(result.cov_theta.entries)) / root_n
         return bool(np.all(np.abs(result.theta_hat - theta_true) <= z * se))

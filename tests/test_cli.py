@@ -44,9 +44,11 @@ class TestParseArgs:
         assert exc.value.code == 2
 
     def test_equivalence_defaults(self):
-        cfg = parse_args(["equivalence", "--seed", "42"])
+        cfg = parse_args(["equivalence"])
         assert cfg.command == "equivalence"
-        assert cfg.seed == 42
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["equivalence", "--seed", "42"])
+        assert exc.value.code == 2
 
     def test_canonical_round_trip(self, sample_file):
         argv = [
@@ -235,3 +237,59 @@ class TestRun:
     def test_run_config_direct(self):
         code = run(RunConfig(command="moments", transforms=("identity",)))
         assert code == 1  # neither data nor family given
+
+    def test_non_finite_data_rejected(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("1\n2\nnan\n4\n5\n")
+        code = main(["moments", "--data", str(p), "--trim", "0.2,0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "non-finite rows at lines [3]" in captured.err
+
+    def test_simulate_replication_failures_are_errors(self, capsys):
+        code = main(
+            [
+                "simulate",
+                "--family",
+                "normal(0,1)",
+                "--transform",
+                "log",
+                "--trim",
+                "0.6,0.1",
+                "-n",
+                "10",
+                "-R",
+                "100",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, labels",
+    [
+        (["moments", "--family", "exponential(2.5)", "--trim", "0.25,0.25"], {1}),
+        (["asymcov", "--family", "exponential(1)", "--trim", "0.1,0.1",
+          "--transform", "identity", "--transform", "log"], {3}),
+        (["fit", "--family", "exponential(?)"], set()),
+        (["simulate", "--family", "uniform(0,1)", "--trim", "0.25,0.25",
+          "-n", "200", "-R", "100", "--tolerance", "1"], set()),
+    ],
+    ids=["moments", "asymcov", "fit", "simulate"],
+)
+def test_csv_cells_are_numbers(argv, labels, sample_file, capsys):
+    if argv[0] in ("moments", "fit"):
+        argv = argv + ["--data", sample_file]
+    assert main(argv + ["--csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for col, cell in enumerate(cells):
+            if col not in labels:
+                float(cell)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from robust_lmoments import (
     CompositeH,
+    DomainError,
     EmptyWindowError,
     Exponential,
     Identity,
+    Log,
     Mode,
     MomentSpec,
     Power,
@@ -84,6 +86,40 @@ class TestSampleWinsorized:
         data = [1, 2, 3, 10]
         assert sample_moment(data, MomentSpec(IDENT, 0, 0.25, Mode.MWM)) == 2.25
         assert sample_moment(data, MomentSpec(IDENT, 0.25, 0.25)) == 2.5
+
+
+def _loop_moment(values, spec):
+    """Reference: the estimator written out one order statistic at a time."""
+    x = sorted(values)
+    n = len(x)
+    lo = floor_count(n, spec.a)
+    hi = n - floor_count(n, spec.b)
+    h = spec.transform.value
+    core = math.fsum(h(v) for v in x[lo:hi])
+    if spec.mode is Mode.MTM:
+        return core / (hi - lo)
+    return (lo * h(x[lo]) + core + (n - hi) * h(x[hi - 1])) / n
+
+
+class TestSampleKernel:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("transform", [IDENT, Power(2.0), Log()], ids=str)
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.1, 0.25), (0.3, 0.0)])
+    def test_matches_loop_reference(self, transform, a, b, mode):
+        values = np.random.default_rng(5).lognormal(0.0, 1.0, 997)
+        spec = MomentSpec(transform, a, b, mode)
+        assert sample_moment(values, spec) == pytest.approx(
+            _loop_moment(values, spec), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "fn", [sample_moment, sample_trimmed_moment, sample_winsorized_moment]
+    )
+    def test_non_finite_rejected(self, fn, bad):
+        # NaN sorts last and would be trimmed away silently
+        with pytest.raises(DomainError, match=r"indices \[2\]"):
+            fn([1.0, 2.0, bad, 4.0, 5.0], MomentSpec(IDENT, 0.2, 0.2))
 
 
 class TestSpecValidation:
@@ -205,6 +241,12 @@ class TestLoadSample:
         p = tmp_path / "x.csv"
         p.write_text("1.0\nbogus\n3.0\n")
         with pytest.raises(SampleFormatError, match="2"):
+            load_sample(p)
+
+    def test_non_finite_rows_rejected(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("1.0\nnan\n3.0\n# note\ninf\n-Infinity\n")
+        with pytest.raises(SampleFormatError, match=r"at lines \[2, 5, 6\]"):
             load_sample(p)
 
     def test_csv_first_column(self, tmp_path):

@@ -1,7 +1,5 @@
 """Monte Carlo harness: determinism, seeding, and convergence."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,11 @@ from robust_lmoments import (
     DomainError,
     Exponential,
     Identity,
+    Log,
     Mode,
     MomentSpec,
+    Normal,
+    RobustLMomentsError,
     SimulationConfig,
     Uniform,
     coverage_check,
@@ -62,20 +63,6 @@ class TestRunMc:
         assert np.array_equal(a.empirical_cov.entries, b.empirical_cov.entries)
         assert a.max_rel_dev == b.max_rel_dev
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = SimulationConfig(
-            Exponential(1.0), (MomentSpec(IDENT, 0.1, 0.1),), **self.CFG
-        )
-        serial = run_mc(cfg)
-        os.environ["ROBUST_LMOMENTS_THREADS"] = "4"
-        try:
-            threaded = run_mc(cfg)
-        finally:
-            del os.environ["ROBUST_LMOMENTS_THREADS"]
-        assert np.array_equal(
-            serial.empirical_cov.entries, threaded.empirical_cov.entries
-        )
-
     def test_seed_changes_results(self):
         base = dict(self.CFG)
         cfg_a = SimulationConfig(Uniform(0, 1), (MomentSpec(IDENT),), **base)
@@ -110,6 +97,19 @@ class TestRunMc:
         report = run_mc(cfg)
         assert report.theoretical_cov.entries[0, 0] == pytest.approx(13.0 / 96.0)
         assert report.max_rel_dev < 0.15
+
+    def test_replication_failures_abort_with_cause(self):
+        # log of a normal sample: some windows hold negative values
+        cfg = SimulationConfig(
+            Normal(0.0, 1.0),
+            (MomentSpec(Log(), 0.6, 0.1),),
+            n=10,
+            replications=100,
+            master_seed=0,
+        )
+        with pytest.raises(RobustLMomentsError, match="12/100 replications") as exc:
+            run_mc(cfg)
+        assert isinstance(exc.value.__cause__, DomainError)
 
     def test_report_fields(self):
         cfg = SimulationConfig(
