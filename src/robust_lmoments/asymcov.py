@@ -193,6 +193,11 @@ def _nested_pair(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     return _scenario_i_holds(spec_i, spec_j) or _scenario_i_holds(spec_j, spec_i)
 
 
+def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
+    """Both coordinates share the same trimming proportions."""
+    return spec_i.a == spec_j.a and spec_i.b == spec_j.b
+
+
 def _v11_closed(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
@@ -274,7 +279,7 @@ def sigma_mtm_equal_props(
     ch_j: CompositeH,
 ) -> float:
     """Fast path when both coordinates share the same proportions."""
-    if spec_i.a != spec_j.a or spec_i.b != spec_j.b:
+    if not _equal_props(spec_i, spec_j):
         raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
     return gamma_factor(spec_i, spec_j) * _v11_equal_props(spec_i, ch_i, ch_j)
 
@@ -370,7 +375,7 @@ def sigma_mwm_equal_props(
     ch_j: CompositeH,
 ) -> float:
     """Winsorized covariance for equal proportions across the pair."""
-    if spec_i.a != spec_j.a or spec_i.b != spec_j.b:
+    if not _equal_props(spec_i, spec_j):
         raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
 
@@ -423,6 +428,27 @@ class CovMatrix:
         return self.entries[idx]
 
 
+# Every route that applies to a mode; AUTO resolves to one of these.
+_ROUTES = {
+    (Mode.MTM, CovMethod.ALPHA): sigma_alpha_form,
+    (Mode.MTM, CovMethod.KERNEL): sigma_mtm_kernel_form,
+    (Mode.MTM, CovMethod.CLOSED): sigma_mtm_closed,
+    (Mode.MTM, CovMethod.EQUAL_PROPS): sigma_mtm_equal_props,
+    (Mode.MWM, CovMethod.ALPHA): sigma_alpha_form,
+    (Mode.MWM, CovMethod.MWM_DECOMP): sigma_mwm_decomposition,
+    (Mode.MWM, CovMethod.EQUAL_PROPS): sigma_mwm_equal_props,
+}
+
+
+def _auto_method(spec_i: MomentSpec, spec_j: MomentSpec) -> CovMethod:
+    """The fastest route valid for the pair."""
+    if _equal_props(spec_i, spec_j):
+        return CovMethod.EQUAL_PROPS
+    if spec_i.mode is Mode.MWM:
+        return CovMethod.MWM_DECOMP
+    return CovMethod.CLOSED if _nested_pair(spec_i, spec_j) else CovMethod.KERNEL
+
+
 def sigma_pair(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
@@ -433,34 +459,13 @@ def sigma_pair(
     """One covariance entry plus the label of the route actually used."""
     if spec_i.mode is not spec_j.mode:
         raise DomainError("covariance entries require a single estimation mode")
-    mode = spec_i.mode
     if method is CovMethod.AUTO:
-        equal = spec_i.a == spec_j.a and spec_i.b == spec_j.b
-        if mode is Mode.MTM:
-            if equal:
-                method = CovMethod.EQUAL_PROPS
-            elif _nested_pair(spec_i, spec_j):
-                method = CovMethod.CLOSED
-            else:
-                method = CovMethod.KERNEL
-        else:
-            method = CovMethod.EQUAL_PROPS if equal else CovMethod.MWM_DECOMP
-
-    if method is CovMethod.ALPHA:
-        return sigma_alpha_form(spec_i, spec_j, ch_i, ch_j), method.value
-    if mode is Mode.MTM:
-        if method is CovMethod.KERNEL:
-            return sigma_mtm_kernel_form(spec_i, spec_j, ch_i, ch_j), method.value
-        if method is CovMethod.CLOSED:
-            return sigma_mtm_closed(spec_i, spec_j, ch_i, ch_j), method.value
-        if method is CovMethod.EQUAL_PROPS:
-            return sigma_mtm_equal_props(spec_i, spec_j, ch_i, ch_j), method.value
-        raise DomainError(f"method {method.value} not applicable to trimmed mode")
-    if method is CovMethod.MWM_DECOMP:
-        return sigma_mwm_decomposition(spec_i, spec_j, ch_i, ch_j), method.value
-    if method is CovMethod.EQUAL_PROPS:
-        return sigma_mwm_equal_props(spec_i, spec_j, ch_i, ch_j), method.value
-    raise DomainError(f"method {method.value} not applicable to winsorized mode")
+        method = _auto_method(spec_i, spec_j)
+    route = _ROUTES.get((spec_i.mode, method))
+    if route is None:
+        mode = "trimmed" if spec_i.mode is Mode.MTM else "winsorized"
+        raise DomainError(f"method {method.value} not applicable to {mode} mode")
+    return route(spec_i, spec_j, ch_i, ch_j), method.value
 
 
 def cov_matrix(
@@ -482,7 +487,9 @@ def cov_matrix(
             try:
                 value, used = sigma_pair(specs[i], specs[j], chs[i], chs[j], method)
             except Exception as exc:
-                raise type(exc)(f"entry ({i}, {j}): {exc}") from exc
+                # Same object, so its type and attributes survive.
+                exc.args = (f"entry ({i}, {j}): {exc}",)
+                raise
             entries[i, j] = entries[j, i] = value
             labels[i][j] = labels[j][i] = used
     entries = 0.5 * (entries + entries.T)

@@ -13,7 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .asymcov import CovMethod, _nested_pair, sigma_pair
+from .asymcov import CovMethod, _equal_props, _nested_pair, sigma_pair
 from .models import (
     CompositeH,
     DistributionModel,
@@ -37,6 +37,7 @@ __all__ = [
     "build_equal_props_corpus",
     "run_mtm_audit",
     "run_mwm_audit",
+    "run_mwm_equal_props_audit",
     "relative_deviation",
 ]
 
@@ -66,10 +67,11 @@ class AuditResult:
     worst_case: AuditCase | None
     worst_pair: tuple[str, str] | None
     runtime_s: float
+    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= REL_TOL
+        return self.max_deviation <= self.tolerance
 
 
 def relative_deviation(x: float, y: float) -> float:
@@ -175,7 +177,7 @@ def build_mwm_corpus() -> list[AuditCase]:
     return build_mtm_corpus(Mode.MWM) + build_equal_props_corpus(Mode.MWM)
 
 
-def _run_audit(cases, routes) -> AuditResult:
+def _run_audit(cases, routes, tolerance: float) -> AuditResult:
     start = time.perf_counter()
     worst = 0.0
     worst_case = None
@@ -200,6 +202,7 @@ def _run_audit(cases, routes) -> AuditResult:
         worst_case=worst_case,
         worst_pair=worst_pair,
         runtime_s=time.perf_counter() - start,
+        tolerance=tolerance,
     )
 
 
@@ -207,10 +210,7 @@ def _mtm_routes(case: AuditCase):
     routes = [CovMethod.ALPHA, CovMethod.KERNEL]
     if _nested_pair(case.spec_i, case.spec_j):
         routes.append(CovMethod.CLOSED)
-    if (
-        case.spec_i.a == case.spec_j.a
-        and case.spec_i.b == case.spec_j.b
-    ):
+    if _equal_props(case.spec_i, case.spec_j):
         routes.append(CovMethod.EQUAL_PROPS)
     return routes
 
@@ -219,7 +219,7 @@ def run_mtm_audit(cases: list[AuditCase] | None = None) -> AuditResult:
     """Pairwise agreement of the trimmed-moment routes on every case."""
     if cases is None:
         cases = build_mtm_corpus() + build_equal_props_corpus()
-    return _run_audit(cases, _mtm_routes)
+    return _run_audit(cases, _mtm_routes, REL_TOL)
 
 
 def _mwm_routes(case: AuditCase):
@@ -230,7 +230,7 @@ def run_mwm_audit(cases: list[AuditCase] | None = None) -> AuditResult:
     """Winsorized decomposition versus the reference integral."""
     if cases is None:
         cases = build_mwm_corpus()
-    return _run_audit(cases, _mwm_routes)
+    return _run_audit(cases, _mwm_routes, REL_TOL)
 
 
 def run_mwm_equal_props_audit(
@@ -241,8 +241,8 @@ def run_mwm_equal_props_audit(
     if cases is None:
         cases = build_equal_props_corpus(Mode.MWM)
     return _run_audit(
-        cases, lambda case: [CovMethod.MWM_DECOMP, CovMethod.EQUAL_PROPS]
+        cases,
+        lambda case: [CovMethod.MWM_DECOMP, CovMethod.EQUAL_PROPS],
+        EQUAL_PROPS_TOL,
     )
 
-
-__all__.append("run_mwm_equal_props_audit")

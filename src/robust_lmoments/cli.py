@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -41,7 +42,7 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 class RunConfig:
     command: str
     model: str | None = None
-    transforms: tuple[str, ...] = ()
+    transforms: tuple[str, ...] = ()  # none given: one identity coordinate
     trims: tuple[tuple[float, float], ...] = ()
     mode: str = "mtm"
     data: str | None = None
@@ -53,31 +54,6 @@ class RunConfig:
     replications: int = 500
     tolerance: float = 0.10
     config_file: str | None = None
-
-    def canonical(self) -> str:
-        """Stable one-line form; parsing it back yields an equal config."""
-        parts = [self.command]
-        if self.model:
-            parts.append(f"--family {self.model}")
-        for t in self.transforms:
-            parts.append(f"--transform {t}")
-        for a, b in self.trims:
-            parts.append(f"--trim {a:g},{b:g}")
-        parts.append(f"--mode {self.mode}")
-        if self.data:
-            parts.append(f"--data {self.data}")
-        if self.out:
-            parts.append(f"--out {self.out}")
-        if self.csv:
-            parts.append("--csv")
-        if self.command in ("asymcov",):
-            parts.append(f"--method {self.method}")
-        if self.command == "simulate":
-            parts.append(f"--seed {self.seed}")
-            parts.append(f"-n {self.n}")
-            parts.append(f"-R {self.replications}")
-            parts.append(f"--tolerance {self.tolerance:g}")
-        return " ".join(parts)
 
 
 def _trim_pair(text: str) -> tuple[float, float]:
@@ -104,30 +80,38 @@ def _build_parser() -> argparse.ArgumentParser:
             "Monte Carlo verification harness."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # An option left off the command line stays out of the namespace, so
+    # RunConfig's field defaults are the only defaults.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, argument_default=argparse.SUPPRESS
+        ),
+    )
 
     def add_common(p, *, transforms=True, data=False):
         if transforms:
             p.add_argument(
                 "--transform",
+                dest="transforms",
                 action="append",
-                default=None,
+                metavar="TRANSFORM",
                 help="transform of the observations: identity, power(k), "
                 "log, or shifted(c); repeat for several coordinates",
             )
             p.add_argument(
                 "--trim",
+                dest="trims",
                 action="append",
                 type=_trim_pair,
-                default=None,
                 metavar="A,B",
                 help="lower,upper trimming proportions with a+b < 1; "
                 "repeat to pair with each --transform",
             )
             p.add_argument(
                 "--mode",
-                choices=["mtm", "mwm"],
-                default="mtm",
+                choices=[m.value for m in Mode],
                 help="mtm discards the trimmed tails, mwm piles their "
                 "probability mass onto the retained window edges",
             )
@@ -135,6 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", help="sample file, one number per line")
         p.add_argument("--out", help="write output to this file atomically")
         p.add_argument("--csv", action="store_true", help="CSV output")
+
+    def add_family(p, about=None, required=False):
+        p.add_argument(
+            "--family", dest="model", metavar="FAMILY", required=required, help=about
+        )
 
     p = sub.add_parser(
         "moments",
@@ -150,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_common(p, data=True)
-    p.add_argument("--family", help="distribution, e.g. exponential(1.0)")
+    add_family(p, "distribution, e.g. exponential(1.0)")
 
     p = sub.add_parser(
         "asymcov",
@@ -165,11 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_common(p)
-    p.add_argument("--family", required=True)
+    add_family(p, required=True)
     p.add_argument(
         "--method",
         choices=[m.value for m in CovMethod],
-        default="auto",
         help="evaluation route; auto picks the fastest valid one per entry",
     )
 
@@ -182,8 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "the worst pairwise relative deviation."
         ),
     )
-    p.add_argument("--out", help="write output to this file atomically")
-    p.add_argument("--csv", action="store_true", help="CSV output")
+    add_common(p, transforms=False)
 
     p = sub.add_parser(
         "fit",
@@ -196,10 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_common(p, data=True)
-    p.add_argument(
-        "--family",
-        required=True,
-        help="template with '?' for free parameters, e.g. exponential(?)",
+    add_family(
+        p, "template with '?' for free parameters, e.g. exponential(?)", required=True
     )
 
     p = sub.add_parser(
@@ -213,29 +198,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_common(p)
-    p.add_argument("--family")
-    p.add_argument("--config", dest="config_file", help="key=value file, '#' comments")
-    p.add_argument("-n", type=int, default=1000, help="sample size per replication")
-    p.add_argument("-R", "--replications", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.10)
+    add_family(p)
+    p.add_argument(
+        "--config",
+        dest="config_file",
+        help=f"key=value file, '#' comments; keys: {', '.join(_CONFIG_KEYS)}",
+    )
+    p.add_argument("-n", type=int, help="sample size per replication")
+    p.add_argument("-R", "--replications", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
     return parser
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RobustLMomentsError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
 
 
 # simulate --config key -> (RunConfig field, parser of the value text)
@@ -243,7 +216,7 @@ _CONFIG_KEYS = {
     "family": ("model", str),
     "transform": ("transforms", lambda v: tuple(t.strip() for t in v.split(";"))),
     "trim": ("trims", lambda v: tuple(_trim_pair(t.strip()) for t in v.split(";"))),
-    "mode": ("mode", str),
+    "mode": ("mode", lambda v: Mode(v).value),
     "seed": ("seed", int),
     "n": ("n", int),
     "replications": ("replications", int),
@@ -251,36 +224,48 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_config_file(path: str) -> dict[str, object]:
+    """RunConfig field -> value from a key=value file with '#' comments."""
+    out: dict[str, object] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            if "=" not in line:
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(
+                    f"{where}: unknown key {key!r}; known keys: "
+                    f"{', '.join(_CONFIG_KEYS)}"
+                )
+            name, parse = _CONFIG_KEYS[key]
+            try:
+                out[name] = parse(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{where}: bad {key} {value!r}: {exc}") from exc
+    return out
+
+
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    transforms = tuple(getattr(ns, "transform", None) or ())
-    trims = tuple(getattr(ns, "trim", None) or ())
-    cfg = RunConfig(
-        command=ns.command,
-        model=getattr(ns, "family", None),
-        transforms=transforms or (("identity",) if ns.command != "equivalence" else ()),
-        trims=trims,
-        mode=getattr(ns, "mode", "mtm"),
-        data=getattr(ns, "data", None),
-        out=getattr(ns, "out", None),
-        csv=getattr(ns, "csv", False),
-        method=getattr(ns, "method", "auto"),
-        seed=getattr(ns, "seed", 0),
-        n=getattr(ns, "n", 1000),
-        replications=getattr(ns, "replications", 500),
-        tolerance=getattr(ns, "tolerance", 0.10),
-        config_file=getattr(ns, "config_file", None),
-    )
-    if cfg.command == "simulate" and cfg.config_file:
-        kv = _read_config_file(cfg.config_file)
-        for key, (name, parse) in _CONFIG_KEYS.items():
-            if key in kv:
-                cfg = replace(cfg, **{name: parse(kv[key])})
+    parser = _build_parser()
+    given = vars(parser.parse_args(argv))
+    for name in ("transforms", "trims"):
+        if name in given:
+            given[name] = tuple(given[name])
+    cfg = RunConfig(**given)
+    if cfg.config_file:
+        try:
+            cfg = replace(cfg, **_read_config_file(cfg.config_file))
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
     return cfg
 
 
 def _specs(config: RunConfig) -> list[MomentSpec]:
-    transforms = [parse_transform(t) for t in config.transforms]
+    transforms = [parse_transform(t) for t in config.transforms or ("identity",)]
     trims = list(config.trims) or [(0.0, 0.0)] * len(transforms)
     if len(trims) == 1 and len(transforms) > 1:
         trims = trims * len(transforms)
@@ -303,13 +288,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        _atomic_write(config.out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _num(x) -> str:
@@ -335,7 +313,7 @@ def _format_matrix(cov: CovMatrix, csv: bool) -> str:
     return buf.getvalue()
 
 
-def _run_moments(config: RunConfig) -> str:
+def _run_moments(config: RunConfig) -> tuple[str, bool]:
     specs = _specs(config)
     lines = []
     csv = config.csv
@@ -356,14 +334,14 @@ def _run_moments(config: RunConfig) -> str:
             lines.append(
                 f"{j},population,{_num(v)}" if csv else f"[{j}] population {v:.12g}"
             )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
-def _run_asymcov(config: RunConfig) -> str:
+def _run_asymcov(config: RunConfig) -> tuple[str, bool]:
     specs = _specs(config)
     model = parse_model(config.model)
     cov = cov_matrix(specs, model, CovMethod(config.method))
-    return _format_matrix(cov, config.csv)
+    return _format_matrix(cov, config.csv), True
 
 
 def _run_equivalence(config: RunConfig) -> tuple[str, bool]:
@@ -375,17 +353,21 @@ def _run_equivalence(config: RunConfig) -> tuple[str, bool]:
     ok = all(r.passed for r in results.values())
     buf = io.StringIO()
     if config.csv:
-        buf.write("audit,cases,comparisons,max_deviation,runtime_s,status\n")
+        buf.write(
+            "audit,cases,comparisons,max_deviation,tolerance,runtime_s,status\n"
+        )
         for name, r in results.items():
             buf.write(
                 f"{name},{r.cases},{r.comparisons},{_num(r.max_deviation)},"
-                f"{r.runtime_s:.2f},{'PASS' if r.passed else 'FAIL'}\n"
+                f"{_num(r.tolerance)},{r.runtime_s:.2f},"
+                f"{'PASS' if r.passed else 'FAIL'}\n"
             )
     else:
         for name, r in results.items():
             buf.write(
                 f"{'PASS' if r.passed else 'FAIL'} {name}: {r.cases} configs, "
-                f"max deviation {r.max_deviation:.3e} in {r.runtime_s:.1f}s\n"
+                f"max deviation {r.max_deviation:.3e} "
+                f"(tolerance {r.tolerance:g}) in {r.runtime_s:.1f}s\n"
             )
             if r.worst_case is not None:
                 buf.write(
@@ -395,7 +377,7 @@ def _run_equivalence(config: RunConfig) -> tuple[str, bool]:
     return buf.getvalue(), ok
 
 
-def _run_fit(config: RunConfig) -> str:
+def _run_fit(config: RunConfig) -> tuple[str, bool]:
     if not config.data:
         raise RobustLMomentsError("fit requires --data")
     template = parse_model_template(config.model)
@@ -422,7 +404,7 @@ def _run_fit(config: RunConfig) -> str:
             buf.write(
                 f"warning: second solution found at {result.alt_theta}\n"
             )
-    return buf.getvalue()
+    return buf.getvalue(), True
 
 
 def _run_simulate(config: RunConfig) -> tuple[str, bool]:
@@ -466,28 +448,29 @@ def _run_simulate(config: RunConfig) -> tuple[str, bool]:
     return buf.getvalue(), ok
 
 
+_COMMANDS = {
+    "moments": _run_moments,
+    "asymcov": _run_asymcov,
+    "equivalence": _run_equivalence,
+    "fit": _run_fit,
+    "simulate": _run_simulate,
+}
+
+
 def run(config: RunConfig) -> int:
     try:
-        if config.command == "moments":
-            _emit(config, _run_moments(config))
-        elif config.command == "asymcov":
-            _emit(config, _run_asymcov(config))
-        elif config.command == "equivalence":
-            text, ok = _run_equivalence(config)
-            _emit(config, text)
-            return 0 if ok else 1
-        elif config.command == "fit":
-            _emit(config, _run_fit(config))
-        elif config.command == "simulate":
-            text, ok = _run_simulate(config)
-            _emit(config, text)
-            return 0 if ok else 1
-        else:
+        handler = _COMMANDS.get(config.command)
+        if handler is None:
             raise RobustLMomentsError(f"unknown command {config.command!r}")
+        text, ok = handler(config)
+        if config.out:
+            _atomic_write(config.out, text)
+        else:
+            sys.stdout.write(text)
     except (RobustLMomentsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

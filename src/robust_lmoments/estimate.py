@@ -19,16 +19,7 @@ from .errors import (
     DomainError,
     SingularJacobianError,
 )
-from .models import (
-    CompositeH,
-    DistributionModel,
-    Exponential,
-    Lognormal,
-    ModelTemplate,
-    Normal,
-    Pareto,
-    Uniform,
-)
+from .models import CompositeH, DistributionModel, ModelTemplate
 from .moments import MomentSpec, population_moment, sample_moment
 
 __all__ = ["FitResult", "fit", "delta_cov", "moment_jacobian"]
@@ -83,40 +74,13 @@ def _in_domain(template: ModelTemplate, theta) -> bool:
 
 
 def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
-    """Method-of-moments style starts per family, plus a default start."""
-    x = np.asarray(sample, dtype=float)
-    mean = float(np.mean(x))
-    std = float(np.std(x)) or 1.0
+    """The family's method-of-moments start, plus its default member."""
     cls = template.cls
-    if cls is Exponential:
-        full = [max(mean, 1e-8)]
-        default = [1.0]
-    elif cls is Uniform:
-        span = x.max() - x.min()
-        full = [x.min() - 0.05 * span, x.max() + 0.05 * span]
-        default = [0.0, 1.0]
-    elif cls is Normal:
-        full = [mean, std]
-        default = [0.0, 1.0]
-    elif cls is Lognormal:
-        positive = x[x > 0]
-        if positive.size:
-            logs = np.log(positive)
-            full = [float(np.mean(logs)), float(np.std(logs)) or 1.0]
-        else:
-            full = [0.0, 1.0]
-        default = [0.0, 1.0]
-    elif cls is Pareto:
-        positive = x[x > 0]
-        if positive.size:
-            xm = float(positive.min()) * 0.95
-            excess = float(np.mean(np.log(positive))) - math.log(xm)
-            full = [1.0 / excess if excess > 1e-9 else 2.0, xm]
-        else:
-            full = [2.0, 1.0]
-        default = [2.0, 1.0]
-    else:
-        full = default = [1.0] * len(template.values)
+    full = cls.moment_start(np.asarray(sample, dtype=float))
+    try:
+        default = cls().params
+    except TypeError:  # a family whose parameters have no defaults
+        default = full
     free = template.free_indices
     starts = [np.array([full[i] for i in free], dtype=float)]
     alt = np.array([default[i] for i in free], dtype=float)
@@ -236,7 +200,7 @@ def fit(
     """Estimate the free parameters by matching sample and population
     moments, with asymptotic covariances in moment and parameter space."""
     if isinstance(template, DistributionModel):
-        template = ModelTemplate(type(template), (None,) * len(template.params))
+        template = ModelTemplate.all_free(template)
     k = template.free_count
     if k == 0:
         raise DomainError("template has no free parameters")
@@ -292,7 +256,7 @@ def delta_cov(
 ) -> CovMatrix:
     """Parameter-space covariance D^-1 Sigma_mu D^-T with D = d mu / d theta."""
     if template is None:
-        template = ModelTemplate(type(model), (None,) * len(model.params))
+        template = ModelTemplate.all_free(model)
         theta = np.asarray(model.params, dtype=float)
     jac = moment_jacobian(template, theta, specs)
     condition = float(np.linalg.cond(jac))

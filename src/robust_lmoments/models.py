@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -50,23 +50,24 @@ class DistributionModel:
     """Base class for parametric families.
 
     Subclasses are immutable dataclasses exposing the quantile function,
-    its derivative, and the cdf.  ``params`` is the parameter vector in
-    declaration order; ``bounds`` gives open-domain limits per parameter
-    used by the fitting line search.
+    its derivative, and the cdf.  Their fields are the parameters:
+    ``params`` is the field values in declaration order and the field
+    defaults are the family's default member.  ``param_bounds`` gives
+    open-domain limits per parameter used by the fitting line search.
     """
 
     family: str = "abstract"
+    param_bounds: tuple[tuple[float, float], ...]
 
     @property
     def params(self) -> tuple[float, ...]:
-        raise NotImplementedError
+        return tuple(getattr(self, f.name) for f in fields(self))
 
-    def with_params(self, params: tuple[float, ...]) -> "DistributionModel":
-        return type(self)(*params)
-
-    @staticmethod
-    def param_bounds() -> tuple[tuple[float, float], ...]:
-        raise NotImplementedError
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        """Method-of-moments starting point for fitting the family to the
+        sample ``x``; all ones for a family that defines none."""
+        return (1.0,) * len(cls.param_bounds)
 
     def quantile(self, u: float) -> float:
         raise NotImplementedError
@@ -116,6 +117,7 @@ class Uniform(DistributionModel):
     hi: float = 1.0
 
     family = "uniform"
+    param_bounds = ((-math.inf, math.inf), (-math.inf, math.inf))
     bounded_below = True
     bounded_above = True
 
@@ -123,13 +125,10 @@ class Uniform(DistributionModel):
         if not self.hi > self.lo:
             raise DomainError(f"uniform requires hi > lo, got ({self.lo}, {self.hi})")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.lo, self.hi)
-
-    @staticmethod
-    def param_bounds():
-        return ((-math.inf, math.inf), (-math.inf, math.inf))
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        span = x.max() - x.min()
+        return (x.min() - 0.05 * span, x.max() + 0.05 * span)
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
@@ -156,19 +155,16 @@ class Exponential(DistributionModel):
     scale: float = 1.0
 
     family = "exponential"
+    param_bounds = ((0.0, math.inf),)
     bounded_below = True
 
     def __post_init__(self):
         if not self.scale > 0:
             raise DomainError(f"exponential scale must be > 0, got {self.scale}")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.scale,)
-
-    @staticmethod
-    def param_bounds():
-        return ((0.0, math.inf),)
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        return (max(float(np.mean(x)), 1e-8),)
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
@@ -198,6 +194,7 @@ class Pareto(DistributionModel):
     xm: float = 1.0
 
     family = "pareto"
+    param_bounds = ((0.0, math.inf), (0.0, math.inf))
     bounded_below = True
 
     def __post_init__(self):
@@ -206,13 +203,14 @@ class Pareto(DistributionModel):
                 f"pareto requires shape > 0 and xm > 0, got ({self.shape}, {self.xm})"
             )
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.shape, self.xm)
-
-    @staticmethod
-    def param_bounds():
-        return ((0.0, math.inf), (0.0, math.inf))
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        positive = x[x > 0]
+        if not positive.size:
+            return cls().params
+        xm = float(positive.min()) * 0.95
+        excess = float(np.mean(np.log(positive))) - math.log(xm)
+        return (1.0 / excess if excess > 1e-9 else 2.0, xm)
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
@@ -240,19 +238,20 @@ class Lognormal(DistributionModel):
     sigma: float = 1.0
 
     family = "lognormal"
+    param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
     bounded_below = True
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise DomainError(f"lognormal sigma must be > 0, got {self.sigma}")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.mu, self.sigma)
-
-    @staticmethod
-    def param_bounds():
-        return ((-math.inf, math.inf), (0.0, math.inf))
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        positive = x[x > 0]
+        if not positive.size:
+            return cls().params
+        logs = np.log(positive)
+        return (float(np.mean(logs)), float(np.std(logs)) or 1.0)
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
@@ -285,18 +284,15 @@ class Normal(DistributionModel):
     sigma: float = 1.0
 
     family = "normal"
+    param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise DomainError(f"normal sigma must be > 0, got {self.sigma}")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.mu, self.sigma)
-
-    @staticmethod
-    def param_bounds():
-        return ((-math.inf, math.inf), (0.0, math.inf))
+    @classmethod
+    def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
+        return (float(np.mean(x)), float(np.std(x)) or 1.0)
 
     def quantile(self, u: float) -> float:
         self._check_endpoint(u)
@@ -319,11 +315,7 @@ class Normal(DistributionModel):
 
 
 _FAMILIES: dict[str, type[DistributionModel]] = {
-    "uniform": Uniform,
-    "exponential": Exponential,
-    "pareto": Pareto,
-    "lognormal": Lognormal,
-    "normal": Normal,
+    cls.family: cls for cls in (Uniform, Exponential, Pareto, Lognormal, Normal)
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*\(\s*([^)]*)\s*\)\s*$")
@@ -338,19 +330,27 @@ def _parse_call(text: str) -> tuple[str, list[str]]:
     return name, args
 
 
-def parse_model(text: str) -> DistributionModel:
-    """Parse ``"family(p1,p2)"`` into a distribution, case-insensitive."""
-    name, args = _parse_call(text)
-    cls = _FAMILIES.get(name)
-    if cls is None:
+def _call_values(cls: type, text: str, args: list[str]) -> list[float | None]:
+    """The numeric arguments of a parsed call, at most one per field of
+    ``cls``; ``?`` (a free parameter) becomes None."""
+    arity = len(fields(cls))
+    if len(args) > arity:
         raise DomainError(
-            f"unknown family {name!r}; known: {sorted(_FAMILIES)}"
+            f"{text!r} has {len(args)} parameters; {cls.__name__.lower()} "
+            f"takes at most {arity}"
         )
     try:
-        values = [float(a) for a in args]
+        return [None if a == "?" else float(a) for a in args]
     except ValueError as exc:
         raise DomainError(f"non-numeric parameter in {text!r}") from exc
-    return cls(*values)
+
+
+def parse_model(text: str) -> DistributionModel:
+    """Parse ``"family(p1,p2)"`` into a distribution, case-insensitive."""
+    template = parse_model_template(text)
+    if template.free_count:
+        raise DomainError(f"non-numeric parameter in {text!r}")
+    return template.cls(*template.values)
 
 
 @dataclass(frozen=True)
@@ -364,6 +364,11 @@ class ModelTemplate:
     cls: type[DistributionModel]
     values: tuple[float | None, ...]
 
+    @classmethod
+    def all_free(cls, model: DistributionModel) -> "ModelTemplate":
+        """The template of ``model``'s family with every parameter free."""
+        return cls(type(model), (None,) * len(model.params))
+
     @property
     def free_count(self) -> int:
         return sum(v is None for v in self.values)
@@ -373,7 +378,7 @@ class ModelTemplate:
         return tuple(i for i, v in enumerate(self.values) if v is None)
 
     def free_bounds(self) -> tuple[tuple[float, float], ...]:
-        all_bounds = self.cls.param_bounds()
+        all_bounds = self.cls.param_bounds
         return tuple(all_bounds[i] for i in self.free_indices)
 
     def bind(self, theta) -> DistributionModel:
@@ -382,42 +387,25 @@ class ModelTemplate:
             raise DomainError(
                 f"expected {self.free_count} free parameters, got {len(theta)}"
             )
-        filled = [t if v is None else v for v, t in _zip_fill(self.values, theta)]
-        return self.cls(*filled)
-
-
-def _zip_fill(values, theta):
-    it = iter(theta)
-    for v in values:
-        yield v, (next(it) if v is None else None)
+        free = iter(theta)
+        return self.cls(*(next(free) if v is None else v for v in self.values))
 
 
 def parse_model_template(text: str) -> ModelTemplate:
-    """Parse ``"family(p1,?)"`` where ``?`` marks a free parameter.
-
-    A plain numeric spec yields a template with every parameter free's
-    complement: all-numeric means all parameters are treated as initial
-    values but still fixed; use ``?`` to mark what the fit should solve
-    for.  ``"exponential(?)"`` frees the scale.
-    """
+    """Parse ``"family(p1,?)"`` where ``?`` marks a free parameter for the
+    fit to solve for; ``"exponential(?)"`` frees the scale."""
     name, args = _parse_call(text)
     cls = _FAMILIES.get(name)
     if cls is None:
         raise DomainError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
-    values: list[float | None] = []
-    for a in args:
-        if a == "?":
-            values.append(None)
-        else:
-            try:
-                values.append(float(a))
-            except ValueError as exc:
-                raise DomainError(f"non-numeric parameter in {text!r}") from exc
-    return ModelTemplate(cls, tuple(values))
+    return ModelTemplate(cls, tuple(_call_values(cls, text, args)))
 
 
 class HTransform:
-    """Base class for the per-coordinate transform h with derivative."""
+    """Base class for the per-coordinate transform h with derivative.
+
+    Subclasses are immutable dataclasses whose fields are the transform's
+    parameters, as in ``power(2)``."""
 
     kind: str = "abstract"
 
@@ -433,7 +421,8 @@ class HTransform:
         return np.vectorize(self.value, otypes=[float])(x)
 
     def __str__(self) -> str:
-        return self.kind
+        args = ",".join(f"{getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.kind}({args})" if args else self.kind
 
 
 @dataclass(frozen=True)
@@ -476,9 +465,6 @@ class Power(HTransform):
             raise DomainError(f"power({self.exponent}) undefined for x={x.min()} < 0")
         return x ** self.exponent
 
-    def __str__(self) -> str:
-        return f"power({self.exponent:g})"
-
 
 @dataclass(frozen=True)
 class Log(HTransform):
@@ -519,9 +505,6 @@ class Shifted(HTransform):
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.offset
 
-    def __str__(self) -> str:
-        return f"shifted({self.offset:g})"
-
 
 @dataclass(frozen=True)
 class CustomTransform(HTransform):
@@ -557,6 +540,11 @@ def register_transform(
     return t
 
 
+_TRANSFORMS: dict[str, type[HTransform]] = {
+    cls.kind: cls for cls in (Identity, Power, Log, Shifted)
+}
+
+
 def parse_transform(text: str) -> HTransform:
     """Parse ``"identity"``, ``"power(2)"``, ``"log"``, ``"shifted(1.5)"``
     or a registered custom name; case-insensitive."""
@@ -564,26 +552,18 @@ def parse_transform(text: str) -> HTransform:
     lowered = text.lower()
     if lowered in _CUSTOM_TRANSFORMS:
         return _CUSTOM_TRANSFORMS[lowered]
-    if "(" not in lowered:
-        if lowered == "identity":
-            return Identity()
-        if lowered == "log":
-            return Log()
+    if "(" in lowered:
+        name, args = _parse_call(lowered)
+    else:
+        name, args = lowered, None
+    cls = _TRANSFORMS.get(name)
+    # A bare name stands only for a transform without parameters.
+    if cls is None or (args is None and fields(cls)):
         raise DomainError(f"unknown transform {text!r}")
-    name, args = _parse_call(lowered)
-    try:
-        values = [float(a) for a in args]
-    except ValueError as exc:
-        raise DomainError(f"non-numeric argument in transform {text!r}") from exc
-    if name == "power":
-        return Power(*values)
-    if name == "shifted":
-        return Shifted(*values)
-    if name == "identity" and not values:
-        return Identity()
-    if name == "log" and not values:
-        return Log()
-    raise DomainError(f"unknown transform {text!r}")
+    values = _call_values(cls, text, args or [])
+    if None in values:
+        raise DomainError(f"non-numeric parameter in {text!r}")
+    return cls(*values)
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,18 @@
 Backed by QUADPACK's adaptive Gauss-Kronrod rules (scipy.integrate.quad)
 with the package-wide tolerances: absolute floor 1e-14, relative target
 1e-10, up to 2000 subdivisions.  Integrands are only ever evaluated on
-the open interval; non-convergence is surfaced as DivergenceError.
+the open interval; non-convergence is surfaced as DivergenceError, and a
+package error raised by the integrand passes through unchanged.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Sequence
 
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
-from .errors import DivergenceError
+from .errors import DivergenceError, RobustLMomentsError
 
 __all__ = ["integrate"]
 
@@ -53,36 +53,23 @@ def integrate(
     def g(u: float) -> float:
         return f(min(max(u, lo_open), hi_open))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, _ = quad(
-                g, lo, hi,
-                points=pts,
-                epsabs=ABS_TOL,
-                epsrel=rel_tol,
-                limit=MAX_SUBDIVISIONS,
-            )
-        except IntegrationWarning as exc:
-            # Roundoff-limited accuracy is acceptable; true divergence is not.
-            msg = str(exc)
-            if "divergent" in msg or "maximum number of subdivisions" in msg:
-                raise DivergenceError(
-                    f"integral over [{lo}, {hi}] did not converge: {msg}"
-                ) from exc
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                value, _ = quad(
-                    g, lo, hi,
-                    points=pts,
-                    epsabs=ABS_TOL,
-                    epsrel=rel_tol,
-                    limit=MAX_SUBDIVISIONS,
-                )
-        except (OverflowError, ValueError) as exc:
-            raise DivergenceError(
-                f"integrand failed on [{lo}, {hi}]: {exc}"
-            ) from exc
+    try:
+        value, _, _, *message = quad(
+            g, lo, hi,
+            points=pts,
+            epsabs=ABS_TOL,
+            epsrel=rel_tol,
+            limit=MAX_SUBDIVISIONS,
+            full_output=1,
+        )
+    except RobustLMomentsError:
+        raise
+    except (OverflowError, ValueError) as exc:
+        raise DivergenceError(f"integrand failed on [{lo}, {hi}]: {exc}") from exc
+    # Roundoff-limited accuracy is acceptable; true divergence is not.
+    msg = message[0] if message else ""
+    if "divergent" in msg or "maximum number of subdivisions" in msg:
+        raise DivergenceError(f"integral over [{lo}, {hi}] did not converge: {msg}")
     if math.isnan(value) or math.isinf(value):
         raise DivergenceError(f"integral over [{lo}, {hi}] is not finite")
     return sign * value

@@ -162,9 +162,7 @@ def coverage_check(config: SimulationConfig, confidence: float) -> float:
 
     if not 0.0 < confidence <= 1.0:
         raise DomainError(f"confidence must lie in (0, 1], got {confidence}")
-    template = config.template or ModelTemplate(
-        type(config.model), (None,) * len(config.model.params)
-    )
+    template = config.template or ModelTemplate.all_free(config.model)
     theta_true = np.array(
         [config.model.params[i] for i in template.free_indices]
     )

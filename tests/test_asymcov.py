@@ -19,11 +19,18 @@ from robust_lmoments import (
     OrderingError,
     Power,
     Shifted,
+    SingularJacobianError,
     Uniform,
     cov_matrix,
     sigma_pair,
 )
 from robust_lmoments.asymcov import gamma_factor, int_I, int_Ibar, kernel_K
+from robust_lmoments.audit import (
+    build_equal_props_corpus,
+    build_mtm_corpus,
+    build_mwm_corpus,
+)
+from robust_lmoments.models import CustomTransform
 
 IDENT = Identity()
 UNIF = Uniform(0.0, 1.0)
@@ -228,3 +235,85 @@ class TestCovMatrix:
             CovMethod.ALPHA,
         )
         assert cov[0, 1] == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+
+# The routes each mode accepts; AUTO resolves to one of them.
+APPLICABLE = {
+    Mode.MTM: set(MTM_METHODS),
+    Mode.MWM: {CovMethod.ALPHA, CovMethod.MWM_DECOMP, CovMethod.EQUAL_PROPS},
+}
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("method", list(CovMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_mode_method_pair(self, mode, method):
+        # Equal proportions, so every route of the mode is valid for the pair.
+        si = MomentSpec(IDENT, 0.1, 0.2, mode)
+        sj = MomentSpec(Power(2.0), 0.1, 0.2, mode)
+        ch_j = CompositeH(UNIF, Power(2.0))
+        if method is CovMethod.AUTO:
+            assert sigma_pair(si, sj, CH_UNIF, ch_j, method)[1] == "equal-props"
+        elif method in APPLICABLE[mode]:
+            assert sigma_pair(si, sj, CH_UNIF, ch_j, method)[1] == method.value
+        else:
+            name = "trimmed" if mode is Mode.MTM else "winsorized"
+            message = f"method {method.value} not applicable to {name} mode"
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                sigma_pair(si, sj, CH_UNIF, ch_j, method)
+
+    @staticmethod
+    def expected_auto(si, sj):
+        if si.a == sj.a and si.b == sj.b:
+            return "equal-props"
+        if si.mode is Mode.MWM:
+            return "mwm-decomposition"
+        nested_ij = si.a <= sj.a < si.b_bar and si.b_bar <= sj.b_bar
+        nested_ji = sj.a <= si.a < sj.b_bar and sj.b_bar <= si.b_bar
+        return "closed" if nested_ij or nested_ji else "kernel"
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            build_mtm_corpus() + build_equal_props_corpus(),
+            build_mwm_corpus(),
+            build_equal_props_corpus(Mode.MWM),
+        ],
+        ids=["mtm", "mwm", "mwm-equal-props"],
+    )
+    def test_auto_label_over_audit_corpora(self, corpus):
+        for case in corpus:
+            ch_i, ch_j = case.composites()
+            _, label = sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j)
+            assert label == self.expected_auto(case.spec_i, case.spec_j), case
+
+
+class CodedError(Exception):
+    """An exception whose constructor does not take a single message."""
+
+    def __init__(self, code: int, detail: str):
+        super().__init__(code, detail)
+        self.code = code
+
+
+def _raising_transform(exc: Exception) -> CustomTransform:
+    def fail(x):
+        raise exc
+
+    return CustomTransform("failing", fail, fail)
+
+
+class TestCovMatrixErrors:
+    def test_exception_object_kept_with_entry_context(self):
+        exc = SingularJacobianError("flat", condition=5.0)
+        specs = [MomentSpec(_raising_transform(exc), 0.1, 0.1)]
+        with pytest.raises(SingularJacobianError) as info:
+            cov_matrix(specs, UNIF)
+        assert str(info.value) == "entry (0, 0): flat"
+        assert info.value.condition == 5.0
+
+    def test_exception_with_other_constructor_keeps_its_type(self):
+        specs = [MomentSpec(_raising_transform(CodedError(7, "bad")), 0.1, 0.1)]
+        with pytest.raises(CodedError, match=r"^entry \(0, 0\): ") as info:
+            cov_matrix(specs, UNIF)
+        assert info.value.code == 7

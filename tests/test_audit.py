@@ -3,8 +3,10 @@ live in the acceptance tests)."""
 
 import pytest
 
+from robust_lmoments import audit
 from robust_lmoments import (
     AuditCase,
+    CovMethod,
     Exponential,
     Identity,
     Mode,
@@ -121,3 +123,31 @@ class TestAuditRuns:
         ]
         result = run_mwm_equal_props_audit(cases)
         assert result.max_deviation <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "run_audit, route, passed",
+    [
+        (run_mwm_equal_props_audit, CovMethod.EQUAL_PROPS, False),
+        (run_mwm_audit, CovMethod.MWM_DECOMP, True),
+    ],
+    ids=["equal-props", "mwm"],
+)
+def test_pass_uses_each_audits_tolerance(monkeypatch, run_audit, route, passed):
+    """A 1e-8 relative error breaks the 1e-10 equal-props gate but not
+    the 1e-6 gate of the decomposition audit."""
+    original = audit.sigma_pair
+
+    def perturbed(*args, **kwargs):
+        value, used = original(*args, **kwargs)
+        return (value * (1.0 + 1e-8) if used == route.value else value), used
+
+    monkeypatch.setattr(audit, "sigma_pair", perturbed)
+    case = AuditCase(
+        Exponential(1.0),
+        MomentSpec(Identity(), 0.1, 0.25, Mode.MWM),
+        MomentSpec(Power(2.0), 0.1, 0.25, Mode.MWM),
+    )
+    result = run_audit([case])
+    assert 5e-9 < result.max_deviation < 1e-7
+    assert result.passed is passed

@@ -50,20 +50,11 @@ class TestParseArgs:
             parse_args(["equivalence", "--seed", "42"])
         assert exc.value.code == 2
 
-    def test_canonical_round_trip(self, sample_file):
-        argv = [
-            "fit",
-            "--family",
-            "exponential(?)",
-            "--transform",
-            "identity",
-            "--trim",
-            "0.1,0.2",
-            "--data",
-            sample_file,
-        ]
-        cfg = parse_args(argv)
-        assert parse_args(cfg.canonical().split()) == cfg
+    def test_defaults_are_run_config_defaults(self):
+        cfg = parse_args(["simulate"])
+        defaults = RunConfig(command="simulate")
+        for name in ("mode", "method", "seed", "n", "replications", "tolerance"):
+            assert getattr(cfg, name) == getattr(defaults, name)
 
     def test_simulate_config_file(self, tmp_path):
         f = tmp_path / "sim.cfg"
@@ -82,6 +73,36 @@ class TestParseArgs:
         assert cfg.n == 500
         assert cfg.replications == 200
         assert cfg.seed == 9
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("replication = 200\n", "unknown key 'replication'; known keys: family,"),
+            ("n = abc\n", "sim.cfg:1: bad n 'abc'"),
+            ("seed = 1\nn 500\n", "sim.cfg:2: expected key=value"),
+            ("trim = 0.6,0.5\n", "bad trim '0.6,0.5': a+b must be < 1"),
+            ("mode = trimmed\n", "bad mode 'trimmed'"),
+        ],
+        ids=["unknown-key", "bad-number", "no-equals", "bad-trim", "bad-mode"],
+    )
+    def test_config_errors_are_usage_errors(self, tmp_path, capsys, text, message):
+        f = tmp_path / "sim.cfg"
+        f.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["simulate", "--config", str(f)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --config: " in err
+        assert message in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(missing)])
+        assert exc.value.code == 2
+        assert "error: --config: [Errno 2] No such file" in capsys.readouterr().err
 
 
 class TestRun:
@@ -233,6 +254,18 @@ class TestRun:
         )
         assert code == 1
         assert "unknown family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymcov", "--family", "normal(0,1,2)"],
+            ["asymcov", "--family", "uniform(0,1)", "--transform", "power(1,2)"],
+        ],
+        ids=["family", "transform"],
+    )
+    def test_wrong_arity_is_computational_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_config_direct(self):
         code = run(RunConfig(command="moments", transforms=("identity",)))

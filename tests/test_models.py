@@ -183,6 +183,33 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_transform("cube")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_model, "normal(0,1,2)"),
+            (parse_model_template, "exponential(?,1)"),
+            (parse_transform, "power(1,2)"),
+            (parse_transform, "log(1)"),
+        ],
+    )
+    def test_too_many_parameters(self, parse, text):
+        with pytest.raises(DomainError, match="takes at most"):
+            parse(text)
+
+    def test_omitted_parameters_keep_their_defaults(self):
+        assert parse_model("normal(2)") == Normal(2.0, 1.0)
+        assert parse_transform("power()") == Power(2.0)
+
+    def test_free_parameter_is_not_a_model(self):
+        with pytest.raises(DomainError, match="non-numeric"):
+            parse_model("normal(?,1)")
+        with pytest.raises(DomainError, match="non-numeric"):
+            parse_transform("power(?)")
+
+    def test_bare_name_only_for_parameterless_transform(self):
+        with pytest.raises(DomainError, match="unknown transform"):
+            parse_transform("power")
+
     def test_power_exponent_floor(self):
         with pytest.raises(DomainError):
             Power(0.5)
