@@ -18,6 +18,11 @@ entry:
 All closed forms evaluate boundary products only when their coefficient
 is nonzero, so zero trimming with an unbounded-but-integrable H endpoint
 stays finite; genuinely divergent integrals raise DivergenceError.
+
+The alpha and kernel routes are nested integrals.  They run on the
+batched engine ``integrate_batch``, which takes the inner integrals for
+all outer nodes at once, and use H and H' alone: none of the building
+blocks of the closed forms they check (``int_I``, ``int_Ibar``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
 from .moments import Mode, MomentSpec
-from .quadrature import integrate
+from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
     "CovMethod",
@@ -108,25 +113,94 @@ def gamma_factor(spec_i: MomentSpec, spec_j: MomentSpec) -> float:
     return 1.0 / (spec_i.retained * spec_j.retained)
 
 
-def alpha(u: float, spec: MomentSpec, ch: CompositeH) -> float:
-    """Influence-style integrand whose pairwise product integrates to the
-    covariance entry."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"alpha requires 0 < u < 1, got {u}")
-    a, bb = spec.a, spec.b_bar
+def _sweep(f, parts, rel_tol: float = REL_TOL) -> list[np.ndarray]:
+    """Partial integrals at every point of x for each part
+    ``(x, lo, hi, up)``, x within [lo, hi]: the integral of ``f(v, p)``
+    over [lo, x] if ``up``, else over [x, hi], where p is the part's
+    position in ``parts``.  ``f`` receives p as a column, one per panel.
+
+    Every part's integrals come from one batched pass over the segments
+    between the sorted distinct points of its x, summed up from lo or
+    down from hi.
+    """
+    lows, highs, indices = [], [], []
+    for x, lo, hi, up in parts:
+        xs, index = np.unique(x, return_inverse=True)
+        lows.append(np.insert(xs[:-1], 0, lo) if up else xs)
+        highs.append(xs if up else np.append(xs[1:], hi))
+        indices.append(index)
+    starts = np.cumsum([0] + [xs.size for xs in lows])
+    segments = integrate_batch(
+        lambda v, rows: f(v, np.searchsorted(starts, rows, side="right")[:, None] - 1),
+        np.concatenate(lows),
+        np.concatenate(highs),
+        rel_tol=rel_tol,
+    )
+    sums = []
+    for (_, _, _, up), index, s0, s1 in zip(parts, indices, starts, starts[1:]):
+        seg = segments[s0:s1]
+        sums.append((np.cumsum(seg) if up else np.cumsum(seg[::-1])[::-1])[index])
+    return sums
+
+
+def _alphas(u, pairs) -> list[np.ndarray]:
+    """``alpha(u, spec, ch)`` for each ``(spec, ch)`` of ``pairs``, with
+    their inner integrals in one batched sweep."""
+    u = np.asarray(u, dtype=float)
+    if u.size and not (0.0 < u.min() and u.max() < 1.0):
+        bad = u.min() if not 0.0 < u.min() else u.max()
+        raise DomainError(f"alpha requires 0 < u < 1, got {bad}")
+
+    def h_values(v: np.ndarray, part: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        for p, (_, ch) in enumerate(pairs):
+            mine = part[:, 0] == p
+            out[mine] = ch.value(v[mine])
+        return out
+
+    # lower limits max(a, u), capped at 1-b
+    xs = [np.clip(u.ravel(), spec.a, spec.b_bar) for spec, _ in pairs]
+    tails = _sweep(
+        h_values, [(x, spec.a, spec.b_bar, False) for (spec, _), x in zip(pairs, xs)]
+    )
+    return [
+        _alpha_from_tail(u, x, tail, spec, ch)
+        for (spec, ch), x, tail in zip(pairs, xs, tails)
+    ]
+
+
+def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
+    a, b, bb = spec.a, spec.b, spec.b_bar
+    inside = x < bb
+    # (1-b) H(1-b) - (1-x) H(x) + int_x^{1-b} H = int_x^{1-b} (1-v) H'(v) dv
+    psi = np.where(inside, tail, 0.0)
+    psi[inside] -= (1.0 - x[inside]) * ch.value(x[inside])
+    if b != 0.0:
+        psi[inside] += b * ch.value(bb)
+    psi = psi.reshape(u.shape)
     if spec.mode is Mode.MTM:
-        if u >= bb:
-            return 0.0
-        return int_Ibar(max(a, u), bb, ch) / (spec.retained * (1.0 - u))
+        return psi / (spec.retained * (1.0 - u))
     # winsorized: indicator-weighted atoms at the window edges
-    psi = 0.0
-    if u < bb:
-        psi += int_Ibar(max(a, u), bb, ch)
-    if a > 0.0 and a >= u:
-        psi += a * (1.0 - a) * ch.deriv(a)
-    if spec.b > 0.0 and bb >= u:
-        psi += spec.b * spec.b * ch.deriv(bb)
+    if a > 0.0:
+        psi += np.where(u <= a, a * (1.0 - a) * ch.deriv(a), 0.0)
+    if b > 0.0:
+        psi += np.where(u <= bb, b * b * ch.deriv(bb), 0.0)
     return psi / (1.0 - u)
+
+
+def alpha(u, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
+    """Influence-style integrand whose pairwise product integrates to the
+    covariance entry, elementwise over an array of u in (0, 1).
+
+    The inner integral of H from max(a, u) to 1-b is taken for all u at
+    once, by one batched sweep over the distinct lower limits.
+    """
+    return _alphas(u, [(spec, ch)])[0]
+
+
+def _split_at(lo: float, hi: float, kinks) -> np.ndarray:
+    """[lo, hi] cut at the kinks that lie inside it."""
+    return np.unique([lo, hi, *(p for p in kinks if lo < p < hi)])
 
 
 def sigma_alpha_form(
@@ -137,12 +211,14 @@ def sigma_alpha_form(
 ) -> float:
     """Reference oracle: integral over (0,1) of alpha_i * alpha_j."""
     upper = min(spec_i.b_bar, spec_j.b_bar)
-    kinks = [spec_i.a, spec_j.a, spec_i.b_bar, spec_j.b_bar]
+    cuts = _split_at(0.0, upper, [spec_i.a, spec_j.a, spec_i.b_bar, spec_j.b_bar])
 
-    def integrand(u: float) -> float:
-        return alpha(u, spec_i, ch_i) * alpha(u, spec_j, ch_j)
+    def integrand(u: np.ndarray, _) -> np.ndarray:
+        alpha_i, alpha_j = _alphas(u, [(spec_i, ch_i), (spec_j, ch_j)])
+        return alpha_i * alpha_j
 
-    return integrate(integrand, 0.0, upper, points=kinks, rel_tol=_ALPHA_REL_TOL)
+    pieces = integrate_batch(integrand, cuts[:-1], cuts[1:], rel_tol=_ALPHA_REL_TOL)
+    return float(pieces.sum())
 
 
 def sigma_mtm_kernel_form(
@@ -151,10 +227,26 @@ def sigma_mtm_kernel_form(
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Double-integral kernel route, adaptive tensor-product quadrature."""
+    """Double-integral kernel route, batched nested quadrature."""
     if spec_i.mode is not Mode.MTM or spec_j.mode is not Mode.MTM:
         raise DomainError("kernel form applies to trimmed-moment specs only")
     return gamma_factor(spec_i, spec_j) * _kernel_v11(spec_i, spec_j, ch_i, ch_j)
+
+
+def _kernel_inner(w: np.ndarray, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
+    """int_a^{1-b} (min(v,w) - vw) H'(v) dv for every w, split at v = w into
+    (1-w) int_a^x v H'(v) dv + w int_x^{1-b} (1-v) H'(v) dv, x = w clipped
+    to the window.
+
+    Both pieces come from one batched sweep over the distinct x."""
+    a, bb = spec.a, spec.b_bar
+    x = np.clip(w.ravel(), a, bb)
+    heads, tails = _sweep(
+        lambda v, part: ch.deriv(v) * np.where(part == 0, v, 1.0 - v),
+        [(x, a, bb, True), (x, a, bb, False)],
+        _KERNEL_INNER_REL_TOL,
+    )
+    return (1.0 - w) * heads.reshape(w.shape) + w * tails.reshape(w.shape)
 
 
 def _kernel_v11(
@@ -163,21 +255,14 @@ def _kernel_v11(
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    aj, bbj = spec_j.a, spec_j.b_bar
-
-    def outer(w: float) -> float:
-        inner = integrate(
-            lambda v: kernel_K(v, w) * ch_j.deriv(v),
-            aj,
-            bbj,
-            points=[w],
-            rel_tol=_KERNEL_INNER_REL_TOL,
-        )
-        return ch_i.deriv(w) * inner
-
-    return integrate(
-        outer, spec_i.a, spec_i.b_bar, points=[aj, bbj], rel_tol=_KERNEL_REL_TOL
+    cuts = _split_at(spec_i.a, spec_i.b_bar, [spec_j.a, spec_j.b_bar])
+    pieces = integrate_batch(
+        lambda w, _: ch_i.deriv(w) * _kernel_inner(w, spec_j, ch_j),
+        cuts[:-1],
+        cuts[1:],
+        rel_tol=_KERNEL_REL_TOL,
     )
+    return float(pieces.sum())
 
 
 def _scenario_i_holds(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
@@ -449,14 +534,27 @@ def _auto_method(spec_i: MomentSpec, spec_j: MomentSpec) -> CovMethod:
     return CovMethod.CLOSED if _nested_pair(spec_i, spec_j) else CovMethod.KERNEL
 
 
+def _as_method(method: CovMethod | str) -> CovMethod:
+    """A route given as a ``CovMethod`` or as its name."""
+    try:
+        return CovMethod(method)
+    except ValueError:
+        valid = ", ".join(m.value for m in CovMethod)
+        raise DomainError(
+            f"unknown covariance method {method!r}; valid: {valid}"
+        ) from None
+
+
 def sigma_pair(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
-    method: CovMethod = CovMethod.AUTO,
+    method: CovMethod | str = CovMethod.AUTO,
 ) -> tuple[float, str]:
-    """One covariance entry plus the label of the route actually used."""
+    """One covariance entry plus the label of the route actually used;
+    ``method`` is a ``CovMethod`` or its name, such as ``"auto"``."""
+    method = _as_method(method)
     if spec_i.mode is not spec_j.mode:
         raise DomainError("covariance entries require a single estimation mode")
     if method is CovMethod.AUTO:
@@ -471,9 +569,10 @@ def sigma_pair(
 def cov_matrix(
     specs: list[MomentSpec],
     model: DistributionModel,
-    method: CovMethod = CovMethod.AUTO,
+    method: CovMethod | str = CovMethod.AUTO,
 ) -> CovMatrix:
     """Full k x k matrix, symmetrized as (M + M^T)/2 after assembly."""
+    method = _as_method(method)
     k = len(specs)
     if k == 0:
         raise DomainError("at least one moment spec required")

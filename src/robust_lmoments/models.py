@@ -46,6 +46,16 @@ def _check_unit(u: float) -> None:
         raise DomainError(f"probability must lie in [0, 1], got {u}")
 
 
+def _check_units(u: np.ndarray) -> np.ndarray:
+    """``_check_unit`` over an array, through its extremes only (a NaN
+    propagates into both)."""
+    u = np.asarray(u, dtype=float)
+    if u.size:
+        _check_unit(float(u.min()))
+        _check_unit(float(u.max()))
+    return u
+
+
 class DistributionModel:
     """Base class for parametric families.
 
@@ -79,6 +89,10 @@ class DistributionModel:
         """Array form of ``quantile``: same values, same domain errors.
         Families without a numpy expression fall back to this adapter."""
         return np.vectorize(self.quantile, otypes=[float])(u)
+
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        """Array form of ``quantile_density``, with the same fallback."""
+        return np.vectorize(self.quantile_density, otypes=[float])(u)
 
     def cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -142,6 +156,9 @@ class Uniform(DistributionModel):
         _check_unit(u)
         return self.hi - self.lo
 
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        return np.full_like(_check_units(u), self.hi - self.lo)
+
     def cdf(self, x: float) -> float:
         if x <= self.lo:
             return 0.0
@@ -177,6 +194,12 @@ class Exponential(DistributionModel):
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         if u == 1.0:
+            raise SingularityError("exponential quantile density diverges at u=1")
+        return self.scale / (1.0 - u)
+
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        u = _check_units(u)
+        if u.size and u.max() == 1.0:
             raise SingularityError("exponential quantile density diverges at u=1")
         return self.scale / (1.0 - u)
 
@@ -226,6 +249,12 @@ class Pareto(DistributionModel):
             raise SingularityError("pareto quantile density diverges at u=1")
         return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
 
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        u = _check_units(u)
+        if u.size and u.max() == 1.0:
+            raise SingularityError("pareto quantile density diverges at u=1")
+        return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
+
     def cdf(self, x: float) -> float:
         if x <= self.xm:
             return 0.0
@@ -272,6 +301,14 @@ class Lognormal(DistributionModel):
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.sigma * math.exp(self.mu + self.sigma * z) / phi
 
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        u = _check_units(u)
+        if u.size and (u.min() == 0.0 or u.max() == 1.0):
+            raise SingularityError("lognormal quantile density diverges at u in {0,1}")
+        z = ndtri(u)
+        phi = np.exp(-0.5 * z * z) / _SQRT_2PI
+        return self.sigma * np.exp(self.mu + self.sigma * z) / phi
+
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -309,6 +346,13 @@ class Normal(DistributionModel):
         z = float(ndtri(u))
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.sigma / phi
+
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        u = _check_units(u)
+        if u.size and (u.min() == 0.0 or u.max() == 1.0):
+            raise SingularityError("normal quantile density diverges at u in {0,1}")
+        z = ndtri(u)
+        return self.sigma / (np.exp(-0.5 * z * z) / _SQRT_2PI)
 
     def cdf(self, x: float) -> float:
         return float(ndtr((x - self.mu) / self.sigma))
@@ -420,6 +464,10 @@ class HTransform:
         Custom transforms fall back to this adapter."""
         return np.vectorize(self.value, otypes=[float])(x)
 
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        """Array form of ``deriv``, with the same fallback."""
+        return np.vectorize(self.deriv, otypes=[float])(x)
+
     def __str__(self) -> str:
         args = ",".join(f"{getattr(self, f.name):g}" for f in fields(self))
         return f"{self.kind}({args})" if args else self.kind
@@ -437,6 +485,9 @@ class Identity(HTransform):
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
+
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -459,11 +510,17 @@ class Power(HTransform):
             raise DomainError(f"power({self.exponent}) undefined for x={x} < 0")
         return self.exponent * x ** (self.exponent - 1.0)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def _check_reals(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.exponent != int(self.exponent) and x.size and x.min() < 0:
             raise DomainError(f"power({self.exponent}) undefined for x={x.min()} < 0")
-        return x ** self.exponent
+        return x
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self._check_reals(x) ** self.exponent
+
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        return self.exponent * self._check_reals(x) ** (self.exponent - 1.0)
 
 
 @dataclass(frozen=True)
@@ -489,6 +546,12 @@ class Log(HTransform):
         with np.errstate(divide="ignore"):  # log(0) = -inf, as in value()
             return np.log(x)
 
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.size and x.min() <= 0:
+            raise DomainError(f"log derivative undefined for x={x.min()} <= 0")
+        return 1.0 / x
+
 
 @dataclass(frozen=True)
 class Shifted(HTransform):
@@ -504,6 +567,9 @@ class Shifted(HTransform):
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.offset
+
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -568,14 +634,20 @@ def parse_transform(text: str) -> HTransform:
 
 @dataclass(frozen=True)
 class CompositeH:
-    """The composite H(u) = h(F^-1(u)) with chain-rule derivative."""
+    """The composite H(u) = h(F^-1(u)) with chain-rule derivative; both
+    take a float or, elementwise, an ndarray."""
 
     model: DistributionModel
     transform: HTransform
 
-    def value(self, u: float) -> float:
+    def value(self, u: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(u, np.ndarray):
+            return self.transform.values(self.model.quantiles(u))
         return self.transform.value(self.model.quantile(u))
 
-    def deriv(self, u: float) -> float:
+    def deriv(self, u: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(u, np.ndarray):
+            x = self.model.quantiles(u)
+            return self.transform.derivs(x) * self.model.quantile_densities(u)
         x = self.model.quantile(u)
         return self.transform.deriv(x) * self.model.quantile_density(u)

@@ -1,4 +1,5 @@
-"""Array forms of the quantile and the transform against their scalar twins."""
+"""Array forms of the quantile, the quantile density, the transform, its
+derivative and the composite H against their scalar twins."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from robust_lmoments import (
+    CompositeH,
     DomainError,
     Exponential,
     Identity,
@@ -16,6 +18,7 @@ from robust_lmoments import (
     Power,
     RobustLMomentsError,
     Shifted,
+    SingularityError,
     UnboundedQuantileError,
     Uniform,
     register_transform,
@@ -104,3 +107,82 @@ def test_empty_arrays():
     assert Normal(0.0, 1.0).quantiles(np.array([])).size == 0
     assert Log().values(np.array([])).size == 0
     assert CUBE_ROOT.values(np.array([])).size == 0
+
+
+INTERIOR = np.linspace(0.001, 0.999, 201)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_quantile_densities_match_scalar(model):
+    expected = np.array([model.quantile_density(float(p)) for p in INTERIOR])
+    np.testing.assert_allclose(
+        model.quantile_densities(INTERIOR), expected, rtol=1e-14, atol=0
+    )
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_quantile_densities_at_the_ends_raise_alike(model, end):
+    expected = _error_class(model.quantile_density, end)
+    got = _error_class(model.quantile_densities, np.array([0.5, end]))
+    assert got is expected
+    if expected is None:
+        assert model.quantile_densities(np.array([end]))[0] == model.quantile_density(end)
+    elif type(model) is not Uniform:
+        assert expected is SingularityError
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_derivs_match_scalar_or_raise_alike(model, transform):
+    x = model.quantiles(INTERIOR)
+    scalar_error = None
+    for point in x:
+        scalar_error = scalar_error or _error_class(transform.deriv, float(point))
+    if scalar_error is not None:
+        assert _error_class(transform.derivs, x) is scalar_error
+        return
+    expected = np.array([transform.deriv(float(p)) for p in x])
+    np.testing.assert_allclose(transform.derivs(x), expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_log_derivative_at_non_positive_x_is_a_domain_error(bad):
+    assert _error_class(Log().deriv, bad) is DomainError
+    assert _error_class(Log().derivs, np.array([1.0, bad])) is DomainError
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_composite_arrays_match_scalar_or_raise_alike(model, transform):
+    ch = CompositeH(model, transform)
+    u = INTERIOR.reshape(3, 67)  # any shape, elementwise
+    for scalar, array in ((ch.value, ch.value), (ch.deriv, ch.deriv)):
+        scalar_error = None
+        for point in INTERIOR:
+            scalar_error = scalar_error or _error_class(scalar, float(point))
+        if scalar_error is not None:
+            assert _error_class(array, u) is scalar_error
+            continue
+        expected = np.array([scalar(float(p)) for p in INTERIOR]).reshape(u.shape)
+        # The log of a quantile near 1 turns a one-ulp difference between
+        # numpy's and math's exp or pow into a larger relative one, hence
+        # the absolute floor of a few ulps of 1.
+        np.testing.assert_allclose(array(u), expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_composite_derivative_at_the_ends_raises_alike(model, end):
+    ch = CompositeH(model, Identity())
+    expected = _error_class(ch.deriv, end)
+    assert _error_class(ch.deriv, np.array([0.5, end])) is expected
+    if expected is None:
+        assert ch.deriv(np.array([end]))[0] == ch.deriv(end)
+
+
+def test_empty_derivative_arrays():
+    assert Normal(0.0, 1.0).quantile_densities(np.array([])).size == 0
+    assert Log().derivs(np.array([])).size == 0
+    assert CUBE_ROOT.derivs(np.array([])).size == 0
+    assert CompositeH(Normal(0.0, 1.0), Log()).deriv(np.array([])).size == 0

@@ -317,3 +317,27 @@ class TestCovMatrixErrors:
         with pytest.raises(CodedError, match=r"^entry \(0, 0\): ") as info:
             cov_matrix(specs, UNIF)
         assert info.value.code == 7
+
+
+class TestMethodNames:
+    def test_cov_matrix_takes_a_method_name(self):
+        spec = MomentSpec(IDENT, 0.25, 0.25)
+        by_name = cov_matrix([spec], UNIF, "auto")
+        by_enum = cov_matrix([spec], UNIF, CovMethod.AUTO)
+        assert by_name.entries.tolist() == by_enum.entries.tolist()
+        assert by_name.methods == by_enum.methods == (("equal-props",),)
+
+    @pytest.mark.parametrize("method", [m.value for m in MTM_METHODS])
+    def test_sigma_pair_takes_a_method_name(self, method):
+        spec = MomentSpec(IDENT, 0.25, 0.25)
+        value, used = sigma_pair(spec, spec, CH_UNIF, CH_UNIF, method)
+        assert used == method
+        assert value == pytest.approx(1.0 / 6.0, abs=1e-9)
+
+    def test_unknown_name_lists_the_valid_ones(self):
+        spec = MomentSpec(IDENT, 0.25, 0.25)
+        valid = "alpha, kernel, closed, equal-props, mwm-decomposition, auto"
+        with pytest.raises(DomainError, match=f"'fast'; valid: {valid}$"):
+            sigma_pair(spec, spec, CH_UNIF, CH_UNIF, "fast")
+        with pytest.raises(DomainError, match="^unknown covariance method 'fast'"):
+            cov_matrix([spec], UNIF, "fast")
