@@ -170,6 +170,8 @@ def _alphas(u, pairs) -> list[np.ndarray]:
 
 
 def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
+    """alpha at u, given x = max(a, u) capped at 1-b and the inner
+    integrals ``tail`` of H from x to 1-b."""
     a, b, bb = spec.a, spec.b, spec.b_bar
     inside = x < bb
     # (1-b) H(1-b) - (1-x) H(x) + int_x^{1-b} H = int_x^{1-b} (1-v) H'(v) dv
