@@ -71,7 +71,10 @@ def _trim_pair(text: str) -> tuple[float, float]:
     return a, b
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it
+    unchanged (each list option starts from a fresh list, see below)."""
     parser = argparse.ArgumentParser(
         prog="robust-lmoments",
         description=(
@@ -81,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     # An option left off the command line stays out of the namespace, so
-    # RunConfig's field defaults are the only defaults.
+    # RunConfig's field defaults are the only defaults, and an appended
+    # option (--transform, --trim) gets a new list in every parse.
     sub = parser.add_subparsers(
         dest="command",
         required=True,
@@ -116,7 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 "probability mass onto the retained window edges",
             )
         if data:
-            p.add_argument("--data", help="sample file, one number per line")
+            p.add_argument(
+                "--data",
+                help="sample file: one number per line, or the first CSV "
+                "field or first whitespace field of each line; '#' comment "
+                "and blank lines are skipped (a file of bare numbers, one per "
+                "line, is parsed in a single pass)",
+            )
         p.add_argument("--out", help="write output to this file atomically")
         p.add_argument("--csv", action="store_true", help="CSV output")
 

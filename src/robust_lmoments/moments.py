@@ -8,7 +8,9 @@ probability window, with edge atoms in the winsorized case.
 from __future__ import annotations
 
 import enum
+import io
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -140,14 +142,60 @@ def population_moment(ch: CompositeH, spec: MomentSpec) -> float:
 def load_sample(path: str | Path) -> np.ndarray:
     """Read a single-column CSV or whitespace-delimited text file.
 
-    Blank lines and '#' comment lines are skipped; anything else that
-    fails to parse as one finite number per row is rejected with its line
-    number.
+    Blank lines and '#' comment lines are skipped; the first CSV field,
+    or else the first whitespace field, of every other line is the value.
+    Anything that fails to parse as one finite number per row is rejected
+    with its line number.
+
+    The file is read once.  A plain file (one number per line, nothing
+    but ASCII digits, '.', 'e'/'E', '+'/'-' and '\\n', no empty line) is
+    parsed in one numpy pass; every other file, and any plain file that
+    pass does not read as one finite value per line, goes through the
+    line scan, which alone reports format errors.
     """
     path = Path(path)
+    data = path.read_bytes()
+    values = _parse_plain(data)
+    if values is None:
+        values = _scan_lines(path, data)
+    return values
+
+
+_PLAIN_BYTES = b"0123456789.eE+-\n"
+
+
+def _parse_plain(data: bytes) -> np.ndarray | None:
+    """The values of a plain file, or None when it is not plain or does
+    not parse as exactly one finite number per line."""
+    # Empty lines are refused up front: numpy reads a buffer of nothing
+    # but newlines as [-1.0], which the count check alone would accept.
+    if (
+        not data
+        or data.translate(None, _PLAIN_BYTES)
+        or data.startswith(b"\n")
+        or b"\n\n" in data
+    ):
+        return None
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    # Older numpy reports a partial read as a DeprecationWarning, newer as
+    # a ValueError; either way the line scan takes over.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(data, dtype=float, sep="\n")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != lines or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _scan_lines(path: Path, data: bytes) -> np.ndarray:
+    """The reference parser of ``load_sample``: one line at a time, with
+    the text decoding and newline handling of ``open(path)``."""
     values: list[float] = []
     bad: list[int] = []
-    with path.open() as fh:
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

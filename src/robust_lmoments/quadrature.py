@@ -48,7 +48,7 @@ def _integrand_errors(lo: float, hi: float):
         yield
     except RobustLMomentsError:
         raise
-    except (OverflowError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise DivergenceError(f"integrand failed on [{lo}, {hi}]: {exc}") from exc
 
 

@@ -20,7 +20,13 @@ from scipy.special import ndtri
 from .asymcov import CovMatrix, CovMethod, cov_matrix
 from .errors import DomainError, RobustLMomentsError
 from .models import CompositeH, DistributionModel, ModelTemplate
-from .moments import MomentSpec, population_moment, sorted_sample_moment
+from .moments import (
+    _FLOOR_SLACK,
+    MomentSpec,
+    floor_count,
+    population_moment,
+    sorted_sample_moment,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -65,6 +71,29 @@ class SimulationConfig:
             raise DomainError(
                 f"replications must be >= 100, got {self.replications}"
             )
+        # A positive proportion that trims nothing at this n makes the
+        # sample moment estimate a different functional from the formulas.
+        for i, spec in enumerate(self.specs):
+            for name, p in (("a", spec.a), ("b", spec.b)):
+                if p > 0 and floor_count(self.n, p) == 0:
+                    raise DomainError(
+                        f"coordinate {i}: {name}={p} trims no observation of "
+                        f"n={self.n}; n >= {_smallest_trimming_n(p)} trims at "
+                        f"least one"
+                    )
+
+
+def _smallest_trimming_n(p: float) -> str:
+    """The smallest n with floor_count(n, p) >= 1, for 0 < p < 1, as text."""
+    guess = (1.0 - _FLOOR_SLACK) / p
+    if not guess < 2.0**53:  # n * p cannot resolve single steps of n
+        return f"{guess:.3g}"
+    n = math.ceil(guess)  # within one of the answer; n * p rounds
+    if floor_count(n - 1, p) >= 1:
+        n -= 1
+    elif floor_count(n, p) < 1:
+        n += 1
+    return str(n)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line interface: parsing, exit codes, and output plumbing."""
 
+import numpy as np
 import pytest
 
-from robust_lmoments.cli import RunConfig, main, parse_args, run
+from robust_lmoments.cli import RunConfig, _build_parser, main, parse_args, run
 
 
 @pytest.fixture
@@ -55,6 +56,21 @@ class TestParseArgs:
         defaults = RunConfig(command="simulate")
         for name in ("mode", "method", "seed", "n", "replications", "tolerance"):
             assert getattr(cfg, name) == getattr(defaults, name)
+
+    def test_repeated_parses_do_not_share_lists(self):
+        fit = ["fit", "--family", "lognormal(?,?)"]
+        first = parse_args(
+            fit + ["--transform", "log", "--trim", "0.1,0.1",
+                   "--transform", "identity", "--trim", "0.2,0.0"]
+        )
+        second = parse_args(fit + ["--transform", "power(2)", "--trim", "0.05,0.05"])
+        third = parse_args(fit)
+        assert first.transforms == ("log", "identity")
+        assert first.trims == ((0.1, 0.1), (0.2, 0.0))
+        assert second.transforms == ("power(2)",)
+        assert second.trims == ((0.05, 0.05),)
+        assert third.transforms == () and third.trims == ()
+        assert _build_parser() is _build_parser()
 
     def test_simulate_config_file(self, tmp_path):
         f = tmp_path / "sim.cfg"
@@ -140,6 +156,28 @@ class TestRun:
         assert code == 0
         assert "theta[0] = 2.5" in capsys.readouterr().out
 
+    def test_fit_report_is_the_same_for_every_data_layout(self, tmp_path):
+        xs = np.random.default_rng(3).exponential(2.0, 400).tolist()
+        half = len(xs) // 2
+        layouts = {
+            "plain": "".join(f"{x!r}\n" for x in xs),
+            "commented": "# losses\n"
+            + "".join(f"{x!r}\n" for x in xs[:half])
+            + "\n"
+            + "".join(f"{x!r}\n" for x in xs[half:]),
+            "csv": "".join(f"{x!r},claim-{i}\n" for i, x in enumerate(xs)),
+        }
+        reports = {}
+        for name, text in layouts.items():
+            data, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+            data.write_text(text)
+            argv = ["fit", "--family", "exponential(?)", "--data", str(data),
+                    "--trim", "0.1,0.1", "--out", str(out)]
+            assert main(argv) == 0
+            reports[name] = out.read_bytes()
+        assert reports["plain"].startswith(b"model: ")
+        assert reports["plain"] == reports["commented"] == reports["csv"]
+
     def test_fit_empty_sample(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -198,6 +236,19 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out
+
+    def test_simulate_refuses_trimming_that_removes_nothing(self, capsys):
+        code = main(
+            ["simulate", "--family", "pareto(0.5,1)", "--transform", "power(3)",
+             "--trim", "0,0.01", "-n", "50", "-R", "200"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coordinate 0: b=0.01 trims no observation of n=50; "
+            "n >= 100 trims at least one\n"
+        )
 
     def test_simulate_fail_exit_code(self, capsys):
         code = main(

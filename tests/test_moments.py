@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robust_lmoments import moments as moments_module
 from robust_lmoments import (
     CompositeH,
     DomainError,
@@ -253,3 +254,127 @@ class TestLoadSample:
         p = tmp_path / "x.csv"
         p.write_text("1.0,label\n2.0,other\n")
         assert load_sample(p).tolist() == [1.0, 2.0]
+
+
+class TestLoaderPaths:
+    """A plain file (bare numbers, one per line) is parsed in one numpy
+    pass; every other file goes through the line scan."""
+
+    PLAIN_VALUES = [1.5, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1e-300, 0.1, 123456789.0]
+
+    def _scan_forbidden(self, monkeypatch):
+        def fail(path, data):
+            raise AssertionError("line scan used for a plain file")
+
+        monkeypatch.setattr(moments_module, "_scan_lines", fail)
+
+    @pytest.mark.parametrize("ending", ["\n", ""])
+    def test_plain_file_takes_one_pass(self, tmp_path, monkeypatch, ending):
+        p = tmp_path / "x.txt"
+        p.write_text("\n".join(map(repr, self.PLAIN_VALUES)) + ending)
+        self._scan_forbidden(monkeypatch)
+        got = load_sample(p)
+        assert got.tobytes() == np.array(self.PLAIN_VALUES).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5\n\n2.5\n",  # blank line
+            "# header\n1.5\n",
+            "1.5,a\n2.5,b\n",
+            "1.5\r\n2.5\r\n",
+            "1.5\t7\n",
+            " 1.5\n",
+        ],
+    )
+    def test_other_layouts_use_the_line_scan(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "x.txt"
+        p.write_text(text, newline="")
+        calls = []
+        scan = moments_module._scan_lines
+        monkeypatch.setattr(
+            moments_module,
+            "_scan_lines",
+            lambda path, data: calls.append(path) or scan(path, data),
+        )
+        assert load_sample(p)[0] == 1.5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, values", [("\n", []), ("\n\n\n", []), ("\n1.5\n", [1.5]), ("2\n\n", [2.0])]
+    )
+    def test_empty_lines_are_skipped(self, tmp_path, text, values):
+        # numpy's text parse reads a buffer of only newlines as [-1.0].
+        p = tmp_path / "x.txt"
+        p.write_text(text)
+        assert load_sample(p).tolist() == values
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [("1\n1-2\n", [2]), ("1e\n5\n", [1]), ("1.2.3\n", [1]),
+         ("1\n1e999\n-1e999\n", [2, 3]), ("+\n.\n", [1, 2])],
+    )
+    def test_malformed_plain_files_report_the_line_scan_error(self, tmp_path, text, lines):
+        p = tmp_path / "x.txt"
+        p.write_text(text)
+        with pytest.raises(SampleFormatError) as info:
+            load_sample(p)
+        assert str(info.value) == f"{p}: non-numeric or non-finite rows at lines {lines}"
+
+
+# Lines of the parity test: plain numbers, malformed tokens that are still
+# made of the plain characters, and every layout the line scan handles.
+_PLAIN_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e308", "-1e-308", "1.", ".5", "+3", "1E5"]),
+    st.sampled_from(["1-2", "1e", "1.2.3", "1e999", "+", ".", "-", "e5", "1e+", "--1"]),
+)
+_OTHER_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t", "# comment", "#", "1.5 2.5", "3\t4", "7,label",
+                     " 8 ,x", "1_0", "\u0661\u0662", "nan", "inf", "-Infinity",
+                     "abc", "1,", ",2", "\u00a0"]),
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from([",x", " y", "\t", " ", ","]),
+    ).map("".join),
+)
+
+
+@st.composite
+def _sample_files(draw):
+    if draw(st.booleans()):
+        lines = draw(st.lists(_PLAIN_LINES, max_size=12))
+        endings = ["\n"] * len(lines)
+    else:
+        lines = draw(st.lists(st.one_of(_PLAIN_LINES, _OTHER_LINES), max_size=12))
+        endings = draw(
+            st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                     max_size=len(lines))
+        )
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if text and draw(st.booleans()):
+        text = text[: -len(endings[-1])]  # no newline at the end
+    return text.encode("utf-8")
+
+
+def _outcome(read):
+    try:
+        return "ok", read().tobytes()
+    except (SampleFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def parity_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "sample.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_sample_files())
+@example(data=b"\n")
+def test_load_sample_matches_the_line_scan(parity_path, data):
+    parity_path.write_bytes(data)
+    assert _outcome(lambda: load_sample(parity_path)) == _outcome(
+        lambda: moments_module._scan_lines(parity_path, data)
+    )

@@ -10,10 +10,13 @@ from robust_lmoments import (
     CompositeH,
     DivergenceError,
     DomainError,
+    Exponential,
     Log,
     MomentSpec,
     Normal,
+    parse_transform,
     population_moment,
+    register_transform,
 )
 from robust_lmoments import quadrature
 from robust_lmoments.quadrature import integrate
@@ -27,6 +30,20 @@ def test_subdivision_limit_is_divergence():
 def test_plain_value_error_in_integrand_is_divergence():
     with pytest.raises(DivergenceError, match="integrand failed"):
         integrate(lambda u: math.log(u - 0.5), 0.0, 1.0)
+
+
+def test_arithmetic_error_in_integrand_is_divergence():
+    with pytest.raises(DivergenceError, match="integrand failed on .*division by zero"):
+        integrate(lambda u: 1.0 / (u - u), 0.0, 1.0)
+
+
+def test_zero_division_in_custom_transform_is_divergence():
+    register_transform("divide-by-zero", lambda x: x / (x - x), lambda x: 0.0)
+    t = parse_transform("divide-by-zero")
+    ch = CompositeH(Exponential(1.0), t)
+    with pytest.raises(DivergenceError, match="integrand failed") as info:
+        population_moment(ch, MomentSpec(t, 0.1, 0.1))
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_roundoff_message_keeps_the_value(monkeypatch):
@@ -83,6 +100,14 @@ class TestIntegrateBatch:
     def test_plain_value_error_in_integrand_is_divergence(self):
         def f(u, rows):
             raise ValueError("math domain error")
+
+        with pytest.raises(DivergenceError, match="integrand failed"):
+            quadrature.integrate_batch(f, [0.0], [1.0])
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, FloatingPointError])
+    def test_arithmetic_error_in_integrand_is_divergence(self, error):
+        def f(u, rows):
+            raise error("divide by zero")
 
         with pytest.raises(DivergenceError, match="integrand failed"):
             quadrature.integrate_batch(f, [0.0], [1.0])

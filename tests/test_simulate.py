@@ -11,6 +11,8 @@ from robust_lmoments import (
     Mode,
     MomentSpec,
     Normal,
+    Pareto,
+    Power,
     RobustLMomentsError,
     SimulationConfig,
     Uniform,
@@ -97,6 +99,18 @@ class TestRunMc:
         report = run_mc(cfg)
         assert report.theoretical_cov.entries[0, 0] == pytest.approx(13.0 / 96.0)
         assert report.max_rel_dev < 0.15
+
+    def test_trimming_that_removes_nothing_is_refused(self):
+        # floor(50 * 0.01) = 0: the sample moment would be untrimmed while
+        # the formulas assume the upper 1% is cut.
+        specs = (MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(3.0), 0.0, 0.01))
+        with pytest.raises(
+            DomainError,
+            match=r"^coordinate 1: b=0.01 trims no observation of n=50; "
+            r"n >= 100 trims at least one$",
+        ):
+            SimulationConfig(Pareto(0.5, 1.0), specs, n=50, replications=200)
+        SimulationConfig(Pareto(0.5, 1.0), specs, n=100, replications=200)
 
     def test_replication_failures_abort_with_cause(self):
         # log of a normal sample: some windows hold negative values
