@@ -8,21 +8,25 @@ entry:
 * ``sigma_mtm_kernel_form`` -- double integral of the uniform empirical
   process kernel min(v,w) - vw against H'_j(v) H'_i(w) over the retained
   windows, scaled by the retained-mass factor.
-* ``sigma_mtm_closed``   -- closed form valid when one retimming window
+* ``sigma_mtm_closed``   -- closed form valid when one trimming window
   is nested-left of the other (a_i <= a_j < 1-b_i <= 1-b_j, or the same
   after swapping the pair).
 * ``sigma_mtm_equal_props`` -- fast path for equal proportions.
 * ``sigma_mwm_decomposition`` / ``sigma_mwm_equal_props`` -- winsorized
   counterparts assembled from nine closed pieces.
 
-All closed forms evaluate boundary products only when their coefficient
-is nonzero, so zero trimming with an unbounded-but-integrable H endpoint
-stays finite; genuinely divergent integrals raise DivergenceError.
+The last three take the kernel double integral V11 as a covariance of
+the composites clipped to their windows (``_v11_clipped``), valid for
+every window ordering.  The closed forms run on the scalar ``integrate``
+alone, with no nested quadrature, and evaluate boundary products only
+when their coefficient is nonzero, so zero trimming with an
+unbounded-but-integrable H endpoint stays finite; genuinely divergent
+integrals raise DivergenceError.
 
 The alpha and kernel routes are nested integrals.  They run on the
 batched engine ``integrate_batch``, which takes the inner integrals for
-all outer nodes at once, and use H and H' alone: none of the building
-blocks of the closed forms they check (``int_I``, ``int_Ibar``).
+all outer nodes at once, and use H and H' alone: they share no code with
+the closed forms they check, in either direction.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
-from .moments import Mode, MomentSpec
+from .moments import Mode, MomentSpec, population_winsorized_moment
 from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
@@ -330,19 +334,6 @@ def _v11_closed(
     return value
 
 
-def _v11_any(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Kernel double integral by closed form where the ordering permits,
-    quadrature otherwise.  Symmetric in the pair."""
-    if _nested_pair(spec_i, spec_j):
-        return _v11_closed(spec_i, spec_j, ch_i, ch_j)
-    return _kernel_v11(spec_i, spec_j, ch_i, ch_j)
-
-
 def sigma_mtm_closed(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
@@ -368,26 +359,52 @@ def sigma_mtm_equal_props(
     """Fast path when both coordinates share the same proportions."""
     if not _equal_props(spec_i, spec_j):
         raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
-    return gamma_factor(spec_i, spec_j) * _v11_equal_props(spec_i, ch_i, ch_j)
+    return gamma_factor(spec_i, spec_j) * _v11_clipped(spec_i, spec_j, ch_i, ch_j)
 
 
-def _v11_equal_props(spec: MomentSpec, ch_i: CompositeH, ch_j: CompositeH) -> float:
-    a, b, bb = spec.a, spec.b, spec.b_bar
+def _centred_piece(spec: MomentSpec, ch: CompositeH, mean: float, lo: float, hi: float):
+    """H clipped to the window, less its mean, on a piece [lo, hi] that no
+    window end cuts: a constant beside the window, a callable inside it."""
+    if hi <= spec.a:
+        return ch.value(spec.a) - mean
+    if lo >= spec.b_bar:
+        return ch.value(spec.b_bar) - mean
+    return lambda v: ch.value(v) - mean
 
-    def winsor_functional(ch: CompositeH) -> float:
-        value = _int_H(ch, a, bb)
-        if a > 0.0:
-            value += a * ch.value(a)
-        if b > 0.0:
-            value += b * ch.value(bb)
-        return value
 
-    value = integrate(lambda v: ch_i.value(v) * ch_j.value(v), a, bb)
-    if a > 0.0:
-        value += a * ch_i.value(a) * ch_j.value(a)
-    if b > 0.0:
-        value += b * ch_i.value(bb) * ch_j.value(bb)
-    return value - winsor_functional(ch_i) * winsor_functional(ch_j)
+def _v11_clipped(
+    spec_i: MomentSpec,
+    spec_j: MomentSpec,
+    ch_i: CompositeH,
+    ch_j: CompositeH,
+) -> float:
+    """Kernel double integral as Cov(H_i(U_i), H_j(U_j)), U_k the uniform
+    clipped to window k (Chernoff, Gastwirth & Johns, 1967), for every
+    ordering of the two windows.
+
+    Each clipped composite is centred on its mean, so a location shift of
+    H cancels before any integral is taken; [0, 1] is cut at the window
+    ends, and on each piece a coordinate is either constant or H less its
+    mean.  Zero-length pieces are never formed, so H is not evaluated at
+    an untrimmed endpoint.
+    """
+    m_i = population_winsorized_moment(ch_i, spec_i)
+    same = ch_i == ch_j and (spec_i.a, spec_i.b) == (spec_j.a, spec_j.b)
+    m_j = m_i if same else population_winsorized_moment(ch_j, spec_j)
+    cuts = _split_at(0.0, 1.0, [spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar])
+    value = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x = _centred_piece(spec_i, ch_i, m_i, lo, hi)
+        y = _centred_piece(spec_j, ch_j, m_j, lo, hi)
+        if callable(x) and callable(y):
+            value += integrate(lambda v: x(v) * y(v), lo, hi)
+        elif callable(x):
+            value += y * integrate(x, lo, hi)
+        elif callable(y):
+            value += x * integrate(y, lo, hi)
+        else:
+            value += x * y * (hi - lo)
+    return float(value)
 
 
 def _winsor_tail(ch: CompositeH, a: float, bb: float, t_raw: float) -> float:
@@ -408,50 +425,42 @@ def _ratio(m: float) -> float:
     return m / (1.0 - m)
 
 
+def _edge_atoms(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
+    """(position, weight) of each winsorized edge atom of the influence
+    function: a(1-a) H'(a) at a and b^2 H'(1-b) at 1-b, where present."""
+    atoms = []
+    if spec.a > 0.0:
+        atoms.append((spec.a, spec.a * (1.0 - spec.a) * ch.deriv(spec.a)))
+    if spec.b > 0.0:
+        atoms.append((spec.b_bar, spec.b * spec.b * ch.deriv(spec.b_bar)))
+    return atoms
+
+
 def sigma_mwm_decomposition(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Winsorized covariance assembled from the nine closed pieces.
+    """Winsorized covariance assembled from the nine closed pieces: the
+    window x window piece V11, each window x the other's atoms, and each
+    atom x atom.
 
-    The two pure-window x atom cross pieces use the same tail integral as
-    their mirror images, truncated at the window end; the published
-    general display of the upper-atom x window piece omits that
-    truncation and is only exact for equal upper proportions.
+    The window x atom pieces use the tail integral truncated at the window
+    end; the published general display of the upper-atom x window piece
+    omits that truncation and is only exact for equal upper proportions.
     """
     if spec_i.mode is not Mode.MWM or spec_j.mode is not Mode.MWM:
         raise DomainError("winsorized decomposition requires MWM specs")
-    ai, aj = spec_i.a, spec_j.a
-    bi, bj = spec_i.b, spec_j.b
-    bbi, bbj = spec_i.b_bar, spec_j.b_bar
-
-    total = _v11_any(spec_i, spec_j, ch_i, ch_j)
-
-    dh_ai = ch_i.deriv(ai) if ai > 0.0 else 0.0
-    dh_aj = ch_j.deriv(aj) if aj > 0.0 else 0.0
-    dh_bbi = ch_i.deriv(bbi) if bi > 0.0 else 0.0
-    dh_bbj = ch_j.deriv(bbj) if bj > 0.0 else 0.0
-
-    if aj > 0.0:  # V12: i-window x lower j-atom
-        total += aj * (1.0 - aj) * dh_aj * _winsor_tail(ch_i, ai, bbi, aj)
-    if bj > 0.0:  # V13: i-window x upper j-atom
-        total += bj * bj * dh_bbj * _winsor_tail(ch_i, ai, bbi, bbj)
-    if ai > 0.0:  # V21
-        total += ai * (1.0 - ai) * dh_ai * _winsor_tail(ch_j, aj, bbj, ai)
-    if bi > 0.0:  # V31
-        total += bi * bi * dh_bbi * _winsor_tail(ch_j, aj, bbj, bbi)
-    if ai > 0.0 and aj > 0.0:  # V22
-        total += (
-            ai * aj * (1.0 - ai) * (1.0 - aj) * dh_ai * dh_aj * _ratio(min(ai, aj))
-        )
-    if ai > 0.0 and bj > 0.0:  # V23
-        total += ai * (1.0 - ai) * bj * bj * dh_ai * dh_bbj * _ratio(min(ai, bbj))
-    if aj > 0.0 and bi > 0.0:  # V32
-        total += aj * (1.0 - aj) * bi * bi * dh_aj * dh_bbi * _ratio(min(aj, bbi))
-    if bi > 0.0 and bj > 0.0:  # V33
-        total += bi * bi * bj * bj * dh_bbi * dh_bbj * _ratio(min(bbi, bbj))
+    atoms_i, atoms_j = _edge_atoms(spec_i, ch_i), _edge_atoms(spec_j, ch_j)
+    total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
+    for t, w in atoms_j:
+        total += w * _winsor_tail(ch_i, spec_i.a, spec_i.b_bar, t)
+    for s, w in atoms_i:
+        total += w * _winsor_tail(ch_j, spec_j.a, spec_j.b_bar, s)
+    for s, w_i in atoms_i:
+        for t, w_j in atoms_j:
+            total += w_i * w_j * _ratio(min(s, t))
     return total
 
 
@@ -466,30 +475,16 @@ def sigma_mwm_equal_props(
         raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
 
-    total = _v11_equal_props(spec_i, ch_i, ch_j)
-
-    dh_a_i = ch_i.deriv(a) if a > 0.0 else 0.0
-    dh_a_j = ch_j.deriv(a) if a > 0.0 else 0.0
-    dh_b_i = ch_i.deriv(bb) if b > 0.0 else 0.0
-    dh_b_j = ch_j.deriv(bb) if b > 0.0 else 0.0
-
-    def lower_bracket(ch: CompositeH) -> float:
-        value = _int_H(ch, a, bb) - (1.0 - a) * ch.value(a)
-        if b > 0.0:
-            value += b * ch.value(bb)
-        return value
-
-    def upper_bracket(ch: CompositeH) -> float:
-        value = bb * ch.value(bb) - _int_H(ch, a, bb)
-        if a > 0.0:
-            value -= a * ch.value(a)
-        return value
-
+    total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
     if a > 0.0:
-        total += a * a * (dh_a_j * lower_bracket(ch_i) + dh_a_i * lower_bracket(ch_j))
+        dh_a_i, dh_a_j = ch_i.deriv(a), ch_j.deriv(a)
+        total += a * a * (
+            dh_a_j * int_Ibar(a, bb, ch_i) + dh_a_i * int_Ibar(a, bb, ch_j)
+        )
         total += a ** 3 * (1.0 - a) * dh_a_i * dh_a_j
     if b > 0.0:
-        total += b * b * (dh_b_j * upper_bracket(ch_i) + dh_b_i * upper_bracket(ch_j))
+        dh_b_i, dh_b_j = ch_i.deriv(bb), ch_j.deriv(bb)
+        total += b * b * (dh_b_j * int_I(a, bb, ch_i) + dh_b_i * int_I(a, bb, ch_j))
         total += b ** 3 * (1.0 - b) * dh_b_i * dh_b_j
     if a > 0.0 and b > 0.0:
         total += a * a * b * b * (dh_a_i * dh_b_j + dh_a_j * dh_b_i)

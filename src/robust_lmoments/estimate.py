@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymcov import CovMatrix, CovMethod, cov_matrix
+from .asymcov import CovMatrix, cov_matrix
 from .errors import (
     ConvergenceError,
     DomainError,
+    RobustLMomentsError,
     SingularJacobianError,
 )
 from .models import CompositeH, DistributionModel, ModelTemplate
@@ -136,7 +137,7 @@ def _newton(template, specs, mu_hat, theta0):
             if _in_domain(template, cand):
                 try:
                     r_cand = _residual(template, cand, specs, mu_hat)
-                except Exception:
+                except RobustLMomentsError:
                     r_cand = None
                 if r_cand is not None and float(np.linalg.norm(r_cand)) < norm0:
                     theta, r = cand, r_cand
@@ -165,7 +166,7 @@ def _bisect_1d(template, specs, mu_hat, theta0):
         hi = min(hi + step, hi_bound - 1e-12) if math.isfinite(hi_bound) else hi + step
         try:
             flo, fhi = f(lo), f(hi)
-        except Exception:
+        except RobustLMomentsError:
             step *= 0.5
             continue
         if flo * fhi <= 0:
@@ -195,7 +196,6 @@ def fit(
     template: ModelTemplate | DistributionModel,
     sample,
     specs: list[MomentSpec],
-    cov_method: CovMethod = CovMethod.AUTO,
 ) -> FitResult:
     """Estimate the free parameters by matching sample and population
     moments, with asymptotic covariances in moment and parameter space."""
@@ -231,7 +231,7 @@ def fit(
             non_unique = True
             alt = other
     model = template.bind(theta)
-    cov_mu = cov_matrix(specs, model, cov_method)
+    cov_mu = cov_matrix(specs, model)
     cov_theta = delta_cov(model, specs, cov_mu, template=template, theta=theta)
     return FitResult(
         model=model,

@@ -192,10 +192,11 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
 
 def _scan_lines(path: Path, data: bytes) -> np.ndarray:
     """The reference parser of ``load_sample``: one line at a time, with
-    the text decoding and newline handling of ``open(path)``."""
+    the universal newline handling of ``open(path)``; the text is UTF-8,
+    after an optional byte-order mark."""
     values: list[float] = []
     bad: list[int] = []
-    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,21 +65,15 @@ def integrate(
     lo: float,
     hi: float,
     *,
-    points: Sequence[float] | None = None,
     rel_tol: float = REL_TOL,
 ) -> float:
-    """Integrate f over [lo, hi]; ``points`` marks known kinks/jumps."""
+    """Integrate f over [lo, hi]."""
     if hi == lo:
         return 0.0
     sign = 1.0
     if hi < lo:
         lo, hi = hi, lo
         sign = -1.0
-    pts = None
-    if points:
-        pts = sorted({p for p in points if lo < p < hi})
-        if not pts:
-            pts = None
 
     # Quadrature nodes are interior in exact arithmetic, but can round to
     # a representable endpoint; nudge those onto the open interval so that
@@ -93,7 +87,6 @@ def integrate(
     with _integrand_errors(lo, hi):
         value, _, _, *message = quad(
             g, lo, hi,
-            points=pts,
             epsabs=ABS_TOL,
             epsrel=rel_tol,
             limit=MAX_SUBDIVISIONS,

@@ -24,7 +24,15 @@ from robust_lmoments import (
     cov_matrix,
     sigma_pair,
 )
-from robust_lmoments.asymcov import gamma_factor, int_I, int_Ibar, kernel_K
+import robust_lmoments.asymcov as asymcov_module
+from robust_lmoments.asymcov import (
+    _equal_props,
+    _nested_pair,
+    gamma_factor,
+    int_I,
+    int_Ibar,
+    kernel_K,
+)
 from robust_lmoments.audit import (
     build_equal_props_corpus,
     build_mtm_corpus,
@@ -198,6 +206,73 @@ class TestScaling:
         assert b == pytest.approx(a, rel=1e-9)
 
 
+# Windows (a, b) of the normal-family shift and scale checks: the pairs of
+# (0.05, 0.25), (0.10, 0.10) and (0.40, 0.10) are left-nested, (0.05, 0.05)
+# holds the last two inside it, (0.05, 0.70) and (0.40, 0.10) are disjoint,
+# and the diagonal has equal windows.
+SHIFT_WINDOWS = [(0.05, 0.25), (0.10, 0.10), (0.40, 0.10), (0.05, 0.05), (0.05, 0.70)]
+NESTED_WINDOWS = SHIFT_WINDOWS[:3]
+
+
+def _normal_cov(windows, mode, method, loc, scale):
+    specs = [MomentSpec(IDENT, a, b, mode) for a, b in windows]
+    return cov_matrix(specs, Normal(loc, scale), method).entries
+
+
+def _route_id(route) -> str:
+    mode, method, windows = route
+    if len(windows) == 1:
+        shape = "equal(%g,%g)" % windows[0]
+    else:
+        shape = "nested" if windows == NESTED_WINDOWS else "all"
+    return f"{mode.value}-{method.value}-{shape}"
+
+
+class TestLocationScale:
+    """For the identity transform of a normal family, every entry is
+    unchanged by a shift and scales by c^2 with the scale c."""
+
+    ROUTES = [
+        (Mode.MTM, CovMethod.ALPHA, SHIFT_WINDOWS),
+        (Mode.MTM, CovMethod.KERNEL, SHIFT_WINDOWS),
+        (Mode.MWM, CovMethod.ALPHA, SHIFT_WINDOWS),
+        (Mode.MWM, CovMethod.MWM_DECOMP, SHIFT_WINDOWS),
+        (Mode.MWM, CovMethod.AUTO, SHIFT_WINDOWS),
+        *[(mode, CovMethod.EQUAL_PROPS, [w]) for mode in Mode for w in SHIFT_WINDOWS],
+    ]
+    # The published nested formula (and AUTO, which takes it for nested
+    # trimmed pairs) subtracts products of uncentred integrals, so it keeps
+    # the 1e-9 bound only up to a smaller shift.
+    NESTED_FORMULA = [
+        (Mode.MTM, CovMethod.CLOSED, NESTED_WINDOWS),
+        (Mode.MTM, CovMethod.AUTO, SHIFT_WINDOWS),
+    ]
+
+    @pytest.mark.parametrize("mode, method, windows", ROUTES, ids=map(_route_id, ROUTES))
+    def test_shift_by_1e5(self, mode, method, windows):
+        base = _normal_cov(windows, mode, method, 0.0, 1.0)
+        shifted = _normal_cov(windows, mode, method, 1e5, 1.0)
+        np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "mode, method, windows", NESTED_FORMULA, ids=map(_route_id, NESTED_FORMULA)
+    )
+    def test_nested_formula_shift_by_1e3(self, mode, method, windows):
+        base = _normal_cov(windows, mode, method, 0.0, 1.0)
+        shifted = _normal_cov(windows, mode, method, 1e3, 1.0)
+        np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "mode, method, windows",
+        ROUTES + NESTED_FORMULA,
+        ids=map(_route_id, ROUTES + NESTED_FORMULA),
+    )
+    def test_scale_by_3(self, mode, method, windows):
+        base = _normal_cov(windows, mode, method, 0.0, 1.0)
+        scaled = _normal_cov(windows, mode, method, 0.0, 3.0)
+        np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-9, atol=0.0)
+
+
 class TestCovMatrix:
     def test_symmetric_and_psd(self):
         specs = [
@@ -237,6 +312,17 @@ class TestCovMatrix:
         assert cov[0, 1] == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
+# The cases of the three audits.
+OVER_AUDIT_CORPORA = pytest.mark.parametrize(
+    "corpus",
+    [
+        build_mtm_corpus() + build_equal_props_corpus(),
+        build_mwm_corpus(),
+        build_equal_props_corpus(Mode.MWM),
+    ],
+    ids=["mtm", "mwm", "mwm-equal-props"],
+)
+
 # The routes each mode accepts; AUTO resolves to one of them.
 APPLICABLE = {
     Mode.MTM: set(MTM_METHODS),
@@ -272,20 +358,39 @@ class TestRouteTable:
         nested_ji = sj.a <= si.a < sj.b_bar and sj.b_bar <= si.b_bar
         return "closed" if nested_ij or nested_ji else "kernel"
 
-    @pytest.mark.parametrize(
-        "corpus",
-        [
-            build_mtm_corpus() + build_equal_props_corpus(),
-            build_mwm_corpus(),
-            build_equal_props_corpus(Mode.MWM),
-        ],
-        ids=["mtm", "mwm", "mwm-equal-props"],
-    )
+    @OVER_AUDIT_CORPORA
     def test_auto_label_over_audit_corpora(self, corpus):
         for case in corpus:
             ch_i, ch_j = case.composites()
             _, label = sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j)
             assert label == self.expected_auto(case.spec_i, case.spec_j), case
+
+
+CLOSED_ROUTES = {
+    CovMethod.CLOSED: lambda si, sj: si.mode is Mode.MTM and _nested_pair(si, sj),
+    CovMethod.EQUAL_PROPS: _equal_props,
+    CovMethod.MWM_DECOMP: lambda si, sj: si.mode is Mode.MWM,
+}
+
+
+@OVER_AUDIT_CORPORA
+def test_closed_routes_never_reach_the_batched_engine(corpus, monkeypatch):
+    """The closed routes run on scalar quadrature alone; the batched
+    engine belongs to the alpha and kernel references they are checked
+    against."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed route called integrate_batch")
+
+    monkeypatch.setattr(asymcov_module, "integrate_batch", forbidden)
+    evaluated = 0
+    for case in corpus:
+        ch_i, ch_j = case.composites()
+        for method, applies in CLOSED_ROUTES.items():
+            if applies(case.spec_i, case.spec_j):
+                sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j, method)
+                evaluated += 1
+    assert evaluated >= len(corpus)
 
 
 class CodedError(Exception):

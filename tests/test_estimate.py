@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import robust_lmoments.estimate as estimate_module
 from robust_lmoments import (
     CompositeH,
+    ConvergenceError,
+    DivergenceError,
     DomainError,
     Exponential,
     Identity,
@@ -99,6 +102,64 @@ class TestFit:
     def test_model_instance_means_all_free(self):
         result = fit(Exponential(1.0), [1.0, 3.0], [MomentSpec(IDENT)])
         assert result.theta_hat[0] == pytest.approx(2.0, rel=1e-9)
+
+
+class TestFailurePropagation:
+    """Only package errors count as a failed trial point; any other
+    exception is a fault and leaves ``fit`` unchanged."""
+
+    @staticmethod
+    def _residual_failing_after_first_call(monkeypatch):
+        residual = estimate_module._residual
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise TypeError("fault inside the moment map")
+            return residual(*args)
+
+        monkeypatch.setattr(estimate_module, "_residual", failing)
+        return calls
+
+    def test_line_search_lets_a_fault_through(self, monkeypatch):
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        calls = self._residual_failing_after_first_call(monkeypatch)
+        with pytest.raises(TypeError, match="fault inside the moment map"):
+            fit(
+                parse_model_template("normal(?,?)"),
+                sample,
+                [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)],
+            )
+        assert len(calls) == 2  # the start, then the first line-search candidate
+
+    def test_bracketing_lets_a_fault_through(self, monkeypatch):
+        def stalled(*args):
+            raise ConvergenceError("line search stalled")
+
+        monkeypatch.setattr(estimate_module, "_newton", stalled)
+        calls = self._residual_failing_after_first_call(monkeypatch)
+        with pytest.raises(TypeError, match="fault inside the moment map"):
+            fit(parse_model_template("exponential(?)"), [1.0, 2.0, 4.0], [MomentSpec(IDENT)])
+        assert len(calls) == 2  # the start, then the first bracket end
+
+    def test_line_search_retries_after_a_package_error(self, monkeypatch):
+        template = parse_model_template("normal(?,?)")
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        expected = fit(template, sample, specs).theta_hat
+        residual = estimate_module._residual
+        calls = []
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) == 2:  # the first line-search candidate
+                raise DivergenceError("integral over [0.1, 0.9] did not converge")
+            return residual(*args)
+
+        monkeypatch.setattr(estimate_module, "_residual", failing_once)
+        got = fit(template, sample, specs).theta_hat
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
 
 
 class TestJacobian:

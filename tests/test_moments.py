@@ -373,8 +373,17 @@ def parity_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=_sample_files())
 @example(data=b"\n")
+@example(data=b"\xef\xbb\xbf1.5\n2.5\n")
 def test_load_sample_matches_the_line_scan(parity_path, data):
     parity_path.write_bytes(data)
     assert _outcome(lambda: load_sample(parity_path)) == _outcome(
         lambda: moments_module._scan_lines(parity_path, data)
     )
+
+
+@pytest.mark.parametrize("text", ["1.5\n2.5\n", "# header\n1.5\n2.5", "1.5,a\r\n2.5,b\r\n"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, text):
+    # Spreadsheet exports often start a UTF-8 file with EF BB BF.
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_sample(p).tolist() == [1.5, 2.5]
