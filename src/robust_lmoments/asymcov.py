@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
-from .moments import Mode, MomentSpec, population_winsorized_moment
+from .moments import Mode, MomentSpec, _check_one_mode, population_winsorized_moment
 from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
@@ -570,11 +570,8 @@ def cov_matrix(
 ) -> CovMatrix:
     """Full k x k matrix, symmetrized as (M + M^T)/2 after assembly."""
     method = _as_method(method)
+    _check_one_mode(specs)
     k = len(specs)
-    if k == 0:
-        raise DomainError("at least one moment spec required")
-    if any(s.mode is not specs[0].mode for s in specs):
-        raise DomainError("all specs must share one mode")
     chs = [CompositeH(model, s.transform) for s in specs]
     entries = np.zeros((k, k))
     labels = [["" for _ in range(k)] for _ in range(k)]

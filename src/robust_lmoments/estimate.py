@@ -192,6 +192,17 @@ def _bisect_1d(template, specs, mu_hat, theta0):
     return np.array([mid]), iterations, abs(f(mid))
 
 
+def _check_spec_count(template: ModelTemplate, specs) -> None:
+    """Moment matching needs one spec per free parameter, and at least one."""
+    k = template.free_count
+    if k == 0:
+        raise DomainError("template has no free parameters")
+    if len(specs) != k:
+        raise DomainError(
+            f"need exactly {k} moment specs for {k} free parameters, got {len(specs)}"
+        )
+
+
 def fit(
     template: ModelTemplate | DistributionModel,
     sample,
@@ -201,13 +212,8 @@ def fit(
     moments, with asymptotic covariances in moment and parameter space."""
     if isinstance(template, DistributionModel):
         template = ModelTemplate.all_free(template)
+    _check_spec_count(template, specs)
     k = template.free_count
-    if k == 0:
-        raise DomainError("template has no free parameters")
-    if len(specs) != k:
-        raise DomainError(
-            f"need exactly {k} moment specs for {k} free parameters, got {len(specs)}"
-        )
     mu_hat = np.array([sample_moment(sample, s) for s in specs])
 
     starts = _initial_guesses(template, sample)

@@ -85,15 +85,28 @@ def _window(n: int, spec: MomentSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
-    """The spec's MTM or MWM moment of an ascending, finite sample; the
-    caller validates and sorts (``sample_moment``, or ``run_mc`` per draw)."""
-    n = xs.size
-    lo, hi = _window(n, spec)
-    h = spec.transform.values(xs[lo:hi])
-    if spec.mode is Mode.MTM:
+def _check_one_mode(specs: Sequence[MomentSpec]) -> None:
+    """A moment vector has at least one coordinate, all in one mode."""
+    if not specs:
+        raise DomainError("at least one moment spec required")
+    if any(s.mode is not specs[0].mode for s in specs):
+        raise DomainError("all specs must share one mode")
+
+
+def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float:
+    """The MTM or MWM moment given ``h``, the transformed order statistics
+    lo .. hi-1 (zero-based) of an ascending sample of size n."""
+    if mode is Mode.MTM:
         return float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
     return float((lo * h[0] + h.sum() + (n - hi) * h[-1]) / n)
+
+
+def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
+    """The spec's MTM or MWM moment of an ascending, finite sample; the
+    caller validates and sorts."""
+    n = xs.size
+    lo, hi = _window(n, spec)
+    return _window_moment(spec.transform.values(xs[lo:hi]), lo, hi, n, spec.mode)
 
 
 def _ascending(values: Sequence[float]) -> np.ndarray:

@@ -6,11 +6,23 @@ distribution matches the quantile used in the covariance formulas
 exactly.  Replication r draws from an independent generator seeded with a
 counter-mixed offspring of the master seed, so each replication's stream
 is unchanged by the presence or absence of the others.
+
+Each replication sorts its uniforms and only then applies the quantile.
+A quantile is nondecreasing, so Q(sort(u)) holds the same floats as
+sort(Q(u)): the quantile maps every draw to the same value either way,
+and sorting a multiset of floats has one result.  ``run_mc`` therefore
+evaluates the quantile only on the order statistics some moment reads,
+the union [L, H) of the specs' windows, once per replication, and each
+spec transforms its own slice of that array.  The moments, and so the
+report, are bitwise those of quantile-then-sort.  The trimmed tails are
+never passed to the quantile; the quantile's domain check still sees the
+whole draw through its extremes u[0] and u[-1].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -23,9 +35,11 @@ from .models import CompositeH, DistributionModel, ModelTemplate
 from .moments import (
     _FLOOR_SLACK,
     MomentSpec,
+    _check_one_mode,
+    _window,
+    _window_moment,
     floor_count,
     population_moment,
-    sorted_sample_moment,
 )
 
 __all__ = [
@@ -65,6 +79,11 @@ class SimulationConfig:
     template: ModelTemplate | None = None
 
     def __post_init__(self):
+        _check_one_mode(self.specs)
+        for name in ("n", "replications"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 10:
             raise DomainError(f"n must be >= 10, got {self.n}")
         if self.replications < 100:
@@ -110,20 +129,30 @@ class SimulationReport:
 
 
 def _run_replications(config: SimulationConfig, task):
-    """Apply ``task(sorted_sample)`` to each replication in index order.
+    """Apply ``task(u)`` to each replication's ascending uniforms, in index
+    order.  ``u`` is one buffer, refilled for every replication, so a task
+    must not keep it.
 
-    A replication whose task raises a package error counts as a failure;
-    more than 1% failures abort the run with the first cause attached.
+    A replication whose endpoint check or task raises a package error
+    counts as a failure; more than 1% failures abort the run with the
+    first cause attached.
     """
+    model = config.model
+    u = np.empty(config.n)
     results = []
     causes: list[RobustLMomentsError] = []
     for r in range(config.replications):
         rng = np.random.Generator(
             np.random.PCG64(replication_seed(config.master_seed, r))
         )
-        u = rng.random(config.n)
+        rng.random(out=u)
+        u.sort()
         try:
-            results.append(task(np.sort(config.model.quantiles(u))))
+            # What ``quantiles`` checks on the whole draw, through the
+            # extremes (``_check_endpoints``), before the task sees part of it.
+            model._check_endpoint(float(u[0]))
+            model._check_endpoint(float(u[-1]))
+            results.append(task(u))
         except RobustLMomentsError as exc:
             causes.append(exc)
     if len(causes) > 0.01 * config.replications:
@@ -145,10 +174,23 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
             for s in specs
         ]
     )
-    root_n = math.sqrt(config.n)
+    n = config.n
+    root_n = math.sqrt(n)
+    windows = [_window(n, s) for s in specs]
+    lo_all = min(lo for lo, _ in windows)
+    hi_all = max(hi for _, hi in windows)
+    quantiles = config.model.quantiles
 
-    def deviations(xs):
-        moments = np.array([sorted_sample_moment(xs, s) for s in specs])
+    def deviations(u):
+        xs = quantiles(u[lo_all:hi_all])  # order statistics lo_all .. hi_all-1
+        moments = np.array(
+            [
+                _window_moment(
+                    s.transform.values(xs[lo - lo_all : hi - lo_all]), lo, hi, n, s.mode
+                )
+                for s, (lo, hi) in zip(specs, windows)
+            ]
+        )
         return root_n * (moments - mu_pop)
 
     rows, failures = _run_replications(config, deviations)
@@ -187,19 +229,21 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
 def coverage_check(config: SimulationConfig, confidence: float) -> float:
     """Fraction of replications whose normal confidence interval for the
     parameters covers the truth; expected to be close to ``confidence``."""
-    from .estimate import fit  # deferred: estimate imports asymcov too
+    # deferred: estimate imports asymcov too
+    from .estimate import _check_spec_count, fit
 
     if not 0.0 < confidence <= 1.0:
         raise DomainError(f"confidence must lie in (0, 1], got {confidence}")
     template = config.template or ModelTemplate.all_free(config.model)
+    _check_spec_count(template, config.specs)
     theta_true = np.array(
         [config.model.params[i] for i in template.free_indices]
     )
     z = math.inf if confidence == 1.0 else float(ndtri(0.5 + confidence / 2.0))
     root_n = math.sqrt(config.n)
 
-    def one(xs):
-        result = fit(template, xs, list(config.specs))
+    def one(u):
+        result = fit(template, config.model.quantiles(u), list(config.specs))
         se = np.sqrt(np.diag(result.cov_theta.entries)) / root_n
         return bool(np.all(np.abs(result.theta_hat - theta_true) <= z * se))
 
