@@ -1,27 +1,32 @@
 """Asymptotic variance-covariance of trimmed/winsorized moment estimators.
 
 Several interchangeable evaluation routes are provided for each matrix
-entry:
+entry, named by their ``CovMethod``:
 
-* ``sigma_alpha_form``   -- single integral of the product of influence
-  integrands; the reference oracle for everything else.
-* ``sigma_mtm_kernel_form`` -- double integral of the uniform empirical
-  process kernel min(v,w) - vw against H'_j(v) H'_i(w) over the retained
-  windows, scaled by the retained-mass factor.
-* ``sigma_mtm_closed``   -- closed form valid when one trimming window
-  is nested-left of the other (a_i <= a_j < 1-b_i <= 1-b_j, or the same
-  after swapping the pair).
-* ``sigma_mtm_equal_props`` -- fast path for equal proportions.
-* ``sigma_mwm_decomposition`` / ``sigma_mwm_equal_props`` -- winsorized
-  counterparts assembled from nine closed pieces.
+* ``alpha``  -- single integral of the product of influence integrands;
+  the reference oracle for everything else.  Both modes.
+* ``kernel`` -- double integral of the uniform empirical process kernel
+  min(v,w) - vw against H'_j(v) H'_i(w) over the retained windows,
+  scaled by the retained-mass factor.  Trimmed mode.
+* ``closed`` -- closed form valid when one trimming window is
+  nested-left of the other (a_i <= a_j < 1-b_i <= 1-b_j, or the same
+  after swapping the pair).  Trimmed mode.
+* ``equal-props`` -- fast path for equal proportions.  Both modes.
+* ``mwm-decomposition`` -- winsorized covariance assembled from nine
+  closed pieces.  Winsorized mode.
 
-The last three take the kernel double integral V11 as a covariance of
-the composites clipped to their windows (``_v11_clipped``), valid for
-every window ordering.  The closed forms run on the scalar ``integrate``
-alone, with no nested quadrature, and evaluate boundary products only
-when their coefficient is nonzero, so zero trimming with an
-unbounded-but-integrable H endpoint stays finite; genuinely divergent
-integrals raise DivergenceError.
+The route table ``_ROUTES`` owns which route applies: each (mode,
+method) entry holds the route and the rule for the pairs it is valid
+for, and ``sigma_pair`` refuses a pair the rule rejects.  ``auto`` takes
+the first valid route of equal-props, closed, mwm-decomposition, kernel.
+
+The equal-props and mwm-decomposition routes take the kernel double
+integral V11 as a covariance of the composites clipped to their windows
+(``_v11_clipped``), valid for every window ordering.  The closed forms
+run on the scalar ``integrate`` alone, with no nested quadrature, and
+evaluate boundary products only when their coefficient is nonzero, so
+zero trimming with an unbounded-but-integrable H endpoint stays finite;
+genuinely divergent integrals raise DivergenceError.
 
 The alpha and kernel routes are nested integrals.  They run on the
 batched engine ``integrate_batch``, which takes the inner integrals for
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,17 +50,9 @@ from .quadrature import REL_TOL, integrate, integrate_batch
 __all__ = [
     "CovMethod",
     "CovMatrix",
-    "kernel_K",
     "int_I",
     "int_Ibar",
     "gamma_factor",
-    "alpha",
-    "sigma_alpha_form",
-    "sigma_mtm_kernel_form",
-    "sigma_mtm_closed",
-    "sigma_mtm_equal_props",
-    "sigma_mwm_decomposition",
-    "sigma_mwm_equal_props",
     "sigma_pair",
     "cov_matrix",
 ]
@@ -73,17 +71,6 @@ class CovMethod(str, enum.Enum):
     AUTO = "auto"
 
 
-def kernel_K(v: float, w: float) -> float:
-    """Covariance kernel of the uniform empirical process: min(v,w) - vw."""
-    if not (0.0 <= v <= 1.0 and 0.0 <= w <= 1.0):
-        raise DomainError(f"kernel arguments must lie in [0,1], got ({v}, {w})")
-    return min(v, w) - v * w
-
-
-def _int_H(ch: CompositeH, lo: float, hi: float) -> float:
-    return integrate(ch.value, lo, hi)
-
-
 def int_I(a: float, b: float, ch: CompositeH) -> float:
     """bH(b) - aH(a) - int_a^b H; equals int_a^b v H'(v) dv.
 
@@ -92,7 +79,7 @@ def int_I(a: float, b: float, ch: CompositeH) -> float:
     """
     if b == a:
         return 0.0
-    value = -_int_H(ch, a, b)
+    value = -integrate(ch.value, a, b)
     if b != 0.0:
         value += b * ch.value(b)
     if a != 0.0:
@@ -104,7 +91,7 @@ def int_Ibar(a: float, b: float, ch: CompositeH) -> float:
     """(1-b)H(b) - (1-a)H(a) + int_a^b H; equals int_a^b (1-v) H'(v) dv."""
     if b == a:
         return 0.0
-    value = _int_H(ch, a, b)
+    value = integrate(ch.value, a, b)
     if b != 1.0:
         value += (1.0 - b) * ch.value(b)
     if a != 1.0:
@@ -147,13 +134,14 @@ def _sweep(f, parts, rel_tol: float = REL_TOL) -> list[np.ndarray]:
     return sums
 
 
-def _alphas(u, pairs) -> list[np.ndarray]:
-    """``alpha(u, spec, ch)`` for each ``(spec, ch)`` of ``pairs``, with
-    their inner integrals in one batched sweep."""
-    u = np.asarray(u, dtype=float)
-    if u.size and not (0.0 < u.min() and u.max() < 1.0):
-        bad = u.min() if not 0.0 < u.min() else u.max()
-        raise DomainError(f"alpha requires 0 < u < 1, got {bad}")
+def _alphas(u: np.ndarray, pairs) -> list[np.ndarray]:
+    """The influence-style integrand alpha of each ``(spec, ch)`` of
+    ``pairs``, elementwise over the array u of points in (0, 1); the
+    pairwise product of two integrates to the covariance entry.
+
+    The inner integrals of H from max(a, u) to 1-b, for every u and every
+    pair, come from one batched sweep over the distinct lower limits.
+    """
 
     def h_values(v: np.ndarray, part: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -194,22 +182,12 @@ def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray
     return psi / (1.0 - u)
 
 
-def alpha(u, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
-    """Influence-style integrand whose pairwise product integrates to the
-    covariance entry, elementwise over an array of u in (0, 1).
-
-    The inner integral of H from max(a, u) to 1-b is taken for all u at
-    once, by one batched sweep over the distinct lower limits.
-    """
-    return _alphas(u, [(spec, ch)])[0]
-
-
 def _split_at(lo: float, hi: float, kinks) -> np.ndarray:
     """[lo, hi] cut at the kinks that lie inside it."""
     return np.unique([lo, hi, *(p for p in kinks if lo < p < hi)])
 
 
-def sigma_alpha_form(
+def _sigma_alpha(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
@@ -225,18 +203,6 @@ def sigma_alpha_form(
 
     pieces = integrate_batch(integrand, cuts[:-1], cuts[1:], rel_tol=_ALPHA_REL_TOL)
     return float(pieces.sum())
-
-
-def sigma_mtm_kernel_form(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Double-integral kernel route, batched nested quadrature."""
-    if spec_i.mode is not Mode.MTM or spec_j.mode is not Mode.MTM:
-        raise DomainError("kernel form applies to trimmed-moment specs only")
-    return gamma_factor(spec_i, spec_j) * _kernel_v11(spec_i, spec_j, ch_i, ch_j)
 
 
 def _kernel_inner(w: np.ndarray, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
@@ -255,12 +221,13 @@ def _kernel_inner(w: np.ndarray, spec: MomentSpec, ch: CompositeH) -> np.ndarray
     return (1.0 - w) * heads.reshape(w.shape) + w * tails.reshape(w.shape)
 
 
-def _kernel_v11(
+def _sigma_kernel(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
+    """Double-integral kernel route, batched nested quadrature."""
     cuts = _split_at(spec_i.a, spec_i.b_bar, [spec_j.a, spec_j.b_bar])
     pieces = integrate_batch(
         lambda w, _: ch_i.deriv(w) * _kernel_inner(w, spec_j, ch_j),
@@ -268,7 +235,7 @@ def _kernel_v11(
         cuts[1:],
         rel_tol=_KERNEL_REL_TOL,
     )
-    return float(pieces.sum())
+    return gamma_factor(spec_i, spec_j) * float(pieces.sum())
 
 
 def _scenario_i_holds(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
@@ -289,14 +256,14 @@ def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     return spec_i.a == spec_j.a and spec_i.b == spec_j.b
 
 
-def _v11_closed(
+def _sigma_closed(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Closed-form kernel double integral under the left-nested ordering,
-    taken in whichever orientation of the pair it holds.
+    """Closed form under the left-nested trimming ordering, taken in
+    whichever orientation of the pair it holds.
 
     The tail cross term multiplies the bracket
     ``(1-b_i) H_i(1-b_i) - a_j H_i(a_j) - int H_i`` by ``int H_j`` over
@@ -311,8 +278,8 @@ def _v11_closed(
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b
 
-    c_i = _int_H(ch_i, aj, bbi)
-    c_j = _int_H(ch_j, aj, bbi)
+    c_i = integrate(ch_i.value, aj, bbi)
+    c_j = integrate(ch_j.value, aj, bbi)
 
     value = int_I(ai, aj, ch_i) * int_Ibar(aj, bbj, ch_j) if ai != aj else 0.0
     if bj != 0.0:
@@ -326,39 +293,21 @@ def _v11_closed(
         value -= aj * ch_i.value(aj) * c_j
     value -= c_i * c_j
     if bbj != bbi:
-        d_j = _int_H(ch_j, bbi, bbj)
+        d_j = integrate(ch_j.value, bbi, bbj)
         bracket = bbi * ch_i.value(bbi) - c_i
         if aj != 0.0:
             bracket -= aj * ch_i.value(aj)
         value += bracket * d_j
-    return value
+    return gamma_factor(spec_i, spec_j) * value
 
 
-def sigma_mtm_closed(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Closed form under the left-nested trimming ordering (either
-    orientation of the pair)."""
-    if not _nested_pair(spec_i, spec_j):
-        raise OrderingError(
-            "closed form needs a_i <= a_j < 1-b_i <= 1-b_j (possibly after "
-            "swapping the pair); use the kernel or alpha form instead"
-        )
-    return gamma_factor(spec_i, spec_j) * _v11_closed(spec_i, spec_j, ch_i, ch_j)
-
-
-def sigma_mtm_equal_props(
+def _sigma_mtm_equal_props(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
     """Fast path when both coordinates share the same proportions."""
-    if not _equal_props(spec_i, spec_j):
-        raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
     return gamma_factor(spec_i, spec_j) * _v11_clipped(spec_i, spec_j, ch_i, ch_j)
 
 
@@ -436,7 +385,7 @@ def _edge_atoms(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
     return atoms
 
 
-def sigma_mwm_decomposition(
+def _sigma_mwm_decomposition(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
@@ -450,8 +399,6 @@ def sigma_mwm_decomposition(
     end; the published general display of the upper-atom x window piece
     omits that truncation and is only exact for equal upper proportions.
     """
-    if spec_i.mode is not Mode.MWM or spec_j.mode is not Mode.MWM:
-        raise DomainError("winsorized decomposition requires MWM specs")
     atoms_i, atoms_j = _edge_atoms(spec_i, ch_i), _edge_atoms(spec_j, ch_j)
     total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
     for t, w in atoms_j:
@@ -464,15 +411,13 @@ def sigma_mwm_decomposition(
     return total
 
 
-def sigma_mwm_equal_props(
+def _sigma_mwm_equal_props(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
     """Winsorized covariance for equal proportions across the pair."""
-    if not _equal_props(spec_i, spec_j):
-        raise OrderingError("equal-proportions form requires a_i=a_j and b_i=b_j")
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
 
     total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
@@ -510,25 +455,51 @@ class CovMatrix:
         return self.entries[idx]
 
 
-# Every route that applies to a mode; AUTO resolves to one of these.
+@dataclass(frozen=True)
+class _Route:
+    """A covariance route, the rule for the pairs it is valid for, and the
+    refusal raised for a pair the rule rejects."""
+
+    evaluate: Callable[[MomentSpec, MomentSpec, CompositeH, CompositeH], float]
+    valid: Callable[[MomentSpec, MomentSpec], bool] = lambda spec_i, spec_j: True
+    refusal: str = ""
+
+
+_NOT_NESTED = (
+    "closed form needs a_i <= a_j < 1-b_i <= 1-b_j (possibly after "
+    "swapping the pair); use the kernel or alpha form instead"
+)
+_NOT_EQUAL = "equal-proportions form requires a_i=a_j and b_i=b_j"
+
+# Every route of each mode, with its validity rule: the one place that
+# decides which route applies to a pair.
 _ROUTES = {
-    (Mode.MTM, CovMethod.ALPHA): sigma_alpha_form,
-    (Mode.MTM, CovMethod.KERNEL): sigma_mtm_kernel_form,
-    (Mode.MTM, CovMethod.CLOSED): sigma_mtm_closed,
-    (Mode.MTM, CovMethod.EQUAL_PROPS): sigma_mtm_equal_props,
-    (Mode.MWM, CovMethod.ALPHA): sigma_alpha_form,
-    (Mode.MWM, CovMethod.MWM_DECOMP): sigma_mwm_decomposition,
-    (Mode.MWM, CovMethod.EQUAL_PROPS): sigma_mwm_equal_props,
+    (Mode.MTM, CovMethod.ALPHA): _Route(_sigma_alpha),
+    (Mode.MTM, CovMethod.KERNEL): _Route(_sigma_kernel),
+    (Mode.MTM, CovMethod.CLOSED): _Route(_sigma_closed, _nested_pair, _NOT_NESTED),
+    (Mode.MTM, CovMethod.EQUAL_PROPS): _Route(
+        _sigma_mtm_equal_props, _equal_props, _NOT_EQUAL
+    ),
+    (Mode.MWM, CovMethod.ALPHA): _Route(_sigma_alpha),
+    (Mode.MWM, CovMethod.MWM_DECOMP): _Route(_sigma_mwm_decomposition),
+    (Mode.MWM, CovMethod.EQUAL_PROPS): _Route(
+        _sigma_mwm_equal_props, _equal_props, _NOT_EQUAL
+    ),
 }
 
+# AUTO takes the first route of this order that is valid for the pair.
+_AUTO_ORDER = (
+    CovMethod.EQUAL_PROPS, CovMethod.CLOSED, CovMethod.MWM_DECOMP, CovMethod.KERNEL
+)
 
-def _auto_method(spec_i: MomentSpec, spec_j: MomentSpec) -> CovMethod:
-    """The fastest route valid for the pair."""
-    if _equal_props(spec_i, spec_j):
-        return CovMethod.EQUAL_PROPS
-    if spec_i.mode is Mode.MWM:
-        return CovMethod.MWM_DECOMP
-    return CovMethod.CLOSED if _nested_pair(spec_i, spec_j) else CovMethod.KERNEL
+
+def _valid_methods(spec_i: MomentSpec, spec_j: MomentSpec) -> list[CovMethod]:
+    """The routes valid for a pair of one mode, in table order."""
+    return [
+        method
+        for (mode, method), route in _ROUTES.items()
+        if mode is spec_i.mode is spec_j.mode and route.valid(spec_i, spec_j)
+    ]
 
 
 def _as_method(method: CovMethod | str) -> CovMethod:
@@ -555,12 +526,15 @@ def sigma_pair(
     if spec_i.mode is not spec_j.mode:
         raise DomainError("covariance entries require a single estimation mode")
     if method is CovMethod.AUTO:
-        method = _auto_method(spec_i, spec_j)
+        valid = _valid_methods(spec_i, spec_j)
+        method = next(m for m in _AUTO_ORDER if m in valid)
     route = _ROUTES.get((spec_i.mode, method))
     if route is None:
         mode = "trimmed" if spec_i.mode is Mode.MTM else "winsorized"
         raise DomainError(f"method {method.value} not applicable to {mode} mode")
-    return route(spec_i, spec_j, ch_i, ch_j), method.value
+    if not route.valid(spec_i, spec_j):
+        raise OrderingError(route.refusal)
+    return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
 
 
 def cov_matrix(

@@ -13,7 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .asymcov import CovMethod, _equal_props, _nested_pair, sigma_pair
+from .asymcov import CovMethod, _valid_methods, sigma_pair
 from .models import (
     CompositeH,
     DistributionModel,
@@ -206,20 +206,13 @@ def _run_audit(cases, routes, tolerance: float) -> AuditResult:
     )
 
 
-def _mtm_routes(case: AuditCase):
-    routes = [CovMethod.ALPHA, CovMethod.KERNEL]
-    if _nested_pair(case.spec_i, case.spec_j):
-        routes.append(CovMethod.CLOSED)
-    if _equal_props(case.spec_i, case.spec_j):
-        routes.append(CovMethod.EQUAL_PROPS)
-    return routes
-
-
 def run_mtm_audit(cases: list[AuditCase] | None = None) -> AuditResult:
-    """Pairwise agreement of the trimmed-moment routes on every case."""
+    """Pairwise agreement of every route valid for each case."""
     if cases is None:
         cases = build_mtm_corpus() + build_equal_props_corpus()
-    return _run_audit(cases, _mtm_routes, REL_TOL)
+    return _run_audit(
+        cases, lambda case: _valid_methods(case.spec_i, case.spec_j), REL_TOL
+    )
 
 
 def _mwm_routes(case: AuditCase):

@@ -178,18 +178,23 @@ def _bisect_1d(template, specs, mu_hat, theta0):
         hi, fhi = t0, f0
     elif f0 * fhi <= 0:
         lo, flo = t0, f0
-    iterations = 0
     for iterations in range(1, 200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= RESIDUAL_TOL or hi - lo < 1e-14 * (1 + abs(mid)):
+        if abs(fm) <= RESIDUAL_TOL:
             return np.array([mid]), iterations, abs(fm)
+        if hi - lo < 1e-14 * (1 + abs(mid)):
+            break
         if flo * fm <= 0:
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    mid = 0.5 * (lo + hi)
-    return np.array([mid]), iterations, abs(f(mid))
+    # A sign change that no point of the bracket resolves is rounding
+    # noise in the residual, not a root.
+    raise ConvergenceError(
+        f"bisection collapsed at theta={mid!r} with residual {abs(fm):.3g} "
+        f"above {RESIDUAL_TOL:g}; no root of the single parameter"
+    )
 
 
 def _check_spec_count(template: ModelTemplate, specs) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import DomainError, SingularityError, UnboundedQuantileError
 
@@ -59,8 +59,8 @@ def _check_units(u: np.ndarray) -> np.ndarray:
 class DistributionModel:
     """Base class for parametric families.
 
-    Subclasses are immutable dataclasses exposing the quantile function,
-    its derivative, and the cdf.  Their fields are the parameters:
+    Subclasses are immutable dataclasses exposing the quantile function
+    and its derivative.  Their fields are the parameters:
     ``params`` is the field values in declaration order and the field
     defaults are the family's default member.  ``param_bounds`` gives
     open-domain limits per parameter used by the fitting line search.
@@ -93,9 +93,6 @@ class DistributionModel:
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
         """Array form of ``quantile_density``, with the same fallback."""
         return np.vectorize(self.quantile_density, otypes=[float])(u)
-
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
 
     # (lower bounded, upper bounded) support flags
     bounded_below: bool = False
@@ -159,13 +156,6 @@ class Uniform(DistributionModel):
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(_check_units(u), self.hi - self.lo)
 
-    def cdf(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        return (x - self.lo) / (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
 class Exponential(DistributionModel):
@@ -202,11 +192,6 @@ class Exponential(DistributionModel):
         if u.size and u.max() == 1.0:
             raise SingularityError("exponential quantile density diverges at u=1")
         return self.scale / (1.0 - u)
-
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-x / self.scale)
 
 
 @dataclass(frozen=True)
@@ -254,11 +239,6 @@ class Pareto(DistributionModel):
         if u.size and u.max() == 1.0:
             raise SingularityError("pareto quantile density diverges at u=1")
         return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
-
-    def cdf(self, x: float) -> float:
-        if x <= self.xm:
-            return 0.0
-        return 1.0 - (self.xm / x) ** self.shape
 
 
 @dataclass(frozen=True)
@@ -309,11 +289,6 @@ class Lognormal(DistributionModel):
         phi = np.exp(-0.5 * z * z) / _SQRT_2PI
         return self.sigma * np.exp(self.mu + self.sigma * z) / phi
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return float(ndtr((math.log(x) - self.mu) / self.sigma))
-
 
 @dataclass(frozen=True)
 class Normal(DistributionModel):
@@ -353,9 +328,6 @@ class Normal(DistributionModel):
             raise SingularityError("normal quantile density diverges at u in {0,1}")
         z = ndtri(u)
         return self.sigma / (np.exp(-0.5 * z * z) / _SQRT_2PI)
-
-    def cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mu) / self.sigma))
 
 
 _FAMILIES: dict[str, type[DistributionModel]] = {

@@ -64,8 +64,6 @@ def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    *,
-    rel_tol: float = REL_TOL,
 ) -> float:
     """Integrate f over [lo, hi]."""
     if hi == lo:
@@ -88,7 +86,7 @@ def integrate(
         value, _, _, *message = quad(
             g, lo, hi,
             epsabs=ABS_TOL,
-            epsrel=rel_tol,
+            epsrel=REL_TOL,
             limit=MAX_SUBDIVISIONS,
             full_output=1,
         )

@@ -31,6 +31,7 @@ from scipy.special import ndtri
 
 from .asymcov import CovMatrix, CovMethod, cov_matrix
 from .errors import DomainError, RobustLMomentsError
+from .estimate import _check_spec_count, fit
 from .models import CompositeH, DistributionModel, ModelTemplate
 from .moments import (
     _FLOOR_SLACK,
@@ -168,6 +169,8 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
     deviations against the formula-based matrix."""
     start = time.perf_counter()
     specs = list(config.specs)
+    # First, so that a divergent covariance fails before any draw.
+    theoretical = cov_matrix(specs, config.model, CovMethod.AUTO)
     mu_pop = np.array(
         [
             population_moment(CompositeH(config.model, s.transform), s)
@@ -199,7 +202,6 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
         raise DomainError("need at least 2 successful replications for a covariance")
 
     empirical = np.atleast_2d(np.cov(devs, rowvar=False, ddof=1))
-    theoretical = cov_matrix(specs, config.model, CovMethod.AUTO)
     per_entry = np.abs(empirical - theoretical.entries) / np.maximum(
         np.abs(theoretical.entries), _DEV_FLOOR
     )
@@ -229,9 +231,6 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
 def coverage_check(config: SimulationConfig, confidence: float) -> float:
     """Fraction of replications whose normal confidence interval for the
     parameters covers the truth; expected to be close to ``confidence``."""
-    # deferred: estimate imports asymcov too
-    from .estimate import _check_spec_count, fit
-
     if not 0.0 < confidence <= 1.0:
         raise DomainError(f"confidence must lie in (0, 1], got {confidence}")
     template = config.template or ModelTemplate.all_free(config.model)

@@ -31,7 +31,6 @@ from robust_lmoments.asymcov import (
     gamma_factor,
     int_I,
     int_Ibar,
-    kernel_K,
 )
 from robust_lmoments.audit import (
     build_equal_props_corpus,
@@ -51,27 +50,6 @@ MTM_METHODS = [
     CovMethod.CLOSED,
     CovMethod.EQUAL_PROPS,
 ]
-
-
-class TestKernel:
-    def test_values(self):
-        assert kernel_K(0.3, 0.7) == pytest.approx(0.3 - 0.21)
-        assert kernel_K(0.5, 0.5) == pytest.approx(0.25)
-
-    def test_symmetry_and_nonnegativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            v, w = rng.uniform(0, 1, 2)
-            assert kernel_K(v, w) == kernel_K(w, v)
-            assert kernel_K(v, w) >= 0.0
-
-    def test_vanishes_at_edges(self):
-        assert kernel_K(0.0, 0.6) == 0.0
-        assert kernel_K(0.6, 1.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            kernel_K(-0.1, 0.5)
 
 
 class TestIntegralIdentities:
@@ -330,6 +308,13 @@ APPLICABLE = {
 }
 
 
+UNEQUAL = "equal-proportions form requires a_i=a_j and b_i=b_j"
+NOT_NESTED = (
+    "closed form needs a_i <= a_j < 1-b_i <= 1-b_j (possibly after swapping "
+    "the pair); use the kernel or alpha form instead"
+)
+
+
 class TestRouteTable:
     @pytest.mark.parametrize("method", list(CovMethod), ids=lambda m: m.value)
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -364,6 +349,51 @@ class TestRouteTable:
             ch_i, ch_j = case.composites()
             _, label = sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j)
             assert label == self.expected_auto(case.spec_i, case.spec_j), case
+
+    @pytest.mark.parametrize("method", list(CovMethod), ids=lambda m: m.value)
+    def test_mixed_modes_refused(self, method):
+        si = MomentSpec(IDENT, 0.1, 0.2, Mode.MTM)
+        sj = MomentSpec(IDENT, 0.1, 0.2, Mode.MWM)
+        with pytest.raises(
+            DomainError, match="^covariance entries require a single estimation mode$"
+        ):
+            sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+
+    @pytest.mark.parametrize(
+        "mode, method, message",
+        [
+            (Mode.MTM, "equal-props", UNEQUAL),
+            (Mode.MWM, "equal-props", UNEQUAL),
+            (Mode.MTM, "closed", NOT_NESTED),
+        ],
+        ids=["mtm-equal-props", "mwm-equal-props", "closed"],
+    )
+    def test_refusal_text(self, mode, method, message):
+        # Staggered windows: neither nested nor of equal proportions.
+        si = MomentSpec(IDENT, 0.05, 0.05, mode)
+        sj = MomentSpec(IDENT, 0.10, 0.25, mode)
+        with pytest.raises(OrderingError) as info:
+            sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_valid_methods_are_the_routes_that_run(self, mode):
+        pairs = [
+            ((0.05, 0.05), (0.10, 0.25)),  # staggered
+            ((0.05, 0.25), (0.10, 0.10)),  # nested
+            ((0.10, 0.20), (0.10, 0.20)),  # equal
+        ]
+        for (ai, bi), (aj, bj) in pairs:
+            si = MomentSpec(IDENT, ai, bi, mode)
+            sj = MomentSpec(IDENT, aj, bj, mode)
+            valid = asymcov_module._valid_methods(si, sj)
+            assert set(valid) <= APPLICABLE[mode]
+            for method in APPLICABLE[mode]:
+                if method in valid:
+                    sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+                else:
+                    with pytest.raises(OrderingError):
+                        sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
 
 
 CLOSED_ROUTES = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robust_lmoments import AuditCase, AuditResult, Identity, MomentSpec, Uniform, cli
 from robust_lmoments.cli import RunConfig, _build_parser, main, parse_args, run
 
 
@@ -377,3 +378,110 @@ def test_csv_cells_are_numbers(argv, labels, sample_file, capsys):
         for col, cell in enumerate(cells):
             if col not in labels:
                 float(cell)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trim", "0.1"], "expected 'a,b' with two numbers, got '0.1'"),
+            (["--trim=-0.1,0.2"], "trimming proportions must be >= 0"),
+        ],
+        ids=["one-number", "negative"],
+    )
+    def test_bad_trim_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["asymcov", "--family", "uniform(0,1)", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_more_trim_pairs_than_transforms(self, capsys):
+        code = main(
+            ["asymcov", "--family", "uniform(0,1)",
+             "--transform", "identity", "--transform", "power(2)",
+             "--trim", "0.1,0.1", "--trim", "0.2,0.1", "--trim", "0.1,0.2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: 2 transforms but 3 trim pairs\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--family", "exponential(?)"], "fit requires --data"),
+            (["simulate"], "simulate requires --family (flag or config file)"),
+        ],
+        ids=["fit", "simulate"],
+    )
+    def test_missing_input(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+WORST = AuditCase(
+    Uniform(0.0, 1.0),
+    MomentSpec(Identity(), 0.05, 0.25),
+    MomentSpec(Identity(), 0.10, 0.10),
+)
+
+
+def _canned(max_deviation: float, tolerance: float) -> AuditResult:
+    return AuditResult(
+        cases=3,
+        comparisons=7,
+        max_deviation=max_deviation,
+        worst_case=WORST,
+        worst_pair=("alpha", "kernel"),
+        runtime_s=0.25,
+        tolerance=tolerance,
+    )
+
+
+class TestEquivalence:
+    """The command reports the three audits; they are replaced by canned
+    results, since the real ones take tens of seconds."""
+
+    @pytest.fixture
+    def audits(self, monkeypatch):
+        results = {
+            "run_mtm_audit": _canned(2e-9, 1e-6),
+            "run_mwm_audit": _canned(3e-8, 1e-6),
+            "run_mwm_equal_props_audit": _canned(4e-15, 1e-10),
+        }
+        for name, result in results.items():
+            monkeypatch.setattr(cli, name, lambda result=result: result)
+        return results
+
+    def test_text_report_passes(self, audits, capsys):
+        assert main(["equivalence"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0::2] == [
+            "PASS trimmed-routes: 3 configs, max deviation 2.000e-09 "
+            "(tolerance 1e-06) in 0.2s",
+            "PASS winsorized-decomposition: 3 configs, max deviation 3.000e-08 "
+            "(tolerance 1e-06) in 0.2s",
+            "PASS winsorized-equal-props: 3 configs, max deviation 4.000e-15 "
+            "(tolerance 1e-10) in 0.2s",
+        ]
+        worst = f"  worst: uniform(0,1) {WORST.spec_i} vs {WORST.spec_j}"
+        assert lines[1::2] == [worst] * 3
+
+    def test_csv_report(self, audits, capsys):
+        assert main(["equivalence", "--csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "audit,cases,comparisons,max_deviation,tolerance,runtime_s,status",
+            "trimmed-routes,3,7,2e-09,1e-06,0.25,PASS",
+            "winsorized-decomposition,3,7,3e-08,1e-06,0.25,PASS",
+            "winsorized-equal-props,3,7,4e-15,1e-10,0.25,PASS",
+        ]
+
+    def test_one_failed_audit_fails_the_command(self, audits, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_mwm_audit", lambda: _canned(2e-6, 1e-6))
+        assert main(["equivalence"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL winsorized-decomposition: 3 configs" in out
+        assert out.count("PASS") == 2

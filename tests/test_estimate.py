@@ -13,6 +13,7 @@ from robust_lmoments import (
     DomainError,
     Exponential,
     Identity,
+    Mode,
     MomentSpec,
     Normal,
     Power,
@@ -160,6 +161,51 @@ class TestFailurePropagation:
         monkeypatch.setattr(estimate_module, "_residual", failing_once)
         got = fit(template, sample, specs).theta_hat
         np.testing.assert_allclose(got, expected, rtol=1e-6)
+
+
+class TestBisection:
+    """The one-parameter fallback once Newton fails from every start."""
+
+    SAMPLE = Exponential(2.0).quantiles(np.random.default_rng(300).random(300))
+
+    @staticmethod
+    def _count_bisections(monkeypatch):
+        bisect = estimate_module._bisect_1d
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(estimate_module, "_bisect_1d", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "template, spec",
+        [
+            ("normal(0,?)", MomentSpec(Power(3.0), 0.01, 0.01)),
+            ("normal(3,?)", MomentSpec(IDENT, 0.05, 0.05)),
+        ],
+        ids=["power3", "identity"],
+    )
+    def test_sign_change_of_rounding_noise_is_no_root(self, template, spec, monkeypatch):
+        # The residual changes sign only where rounding noise does, at a
+        # sigma of 1e5 and more; it never comes near zero.
+        calls = self._count_bisections(monkeypatch)
+        with pytest.raises(ConvergenceError, match="^bisection collapsed at theta="):
+            fit(parse_model_template(template), self.SAMPLE, [spec])
+        assert len(calls) == 1
+
+    def test_real_root_found_where_newton_fails(self, monkeypatch):
+        calls = self._count_bisections(monkeypatch)
+        result = fit(
+            parse_model_template("normal(3,?)"),
+            self.SAMPLE,
+            [MomentSpec(Power(3.0), 0.1, 0.25, Mode.MWM)],
+        )
+        assert len(calls) == 1
+        assert result.theta_hat[0] == pytest.approx(15.6635, abs=1e-4)
+        assert result.residual_norm <= 1e-9
 
 
 class TestJacobian:

@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from robust_lmoments import (
     CompositeH,
     DistributionModel,
+    DivergenceError,
     DomainError,
     Exponential,
     Identity,
@@ -225,6 +226,20 @@ class TestRunMc:
         with pytest.raises(RobustLMomentsError, match="12/100 replications") as exc:
             run_mc(cfg)
         assert isinstance(exc.value.__cause__, DomainError)
+
+    def test_divergent_covariance_refused_before_drawing(self, monkeypatch):
+        def no_draws(config, task):
+            raise AssertionError("drew replications")
+
+        monkeypatch.setattr(simulate, "_run_replications", no_draws)
+        cfg = SimulationConfig(
+            Pareto(3.0, 1.5),
+            (MomentSpec(Power(2.5), 0.1, 0.0),),
+            n=10_000,
+            replications=2000,
+        )
+        with pytest.raises(DivergenceError, match=r"^entry \(0, 0\): "):
+            run_mc(cfg)
 
     def test_report_fields(self):
         cfg = SimulationConfig(
