@@ -1,43 +1,35 @@
 """Asymptotic variance-covariance of trimmed/winsorized moment estimators.
 
-Several interchangeable evaluation routes are provided for each matrix
-entry, named by their ``CovMethod``:
+Each matrix entry is the integral over (0, 1) of the product of the two
+influence functions.  The evaluation routes, named by ``CovMethod``:
 
-* ``alpha``  -- single integral of the product of influence integrands;
-  the reference oracle for everything else.  Both modes.
+* ``alpha``  -- that integral in the Brownian-bridge form of each
+  influence function; the reference oracle.  Both modes.
 * ``kernel`` -- double integral of the uniform empirical process kernel
-  min(v,w) - vw against H'_j(v) H'_i(w) over the retained windows,
-  scaled by the retained-mass factor.  Trimmed mode.
-* ``closed`` -- closed form valid when one trimming window is
-  nested-left of the other (a_i <= a_j < 1-b_i <= 1-b_j, or the same
-  after swapping the pair).  Trimmed mode.
-* ``equal-props`` -- fast path for equal proportions.  Both modes.
-* ``mwm-decomposition`` -- winsorized covariance assembled from nine
-  closed pieces.  Winsorized mode.
+  min(v,w) - vw against H'_j(v) H'_i(w).  Trimmed mode.
+* ``closed`` -- the paper's formula for left-nested windows
+  (a_i <= a_j < 1-b_i <= 1-b_j, or the same after swapping the pair),
+  over int_I and int_Ibar.  Trimmed mode.
+* ``mwm-decomposition`` and trimmed ``equal-props`` -- the influence
+  functions directly: H clipped to the window less its winsorized mean,
+  over the retained mass if trimmed, plus a step at each winsorized edge.
+* winsorized ``equal-props`` -- the step-free integral plus the paper's
+  edge-atom terms over int_I and int_Ibar.
 
-The route table ``_ROUTES`` owns which route applies: each (mode,
-method) entry holds the route and the rule for the pairs it is valid
-for, and ``sigma_pair`` refuses a pair the rule rejects.  ``auto`` takes
-the first valid route of equal-props, closed, mwm-decomposition, kernel.
-
-The equal-props and mwm-decomposition routes take the kernel double
-integral V11 as a covariance of the composites clipped to their windows
-(``_v11_clipped``), valid for every window ordering.  The closed forms
-run on the scalar ``integrate`` alone, with no nested quadrature, and
-evaluate boundary products only when their coefficient is nonzero, so
-zero trimming with an unbounded-but-integrable H endpoint stays finite;
-genuinely divergent integrals raise DivergenceError.
-
-The alpha and kernel routes are nested integrals.  They run on the
-batched engine ``integrate_batch``, which takes the inner integrals for
-all outer nodes at once, and use H and H' alone: they share no code with
-the closed forms they check, in either direction.
+``_ROUTES`` owns which route applies to a pair; ``auto`` takes the first
+valid route of equal-props, closed, mwm-decomposition, kernel.  The
+closed routes run on the scalar ``integrate``, centre H on its mean, so
+a location shift cancels, and never evaluate H at an untrimmed endpoint;
+genuinely divergent integrals raise DivergenceError.  The alpha and
+kernel routes run on the batched engine ``integrate_batch`` and use H
+and H' alone: they share no code with the closed routes they check.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -256,14 +248,29 @@ def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     return spec_i.a == spec_j.a and spec_i.b == spec_j.b
 
 
+def _centred(ch: CompositeH, shift: float) -> SimpleNamespace:
+    """H less a constant, in place of the composite where only ``value``
+    is used."""
+    return SimpleNamespace(value=lambda v: ch.value(v) - shift)
+
+
+def _means(spec_i, spec_j, ch_i, ch_j) -> tuple[float, float]:
+    """Each composite's winsorized mean over its own window; centred on
+    it, a location shift of H cancels before any integral is taken."""
+    m_i = population_winsorized_moment(ch_i, spec_i)
+    same = ch_i == ch_j and (spec_i.a, spec_i.b) == (spec_j.a, spec_j.b)
+    return m_i, m_i if same else population_winsorized_moment(ch_j, spec_j)
+
+
 def _sigma_closed(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Closed form under the left-nested trimming ordering, taken in
-    whichever orientation of the pair it holds.
+    """Closed form under the left-nested ordering, in whichever orientation
+    of the pair it holds, on the centred composites: the form subtracts
+    products of integrals, which an uncentred shift of H would swamp.
 
     The tail cross term multiplies the bracket
     ``(1-b_i) H_i(1-b_i) - a_j H_i(a_j) - int H_i`` by ``int H_j`` over
@@ -274,6 +281,8 @@ def _sigma_closed(
     """
     if not _scenario_i_holds(spec_i, spec_j):
         spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
+    m_i, m_j = _means(spec_i, spec_j, ch_i, ch_j)
+    ch_i, ch_j = _centred(ch_i, m_i), _centred(ch_j, m_j)
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b
@@ -301,50 +310,43 @@ def _sigma_closed(
     return gamma_factor(spec_i, spec_j) * value
 
 
-def _sigma_mtm_equal_props(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Fast path when both coordinates share the same proportions."""
-    return gamma_factor(spec_i, spec_j) * _v11_clipped(spec_i, spec_j, ch_i, ch_j)
+def _edge_steps(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
+    """(t, w) of each winsorized edge step w (t - 1{u <= t}) of the
+    influence function: w = a H'(a) at a and b H'(1-b) at 1-b, if trimmed."""
+    edges = [(spec.a, spec.a), (spec.b_bar, spec.b)]
+    return [(t, share * ch.deriv(t)) for t, share in edges if share > 0.0]
 
 
-def _centred_piece(spec: MomentSpec, ch: CompositeH, mean: float, lo: float, hi: float):
-    """H clipped to the window, less its mean, on a piece [lo, hi] that no
-    window end cuts: a constant beside the window, a callable inside it."""
+def _psi_piece(spec: MomentSpec, ch: CompositeH, shift: float, steps, lo, hi):
+    """The influence function, before any retained-mass factor, on a piece
+    [lo, hi] that no window end cuts: H clipped to the window less the mean
+    ``shift``, plus the steps, constants there that fold into the shift.
+    A constant beside the window, a callable inside it."""
+    for t, w in steps:
+        shift -= w * (t - (hi <= t))
     if hi <= spec.a:
-        return ch.value(spec.a) - mean
+        return ch.value(spec.a) - shift
     if lo >= spec.b_bar:
-        return ch.value(spec.b_bar) - mean
-    return lambda v: ch.value(v) - mean
+        return ch.value(spec.b_bar) - shift
+    return _centred(ch, shift).value
 
 
-def _v11_clipped(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Kernel double integral as Cov(H_i(U_i), H_j(U_j)), U_k the uniform
-    clipped to window k (Chernoff, Gastwirth & Johns, 1967), for every
-    ordering of the two windows.
+def _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i=(), steps_j=()) -> float:
+    """Integral over (0, 1) of the product of the influence functions.
+    Without steps it is the kernel double integral V11 as
+    Cov(H_i(U_i), H_j(U_j)), U_k the uniform clipped to window k
+    (Chernoff, Gastwirth & Johns, 1967), for every ordering of the windows.
 
-    Each clipped composite is centred on its mean, so a location shift of
-    H cancels before any integral is taken; [0, 1] is cut at the window
-    ends, and on each piece a coordinate is either constant or H less its
-    mean.  Zero-length pieces are never formed, so H is not evaluated at
-    an untrimmed endpoint.
+    [0, 1] is cut at the window ends, so each piece costs at most one
+    integral.  Zero-length pieces are never formed, so H is not evaluated
+    at an untrimmed endpoint.
     """
-    m_i = population_winsorized_moment(ch_i, spec_i)
-    same = ch_i == ch_j and (spec_i.a, spec_i.b) == (spec_j.a, spec_j.b)
-    m_j = m_i if same else population_winsorized_moment(ch_j, spec_j)
+    m_i, m_j = _means(spec_i, spec_j, ch_i, ch_j)
     cuts = _split_at(0.0, 1.0, [spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar])
     value = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        x = _centred_piece(spec_i, ch_i, m_i, lo, hi)
-        y = _centred_piece(spec_j, ch_j, m_j, lo, hi)
+        x = _psi_piece(spec_i, ch_i, m_i, steps_i, lo, hi)
+        y = _psi_piece(spec_j, ch_j, m_j, steps_j, lo, hi)
         if callable(x) and callable(y):
             value += integrate(lambda v: x(v) * y(v), lo, hi)
         elif callable(x):
@@ -356,59 +358,13 @@ def _v11_clipped(
     return float(value)
 
 
-def _winsor_tail(ch: CompositeH, a: float, bb: float, t_raw: float) -> float:
-    """int_0^T (1-u)^{-2} * [int_{max(a,u)}^{bb} (1-v) H'(v) dv] du with the
-    inner integral truncated to the window (it vanishes for u >= bb)."""
-    if t_raw <= 0.0:
-        return 0.0
-    t = min(t_raw, bb)
-    if t <= a:
-        return t / (1.0 - t) * int_Ibar(a, bb, ch)
-    value = int_I(a, t, ch)
-    if t < bb:
-        value += t / (1.0 - t) * int_Ibar(t, bb, ch)
-    return value
-
-
-def _ratio(m: float) -> float:
-    return m / (1.0 - m)
-
-
-def _edge_atoms(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
-    """(position, weight) of each winsorized edge atom of the influence
-    function: a(1-a) H'(a) at a and b^2 H'(1-b) at 1-b, where present."""
-    atoms = []
-    if spec.a > 0.0:
-        atoms.append((spec.a, spec.a * (1.0 - spec.a) * ch.deriv(spec.a)))
-    if spec.b > 0.0:
-        atoms.append((spec.b_bar, spec.b * spec.b * ch.deriv(spec.b_bar)))
-    return atoms
-
-
-def _sigma_mwm_decomposition(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
-    """Winsorized covariance assembled from the nine closed pieces: the
-    window x window piece V11, each window x the other's atoms, and each
-    atom x atom.
-
-    The window x atom pieces use the tail integral truncated at the window
-    end; the published general display of the upper-atom x window piece
-    omits that truncation and is only exact for equal upper proportions.
-    """
-    atoms_i, atoms_j = _edge_atoms(spec_i, ch_i), _edge_atoms(spec_j, ch_j)
-    total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
-    for t, w in atoms_j:
-        total += w * _winsor_tail(ch_i, spec_i.a, spec_i.b_bar, t)
-    for s, w in atoms_i:
-        total += w * _winsor_tail(ch_j, spec_j.a, spec_j.b_bar, s)
-    for s, w_i in atoms_i:
-        for t, w_j in atoms_j:
-            total += w_i * w_j * _ratio(min(s, t))
-    return total
+def _sigma_influence(spec_i, spec_j, ch_i, ch_j) -> float:
+    """The influence-function integral: trimmed, times the retained-mass
+    factor; winsorized, with the edge steps, H' taken once per edge."""
+    if spec_i.mode is Mode.MTM:
+        return gamma_factor(spec_i, spec_j) * _psi_integral(spec_i, spec_j, ch_i, ch_j)
+    steps_i, steps_j = _edge_steps(spec_i, ch_i), _edge_steps(spec_j, ch_j)
+    return _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i, steps_j)
 
 
 def _sigma_mwm_equal_props(
@@ -417,10 +373,11 @@ def _sigma_mwm_equal_props(
     ch_i: CompositeH,
     ch_j: CompositeH,
 ) -> float:
-    """Winsorized covariance for equal proportions across the pair."""
+    """Winsorized covariance for equal proportions across the pair: the
+    step-free V11 plus the paper's edge-atom terms."""
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
 
-    total = _v11_clipped(spec_i, spec_j, ch_i, ch_j)
+    total = _psi_integral(spec_i, spec_j, ch_i, ch_j)
     if a > 0.0:
         dh_a_i, dh_a_j = ch_i.deriv(a), ch_j.deriv(a)
         total += a * a * (
@@ -478,10 +435,10 @@ _ROUTES = {
     (Mode.MTM, CovMethod.KERNEL): _Route(_sigma_kernel),
     (Mode.MTM, CovMethod.CLOSED): _Route(_sigma_closed, _nested_pair, _NOT_NESTED),
     (Mode.MTM, CovMethod.EQUAL_PROPS): _Route(
-        _sigma_mtm_equal_props, _equal_props, _NOT_EQUAL
+        _sigma_influence, _equal_props, _NOT_EQUAL
     ),
     (Mode.MWM, CovMethod.ALPHA): _Route(_sigma_alpha),
-    (Mode.MWM, CovMethod.MWM_DECOMP): _Route(_sigma_mwm_decomposition),
+    (Mode.MWM, CovMethod.MWM_DECOMP): _Route(_sigma_influence),
     (Mode.MWM, CovMethod.EQUAL_PROPS): _Route(
         _sigma_mwm_equal_props, _equal_props, _NOT_EQUAL
     ),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import os
 import sys
 import tempfile
@@ -64,6 +65,10 @@ def _trim_pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected 'a,b' with two numbers, got {text!r}"
         ) from exc
+    if math.isnan(a) or math.isnan(b):
+        raise argparse.ArgumentTypeError(
+            f"trimming proportions must be numbers, got {text!r}"
+        )
     if a < 0 or b < 0:
         raise argparse.ArgumentTypeError("trimming proportions must be >= 0")
     if a + b >= 1:
@@ -156,11 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="asymptotic variance-covariance matrix of the estimator",
         description=(
             "Entries are the integral over (0,1) of the product of the two "
-            "coordinates' influence-style alpha functions; interchangeable "
-            "routes evaluate the same quantity through the min(v,w)-vw "
-            "kernel double integral, its closed form under the left-nested "
-            "trimming ordering, equal-proportions shortcuts, or the "
-            "nine-piece winsorized decomposition."
+            "coordinates' influence functions; interchangeable routes "
+            "evaluate it in the Brownian-bridge (alpha) form, through the "
+            "min(v,w)-vw kernel double integral, by the closed form under "
+            "the left-nested trimming ordering, piecewise between the "
+            "window ends (equal-props, mwm-decomposition), or by the "
+            "winsorized equal-proportions formula."
         ),
     )
     add_common(p)

@@ -347,8 +347,8 @@ def _parse_call(text: str) -> tuple[str, list[str]]:
 
 
 def _call_values(cls: type, text: str, args: list[str]) -> list[float | None]:
-    """The numeric arguments of a parsed call, at most one per field of
-    ``cls``; ``?`` (a free parameter) becomes None."""
+    """The finite numeric arguments of a parsed call, at most one per
+    field of ``cls``; ``?`` (a free parameter) becomes None."""
     arity = len(fields(cls))
     if len(args) > arity:
         raise DomainError(
@@ -356,9 +356,12 @@ def _call_values(cls: type, text: str, args: list[str]) -> list[float | None]:
             f"takes at most {arity}"
         )
     try:
-        return [None if a == "?" else float(a) for a in args]
+        values = [None if a == "?" else float(a) for a in args]
     except ValueError as exc:
         raise DomainError(f"non-numeric parameter in {text!r}") from exc
+    if any(v is not None and not math.isfinite(v) for v in values):
+        raise DomainError(f"non-finite parameter in {text!r}")
+    return values
 
 
 def parse_model(text: str) -> DistributionModel:

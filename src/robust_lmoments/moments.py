@@ -54,6 +54,10 @@ class MomentSpec:
     mode: Mode = Mode.MTM
 
     def __post_init__(self):
+        if math.isnan(self.a) or math.isnan(self.b):
+            raise DomainError(
+                f"proportions must be numbers, got a={self.a}, b={self.b}"
+            )
         if self.a < 0 or self.b < 0:
             raise DomainError(f"proportions must be >= 0, got a={self.a}, b={self.b}")
         if self.a + self.b >= 1:

@@ -213,17 +213,12 @@ class TestLocationScale:
     ROUTES = [
         (Mode.MTM, CovMethod.ALPHA, SHIFT_WINDOWS),
         (Mode.MTM, CovMethod.KERNEL, SHIFT_WINDOWS),
+        (Mode.MTM, CovMethod.CLOSED, NESTED_WINDOWS),
+        (Mode.MTM, CovMethod.AUTO, SHIFT_WINDOWS),
         (Mode.MWM, CovMethod.ALPHA, SHIFT_WINDOWS),
         (Mode.MWM, CovMethod.MWM_DECOMP, SHIFT_WINDOWS),
         (Mode.MWM, CovMethod.AUTO, SHIFT_WINDOWS),
         *[(mode, CovMethod.EQUAL_PROPS, [w]) for mode in Mode for w in SHIFT_WINDOWS],
-    ]
-    # The published nested formula (and AUTO, which takes it for nested
-    # trimmed pairs) subtracts products of uncentred integrals, so it keeps
-    # the 1e-9 bound only up to a smaller shift.
-    NESTED_FORMULA = [
-        (Mode.MTM, CovMethod.CLOSED, NESTED_WINDOWS),
-        (Mode.MTM, CovMethod.AUTO, SHIFT_WINDOWS),
     ]
 
     @pytest.mark.parametrize("mode, method, windows", ROUTES, ids=map(_route_id, ROUTES))
@@ -232,19 +227,7 @@ class TestLocationScale:
         shifted = _normal_cov(windows, mode, method, 1e5, 1.0)
         np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize(
-        "mode, method, windows", NESTED_FORMULA, ids=map(_route_id, NESTED_FORMULA)
-    )
-    def test_nested_formula_shift_by_1e3(self, mode, method, windows):
-        base = _normal_cov(windows, mode, method, 0.0, 1.0)
-        shifted = _normal_cov(windows, mode, method, 1e3, 1.0)
-        np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize(
-        "mode, method, windows",
-        ROUTES + NESTED_FORMULA,
-        ids=map(_route_id, ROUTES + NESTED_FORMULA),
-    )
+    @pytest.mark.parametrize("mode, method, windows", ROUTES, ids=map(_route_id, ROUTES))
     def test_scale_by_3(self, mode, method, windows):
         base = _normal_cov(windows, mode, method, 0.0, 1.0)
         scaled = _normal_cov(windows, mode, method, 0.0, 3.0)
@@ -421,6 +404,37 @@ def test_closed_routes_never_reach_the_batched_engine(corpus, monkeypatch):
                 sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j, method)
                 evaluated += 1
     assert evaluated >= len(corpus)
+
+
+# Window pairs of every ordering, one of them untrimmed at a lower edge.
+EDGE_WINDOWS = [
+    ((0.05, 0.25), (0.10, 0.10)),
+    ((0.05, 0.05), (0.10, 0.25)),
+    ((0.40, 0.10), (0.05, 0.70)),
+    ((0.00, 0.10), (0.10, 0.25)),
+    ((0.10, 0.20), (0.10, 0.20)),
+]
+
+
+@pytest.mark.parametrize("windows", EDGE_WINDOWS, ids=str)
+def test_mwm_decomposition_takes_h_prime_once_per_trimmed_edge(windows, monkeypatch):
+    calls = []
+    deriv = CompositeH.deriv
+
+    def counted(ch, u):
+        calls.append((ch.transform, u))
+        return deriv(ch, u)
+
+    monkeypatch.setattr(CompositeH, "deriv", counted)
+    (ai, bi), (aj, bj) = windows
+    si = MomentSpec(IDENT, ai, bi, Mode.MWM)
+    sj = MomentSpec(Log(), aj, bj, Mode.MWM)
+    ch_i, ch_j = CompositeH(CH_EXP.model, IDENT), CompositeH(CH_EXP.model, Log())
+    sigma_pair(si, sj, ch_i, ch_j, CovMethod.MWM_DECOMP)
+    for spec in (si, sj):
+        edges = {u for u, share in ((spec.a, spec.a), (spec.b_bar, spec.b)) if share}
+        mine = [u for transform, u in calls if transform == spec.transform]
+        assert sorted(mine) == sorted(edges)
 
 
 class CodedError(Exception):

@@ -386,14 +386,32 @@ class TestRefusals:
         [
             (["--trim", "0.1"], "expected 'a,b' with two numbers, got '0.1'"),
             (["--trim=-0.1,0.2"], "trimming proportions must be >= 0"),
+            (["--trim", "nan,0.1"], "trimming proportions must be numbers"),
+            (["--trim", "0.1,nan"], "trimming proportions must be numbers"),
         ],
-        ids=["one-number", "negative"],
+        ids=["one-number", "negative", "nan-lower", "nan-upper"],
     )
     def test_bad_trim_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["asymcov", "--family", "uniform(0,1)", *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_nan_trim_prints_no_covariance(self, capsys):
+        # It used to print ' nan' with methods (0,0)=kernel and exit 0.
+        with pytest.raises(SystemExit) as exc:
+            main(["asymcov", "--family", "exponential(1)", "--trim", "nan,0.1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "trimming proportions must be numbers, got 'nan,0.1'" in captured.err
+
+    def test_non_finite_family_parameter(self, capsys):
+        code = main(["asymcov", "--family", "normal(nan,1)"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: non-finite parameter in 'normal(nan,1)'\n"
 
     def test_more_trim_pairs_than_transforms(self, capsys):
         code = main(

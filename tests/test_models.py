@@ -221,6 +221,24 @@ class TestParsing:
         with pytest.raises(DomainError, match="non-numeric"):
             parse_transform("power(?)")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_model, "normal(nan,1)"),
+            (parse_model, "normal(inf,1)"),
+            (parse_model, "lognormal(nan,1)"),
+            (parse_model, "uniform(0,inf)"),
+            (parse_model_template, "normal(?,-inf)"),
+            (parse_transform, "power(nan)"),
+            (parse_transform, "shifted(nan)"),
+        ],
+    )
+    def test_non_finite_parameter_is_a_domain_error(self, parse, text):
+        # These used to parse and then fail as a DivergenceError of the
+        # first integral over H.
+        with pytest.raises(DomainError, match="^non-finite parameter in"):
+            parse(text)
+
     def test_bare_name_only_for_parameterless_transform(self):
         with pytest.raises(DomainError, match="unknown transform"):
             parse_transform("power")

@@ -1,6 +1,7 @@
 """Sample and population trimmed/winsorized moments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestSpecValidation:
     def test_mass_exhausted(self):
         with pytest.raises(Exception):
             MomentSpec(IDENT, 0.6, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_proportion(self, a, b):
+        # Both range checks are False for NaN; before this refusal the spec
+        # was built, sample_moment raised a bare ValueError on it and
+        # population_moment returned nan.
+        with pytest.raises(DomainError, match="^proportions must be numbers"):
+            MomentSpec(IDENT, a, b)
+        with pytest.raises(DomainError, match="^proportions must be numbers"):
+            replace(MomentSpec(IDENT, 0.1, 0.1), a=a, b=b)
 
     def test_derived_quantities(self):
         s = MomentSpec(IDENT, 0.1, 0.3)

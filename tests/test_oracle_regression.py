@@ -4,10 +4,10 @@ QUADPACK implementation they replaced.
 One case per family x window ordering (nested, staggered, disjoint, equal
 proportions) x mode.  Each row holds the alpha value and, for trimmed
 moments, the kernel value; for winsorized moments, the mwm-decomposition
-value, which evaluates the kernel double integral on the staggered and
-disjoint orderings.  Equal proportions start at a = 0 wherever the family
-allows it, so the integrable endpoint singularities of H and H' are
-covered.
+value, a piecewise scalar integral of the product of the influence
+functions with no nested quadrature.  Equal proportions start at a = 0
+wherever the family allows it, so the integrable endpoint singularities
+of H and H' are covered.
 """
 
 import pytest
