@@ -18,8 +18,9 @@ influence functions.  The evaluation routes, named by ``CovMethod``:
 
 ``_ROUTES`` owns which route applies to a pair; ``auto`` takes the first
 valid route of equal-props, closed, mwm-decomposition, kernel.  The
-closed routes run on the scalar ``integrate``, centre H on its mean, so
-a location shift cancels, and never evaluate H at an untrimmed endpoint;
+closed routes run on the scalar ``integrate``, centre H on a level it
+takes inside the window, so a location shift cancels, and never evaluate
+H at an untrimmed endpoint;
 genuinely divergent integrals raise DivergenceError.  The alpha and
 kernel routes run on the batched engine ``integrate_batch`` and use H
 and H' alone: they share no code with the closed routes they check.
@@ -269,8 +270,10 @@ def _sigma_closed(
     ch_j: CompositeH,
 ) -> float:
     """Closed form under the left-nested ordering, in whichever orientation
-    of the pair it holds, on the centred composites: the form subtracts
-    products of integrals, which an uncentred shift of H would swamp.
+    of the pair it holds, on the composites centred on H at the midpoint
+    of their own windows: the form subtracts products of integrals, which
+    an uncentred shift of H would swamp, and is unchanged by any constant
+    shift in exact arithmetic.
 
     The tail cross term multiplies the bracket
     ``(1-b_i) H_i(1-b_i) - a_j H_i(a_j) - int H_i`` by ``int H_j`` over
@@ -281,8 +284,10 @@ def _sigma_closed(
     """
     if not _scenario_i_holds(spec_i, spec_j):
         spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
-    m_i, m_j = _means(spec_i, spec_j, ch_i, ch_j)
-    ch_i, ch_j = _centred(ch_i, m_i), _centred(ch_j, m_j)
+    ch_i, ch_j = (
+        _centred(ch, ch.value(0.5 * (spec.a + spec.b_bar)))
+        for spec, ch in ((spec_i, ch_i), (spec_j, ch_j))
+    )
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b

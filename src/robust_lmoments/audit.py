@@ -119,31 +119,25 @@ _EQUAL_PROPS = [
 ]
 
 
-def _prop_ok(model: DistributionModel, a: float, b: float) -> bool:
-    """Keep a zero proportion only on a side where the quantile is
-    bounded.  An untrimmed unbounded tail turns the reference integral
-    into a slowly converging nested quadrature whose achievable absolute
-    accuracy (about 1e-7) is worse than the audit tolerance, and heavy
-    tails can make the untrimmed moments diverge outright."""
-    if b == 0.0 and not model.bounded_above:
-        return False
-    if a == 0.0 and not model.bounded_below:
-        return False
-    return True
-
-
 def _transform_pairs(transforms):
     return list(itertools.combinations_with_replacement(transforms, 2))
 
 
 def build_mtm_corpus(mode: Mode = Mode.MTM) -> list[AuditCase]:
-    """Unequal-proportions corpus spanning all window orderings."""
+    """Unequal-proportions corpus spanning all window orderings.
+
+    This corpus and the equal-proportions one keep a zero proportion only
+    on a side where the quantile is bounded (``bounded_on``).  An
+    untrimmed unbounded tail turns the reference integral into a slowly
+    converging nested quadrature whose achievable absolute accuracy
+    (about 1e-7) is worse than the audit tolerance, and heavy tails can
+    make the untrimmed moments diverge outright."""
     cases = []
     for model, transforms in _family_transforms():
         for (pi, pj), (ti, tj) in itertools.product(
             _ORDERED_PAIRS, _transform_pairs(transforms)
         ):
-            if not (_prop_ok(model, *pi) and _prop_ok(model, *pj)):
+            if not (model.bounded_on(*pi) and model.bounded_on(*pj)):
                 continue
             cases.append(
                 AuditCase(
@@ -161,7 +155,7 @@ def build_equal_props_corpus(mode: Mode = Mode.MTM) -> list[AuditCase]:
         for (a, b), (ti, tj) in itertools.product(
             _EQUAL_PROPS, _transform_pairs(transforms)
         ):
-            if not _prop_ok(model, a, b):
+            if not model.bounded_on(a, b):
                 continue
             cases.append(
                 AuditCase(

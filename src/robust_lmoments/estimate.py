@@ -1,9 +1,18 @@
 """Moment-matching parameter estimation and delta-method covariance.
 
 Solves mu_j(theta) = mu_hat_j for the free parameters of a family by a
-damped Newton iteration with a numerically differenced Jacobian, then
-propagates the moment-space covariance matrix to parameter space via the
-inverse Jacobian sandwich.
+damped Newton iteration, then propagates the moment-space covariance
+matrix to parameter space via the inverse Jacobian sandwich.
+
+Each evaluation of the moment map gives the moments and their analytic
+Jacobian D = d mu / d theta together: mu = int h(Q(u; theta)) du and
+D = int h'(Q) dQ/dtheta du over each window, divided by the retained mass
+if trimmed, plus the edge atoms if winsorized, all from one batched
+quadrature.  The D of the accepted Newton point drives the next step, and
+the D at the root drives the sandwich.  A spec whose window reaches an
+unbounded tail of the family takes the scalar QUADPACK moment and its
+central difference instead: the batched engine does not extrapolate
+towards an endpoint singularity.
 """
 
 from __future__ import annotations
@@ -20,15 +29,18 @@ from .errors import (
     RobustLMomentsError,
     SingularJacobianError,
 )
-from .models import CompositeH, DistributionModel, ModelTemplate
-from .moments import MomentSpec, population_moment, sample_moment
+from .models import CompositeH, DistributionModel, ModelTemplate, central_difference
+from .moments import Mode, MomentSpec, population_moment, sample_moment
+from .quadrature import integrate_batch
 
 __all__ = ["FitResult", "fit", "delta_cov", "moment_jacobian"]
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOL = 1e-9
-_JACOBIAN_STEP = 1e-6
 _MAX_CONDITION = 1e12
+# Starting panels per moment-map integral: a window of a smooth composite
+# then finishes in one round of the batched engine.
+_MAP_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -44,22 +56,93 @@ class FitResult:
     alt_theta: np.ndarray | None = field(default=None)
 
 
-def _population_mu(template: ModelTemplate, theta, specs) -> np.ndarray:
-    model = template.bind(theta)
-    return np.array(
-        [
-            population_moment(CompositeH(model, s.transform), s)
-            for s in specs
-        ]
-    )
+def _batched_moments(model: DistributionModel, free, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Moments and Jacobian columns of specs whose windows the quantile is
+    finite on, from one ``integrate_batch`` call: per spec, one problem for
+    h(Q) and one for h'(Q) dQ/dtheta_j per free parameter j."""
+    free = np.asarray(free)
+    width = 1 + free.size
+
+    def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        spec_of, column = np.divmod(rows, width)
+        for s, spec in enumerate(specs):
+            mine = np.flatnonzero(spec_of == s)
+            x = model.quantiles(u[mine])
+            moment = column[mine] == 0
+            out[mine[moment]] = spec.transform.values(x[moment])
+            grad = mine[~moment]
+            if grad.size:
+                dq = model.quantile_grads(u[grad])
+                pick = free[column[grad] - 1], np.arange(grad.size)
+                out[grad] = spec.transform.derivs(x[~moment]) * dq[pick]
+        return out
+
+    lo = np.repeat([spec.a for spec in specs], width)
+    hi = np.repeat([spec.b_bar for spec in specs], width)
+    table = integrate_batch(integrand, lo, hi, panels=_MAP_PANELS).reshape(-1, width)
+    mu, jac = table[:, 0], table[:, 1:]
+    for s, spec in enumerate(specs):
+        if spec.mode is Mode.MTM:
+            mu[s] /= spec.retained
+            jac[s] /= spec.retained
+            continue
+        # Winsorized: an atom of mass a at a and b at 1-b; a zero-mass atom
+        # is never evaluated, its endpoint may be unbounded.
+        edges = [(t, w) for t, w in ((spec.a, spec.a), (spec.b_bar, spec.b)) if w > 0.0]
+        if edges:
+            t, w = np.array(edges).T
+            x = model.quantiles(t)
+            mu[s] += spec.transform.values(x) @ w
+            jac[s] += (model.quantile_grads(t)[free] * spec.transform.derivs(x)) @ w
+    return mu, jac
 
 
-def _residual(template, theta, specs, mu_hat) -> np.ndarray:
-    mu = _population_mu(template, theta, specs)
+def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK moments of specs whose windows reach an unbounded tail, and
+    their central difference in the free parameters."""
+
+    def moments(t) -> np.ndarray:
+        model = template.bind(t)
+        return np.array(
+            [population_moment(CompositeH(model, s.transform), s) for s in specs]
+        )
+
+    jac = central_difference(moments, theta, lambda t: _in_domain(template, t))
+    return moments(theta), jac.T
+
+
+def _moment_map(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Population moments mu(theta) of ``specs`` and their Jacobian
+    d mu_i / d theta_j in the free parameters."""
+    theta = np.asarray(theta, dtype=float)
+    mu = np.empty(len(specs))
+    jac = np.empty((len(specs), theta.size))
+    finite = np.array([template.cls.bounded_on(s.a, s.b) for s in specs])
+    batched, scalar = np.flatnonzero(finite), np.flatnonzero(~finite)
+    if batched.size:
+        mu[batched], jac[batched] = _batched_moments(
+            template.bind(theta), template.free_indices, [specs[i] for i in batched]
+        )
+    if scalar.size:
+        mu[scalar], jac[scalar] = _scalar_moments(
+            template, theta, [specs[i] for i in scalar]
+        )
+    return mu, jac
+
+
+def _residual(mu: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+    """Relative moment residual, absolute where the sample moment is 0."""
     out = np.empty_like(mu)
     for j, (m, mh) in enumerate(zip(mu, mu_hat)):
         out[j] = m / mh - 1.0 if abs(mh) > 1e-12 else m - mh
     return out
+
+
+def _evaluate(template, theta, specs, mu_hat) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and moment Jacobian at theta, from one moment-map evaluation."""
+    mu, jac = _moment_map(template, theta, specs)
+    return _residual(mu, mu_hat), jac
 
 
 def _in_domain(template: ModelTemplate, theta) -> bool:
@@ -91,40 +174,21 @@ def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
 
 
 def moment_jacobian(template: ModelTemplate, theta, specs) -> np.ndarray:
-    """Central-difference Jacobian d mu_i / d theta_j at theta."""
-    theta = np.asarray(theta, dtype=float)
-    k = theta.size
-    jac = np.zeros((len(specs), k))
-    for j in range(k):
-        step = _JACOBIAN_STEP * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += step
-        dn[j] -= step
-        if not _in_domain(template, up):
-            up = theta
-        if not _in_domain(template, dn):
-            dn = theta
-        if np.array_equal(up, dn):
-            raise DomainError(f"cannot difference parameter {j} inside its domain")
-        jac[:, j] = (
-            _population_mu(template, up, specs)
-            - _population_mu(template, dn, specs)
-        ) / (up[j] - dn[j])
-    return jac
+    """Jacobian d mu_i / d theta_j of the moment map at theta."""
+    return _moment_map(template, theta, specs)[1]
 
 
 def _newton(template, specs, mu_hat, theta0):
+    """Damped Newton from theta0: (root, iterations, residual, Jacobian at
+    the root)."""
     theta = np.asarray(theta0, dtype=float)
-    r = _residual(template, theta, specs, mu_hat)
+    r, jac = _evaluate(template, theta, specs, mu_hat)
+    scale = np.where(np.abs(mu_hat) > 1e-12, mu_hat, 1.0)
     for iteration in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) <= RESIDUAL_TOL:
-            return theta, iteration - 1, float(np.max(np.abs(r)))
-        jac = moment_jacobian(template, theta, specs)
-        scale = np.where(np.abs(mu_hat) > 1e-12, mu_hat, 1.0)
-        jac_r = jac / scale[:, None]
+            return theta, iteration - 1, float(np.max(np.abs(r))), jac
         try:
-            step = np.linalg.solve(jac_r, -r)
+            step = np.linalg.solve(jac / scale[:, None], -r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "Jacobian of the moment map is singular", condition=math.inf
@@ -136,11 +200,11 @@ def _newton(template, specs, mu_hat, theta0):
             cand = theta + lam * step
             if _in_domain(template, cand):
                 try:
-                    r_cand = _residual(template, cand, specs, mu_hat)
+                    r_cand, jac_cand = _evaluate(template, cand, specs, mu_hat)
                 except RobustLMomentsError:
                     r_cand = None
                 if r_cand is not None and float(np.linalg.norm(r_cand)) < norm0:
-                    theta, r = cand, r_cand
+                    theta, r, jac = cand, r_cand, jac_cand
                     break
             lam *= 0.5
         else:
@@ -154,7 +218,7 @@ def _bisect_1d(template, specs, mu_hat, theta0):
     """Fallback for one free parameter: bracket then bisect the residual."""
 
     def f(t):
-        return _residual(template, [t], specs, mu_hat)[0]
+        return _evaluate(template, [t], specs, mu_hat)[0][0]
 
     lo_bound, hi_bound = template.free_bounds()[0]
     t0 = float(theta0[0])
@@ -223,27 +287,31 @@ def fit(
 
     starts = _initial_guesses(template, sample)
     solutions = []
-    failure: Exception | None = None
+    failure: RobustLMomentsError | None = None
+    # A start that fails for a package reason (a domain, divergence or
+    # convergence error) is one failed start; the others still run.
     for start in starts:
         try:
             solutions.append(_newton(template, specs, mu_hat, start))
-        except (ConvergenceError, SingularJacobianError, DomainError) as exc:
+        except RobustLMomentsError as exc:
             failure = exc
     if not solutions and k == 1:
-        solutions.append(_bisect_1d(template, specs, mu_hat, starts[0]))
+        theta, iterations, residual = _bisect_1d(template, specs, mu_hat, starts[0])
+        jac = _moment_map(template, theta, specs)[1]
+        solutions.append((theta, iterations, residual, jac))
     if not solutions:
-        raise failure if failure is not None else ConvergenceError("fit failed")
+        raise failure
 
-    theta, iterations, residual = solutions[0]
+    theta, iterations, residual, jac = solutions[0]
     non_unique = False
     alt = None
-    for other, _, _ in solutions[1:]:
+    for other, *_ in solutions[1:]:
         if not np.allclose(other, theta, rtol=1e-4, atol=1e-8):
             non_unique = True
             alt = other
     model = template.bind(theta)
     cov_mu = cov_matrix(specs, model)
-    cov_theta = delta_cov(model, specs, cov_mu, template=template, theta=theta)
+    cov_theta = _sandwich(jac, cov_mu)
     return FitResult(
         model=model,
         theta_hat=theta,
@@ -269,7 +337,11 @@ def delta_cov(
     if template is None:
         template = ModelTemplate.all_free(model)
         theta = np.asarray(model.params, dtype=float)
-    jac = moment_jacobian(template, theta, specs)
+    return _sandwich(moment_jacobian(template, theta, specs), cov_mu)
+
+
+def _sandwich(jac: np.ndarray, cov_mu: CovMatrix) -> CovMatrix:
+    """D^-1 Sigma_mu D^-T, refused when D is numerically singular."""
     condition = float(np.linalg.cond(jac))
     if not math.isfinite(condition) or condition > _MAX_CONDITION:
         raise SingularJacobianError(

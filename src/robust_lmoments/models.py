@@ -56,6 +56,31 @@ def _check_units(u: np.ndarray) -> np.ndarray:
     return u
 
 
+_DIFFERENCE_STEP = 1e-6
+
+
+def central_difference(f, params, member) -> np.ndarray:
+    """d f(p) / d p_j at ``params`` for every j, stacked on a new first
+    axis: a central difference with step 1e-6 (1 + |p_j|), one-sided
+    where a step leaves the domain that ``member(p)`` tests."""
+    params = np.asarray(params, dtype=float)
+    columns = []
+    for j in range(params.size):
+        step = _DIFFERENCE_STEP * (1.0 + abs(params[j]))
+        up = params.copy()
+        dn = params.copy()
+        up[j] += step
+        dn[j] -= step
+        if not member(up):
+            up = params
+        if not member(dn):
+            dn = params
+        if np.array_equal(up, dn):
+            raise DomainError(f"cannot difference parameter {j} inside its domain")
+        columns.append((np.asarray(f(up)) - np.asarray(f(dn))) / (up[j] - dn[j]))
+    return np.stack(columns)
+
+
 class DistributionModel:
     """Base class for parametric families.
 
@@ -94,9 +119,34 @@ class DistributionModel:
         """Array form of ``quantile_density``, with the same fallback."""
         return np.vectorize(self.quantile_density, otypes=[float])(u)
 
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        """d quantiles(u) / d params[j] for every parameter j, stacked
+        into shape (len(params),) + u.shape.  Families without closed
+        forms fall back to a central difference of ``quantiles`` in each
+        parameter, one-sided where a step leaves the family's domain."""
+        cls = type(self)
+
+        def member(p) -> bool:
+            if not all(lo < v < hi for v, (lo, hi) in zip(p, cls.param_bounds)):
+                return False
+            try:
+                cls(*p)
+            except DomainError:
+                return False
+            return True
+
+        u = np.asarray(u, dtype=float)
+        return central_difference(lambda p: cls(*p).quantiles(u), self.params, member)
+
     # (lower bounded, upper bounded) support flags
     bounded_below: bool = False
     bounded_above: bool = False
+
+    @classmethod
+    def bounded_on(cls, a: float, b: float) -> bool:
+        """The window [a, 1-b] leaves out every unbounded tail: a zero
+        proportion only on a side where the quantile is finite."""
+        return (a > 0.0 or cls.bounded_below) and (b > 0.0 or cls.bounded_above)
 
     def _check_endpoint(self, u: float) -> None:
         _check_unit(u)
@@ -149,6 +199,10 @@ class Uniform(DistributionModel):
         u = self._check_endpoints(u)
         return self.lo + (self.hi - self.lo) * u
 
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        return np.stack([1.0 - u, u])
+
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         return self.hi - self.lo
@@ -180,6 +234,9 @@ class Exponential(DistributionModel):
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         u = self._check_endpoints(u)
         return -self.scale * np.log1p(-u)
+
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        return (self.quantiles(u) / self.scale)[None]
 
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
@@ -228,6 +285,11 @@ class Pareto(DistributionModel):
         u = self._check_endpoints(u)
         return self.xm * (1.0 - u) ** (-1.0 / self.shape)
 
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        q = self.xm * (1.0 - u) ** (-1.0 / self.shape)
+        return np.stack([q * np.log1p(-u) / self.shape ** 2, q / self.xm])
+
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         if u == 1.0:
@@ -273,6 +335,12 @@ class Lognormal(DistributionModel):
         u = self._check_endpoints(u)
         return np.exp(self.mu + self.sigma * ndtri(u))
 
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        z = ndtri(u)
+        q = np.exp(self.mu + self.sigma * z)
+        return np.stack([q, q * z])
+
     def quantile_density(self, u: float) -> float:
         _check_unit(u)
         if u in (0.0, 1.0):
@@ -313,6 +381,11 @@ class Normal(DistributionModel):
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         u = self._check_endpoints(u)
         return self.mu + self.sigma * ndtri(u)
+
+    def quantile_grads(self, u: np.ndarray) -> np.ndarray:
+        u = self._check_endpoints(u)
+        z = ndtri(u)
+        return np.stack([np.ones_like(z), z])
 
     def quantile_density(self, u: float) -> float:
         _check_unit(u)

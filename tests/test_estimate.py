@@ -13,9 +13,12 @@ from robust_lmoments import (
     DomainError,
     Exponential,
     Identity,
+    Log,
+    Lognormal,
     Mode,
     MomentSpec,
     Normal,
+    Pareto,
     Power,
     Shifted,
     Uniform,
@@ -23,6 +26,7 @@ from robust_lmoments import (
     fit,
     moment_jacobian,
     parse_model_template,
+    population_moment,
     population_trimmed_moment,
 )
 
@@ -110,22 +114,22 @@ class TestFailurePropagation:
     exception is a fault and leaves ``fit`` unchanged."""
 
     @staticmethod
-    def _residual_failing_after_first_call(monkeypatch):
-        residual = estimate_module._residual
+    def _map_failing_after_first_call(monkeypatch):
+        moment_map = estimate_module._moment_map
         calls = []
 
         def failing(*args):
             calls.append(args)
             if len(calls) > 1:
                 raise TypeError("fault inside the moment map")
-            return residual(*args)
+            return moment_map(*args)
 
-        monkeypatch.setattr(estimate_module, "_residual", failing)
+        monkeypatch.setattr(estimate_module, "_moment_map", failing)
         return calls
 
     def test_line_search_lets_a_fault_through(self, monkeypatch):
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
-        calls = self._residual_failing_after_first_call(monkeypatch)
+        calls = self._map_failing_after_first_call(monkeypatch)
         with pytest.raises(TypeError, match="fault inside the moment map"):
             fit(
                 parse_model_template("normal(?,?)"),
@@ -139,7 +143,7 @@ class TestFailurePropagation:
             raise ConvergenceError("line search stalled")
 
         monkeypatch.setattr(estimate_module, "_newton", stalled)
-        calls = self._residual_failing_after_first_call(monkeypatch)
+        calls = self._map_failing_after_first_call(monkeypatch)
         with pytest.raises(TypeError, match="fault inside the moment map"):
             fit(parse_model_template("exponential(?)"), [1.0, 2.0, 4.0], [MomentSpec(IDENT)])
         assert len(calls) == 2  # the start, then the first bracket end
@@ -149,18 +153,58 @@ class TestFailurePropagation:
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
         expected = fit(template, sample, specs).theta_hat
-        residual = estimate_module._residual
+        moment_map = estimate_module._moment_map
         calls = []
 
         def failing_once(*args):
             calls.append(args)
             if len(calls) == 2:  # the first line-search candidate
                 raise DivergenceError("integral over [0.1, 0.9] did not converge")
-            return residual(*args)
+            return moment_map(*args)
 
-        monkeypatch.setattr(estimate_module, "_residual", failing_once)
+        monkeypatch.setattr(estimate_module, "_moment_map", failing_once)
         got = fit(template, sample, specs).theta_hat
+        assert len(calls) > 2  # the search went on past the failed candidate
         np.testing.assert_allclose(got, expected, rtol=1e-6)
+
+    def test_a_start_that_raises_a_package_error_is_one_failed_start(self, monkeypatch):
+        newton = estimate_module._newton
+        starts = []
+
+        def first_start_diverges(template, specs, mu_hat, theta0):
+            starts.append(theta0)
+            if len(starts) == 1:
+                raise DivergenceError("integral over [0.1, 1.0] did not converge")
+            return newton(template, specs, mu_hat, theta0)
+
+        monkeypatch.setattr(estimate_module, "_newton", first_start_diverges)
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        result = fit(parse_model_template("normal(?,?)"), sample, specs)
+        assert len(starts) == 2
+        assert result.residual_norm <= 1e-9
+
+    def test_every_start_failing_raises_the_last_failure(self, monkeypatch):
+        def diverging(template, specs, mu_hat, theta0):
+            raise DivergenceError(f"diverged from {theta0.tolist()}")
+
+        monkeypatch.setattr(estimate_module, "_newton", diverging)
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        with pytest.raises(DivergenceError, match=r"diverged from \[0.0, 1.0\]"):
+            fit(parse_model_template("normal(?,?)"), sample, specs)
+
+
+def test_a_diverging_start_leaves_the_fit_to_the_other():
+    # From the method-of-moments start (0.138, 0.00095) the untrimmed
+    # upper tail of the identity moment diverges along the way; the
+    # default start (2, 1) converges.
+    sample = Pareto(3.0, 1.0).quantiles(np.random.default_rng(4).random(4000))
+    sample[:20] = 1e-3
+    specs = [MomentSpec(Log(), 0.1, 0.1), MomentSpec(IDENT, 0.1, 0.0)]
+    result = fit(parse_model_template("pareto(?,?)"), sample, specs)
+    np.testing.assert_allclose(result.theta_hat, [3.0657125831414, 1.0097329324774382], rtol=1e-8)
+    assert result.iterations == 6
 
 
 class TestBisection:
@@ -189,12 +233,33 @@ class TestBisection:
         ids=["power3", "identity"],
     )
     def test_sign_change_of_rounding_noise_is_no_root(self, template, spec, monkeypatch):
-        # The residual changes sign only where rounding noise does, at a
-        # sigma of 1e5 and more; it never comes near zero.
+        # The sample moment lies outside what the family attains: the
+        # residual changes sign, if at all, only where rounding noise
+        # does, at a sigma of 1e5 and more, and never comes near zero.
+        # Which of the two refusals ends the search depends on that noise.
         calls = self._count_bisections(monkeypatch)
-        with pytest.raises(ConvergenceError, match="^bisection collapsed at theta="):
+        with pytest.raises(
+            ConvergenceError,
+            match="^(bisection collapsed at theta=|could not bracket a root)",
+        ):
             fit(parse_model_template(template), self.SAMPLE, [spec])
         assert len(calls) == 1
+
+    def test_sign_change_without_a_root_collapses(self, monkeypatch):
+        # A moment map whose residual jumps from -1e-6 to 1e-6 at pi and
+        # whose Jacobian is singular, so that Newton fails from every start.
+        def jump(template, theta, specs):
+            mu_hat = 7.0 / 3.0  # the untrimmed mean of the sample below
+            residual = np.where(np.asarray(theta) > math.pi, 1e-6, -1e-6)
+            return mu_hat * (1.0 + residual), np.zeros((1, 1))
+
+        monkeypatch.setattr(estimate_module, "_moment_map", jump)
+        calls = self._count_bisections(monkeypatch)
+        with pytest.raises(ConvergenceError, match="^bisection collapsed at theta=") as info:
+            fit(parse_model_template("exponential(?)"), [1.0, 2.0, 4.0], [MomentSpec(IDENT)])
+        assert len(calls) == 1
+        theta = float(str(info.value).split("theta=")[1].split()[0])
+        assert theta == pytest.approx(math.pi, rel=1e-13)
 
     def test_real_root_found_where_newton_fails(self, monkeypatch):
         calls = self._count_bisections(monkeypatch)
@@ -222,6 +287,102 @@ class TestJacobian:
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
         jac = moment_jacobian(template, [0.0, 1.0], specs)
         assert jac.shape == (2, 2)
+
+
+def differenced_moment_jacobian(template, theta, specs, step=1e-6):
+    """Central difference of the scalar population moments in each free
+    parameter: the reference for the analytic Jacobian."""
+
+    def moments(t):
+        model = template.bind(t)
+        return np.array([population_moment(CompositeH(model, s.transform), s) for s in specs])
+
+    columns = []
+    for j, value in enumerate(theta):
+        h = step * (1.0 + abs(value))
+        up, dn = list(theta), list(theta)
+        up[j] += h
+        dn[j] -= h
+        columns.append((moments(up) - moments(dn)) / (2 * h))
+    return moments(theta), np.column_stack(columns)
+
+
+MAP_CASES = [
+    ("uniform(?,?)", [-1.0, 3.0], [IDENT, Power(2.0)]),
+    ("exponential(?)", [2.5], [Log()]),
+    ("pareto(?,?)", [2.5, 1.5], [IDENT, Log()]),
+    ("lognormal(?,?)", [0.3, 0.7], [Log(), IDENT]),
+    ("normal(?,?)", [1.0, 2.0], [Shifted(1.0), Power(2.0)]),
+    ("lognormal(0.3,?)", [0.7], [Power(2.0)]),
+]
+
+
+class TestMomentMap:
+    """The batched moments and their analytic Jacobian against the scalar
+    moments and their central difference."""
+
+    @pytest.mark.parametrize("mode", [Mode.MTM, Mode.MWM])
+    @pytest.mark.parametrize("text, theta, transforms", MAP_CASES, ids=[c[0] for c in MAP_CASES])
+    def test_matches_the_difference_of_scalar_moments(self, text, theta, transforms, mode):
+        template = parse_model_template(text)
+        windows = [(0.1, 0.2), (0.05, 0.3)]
+        specs = [MomentSpec(t, a, b, mode) for t, (a, b) in zip(transforms, windows)]
+        mu, jac = estimate_module._moment_map(template, theta, specs)
+        ref_mu, ref_jac = differenced_moment_jacobian(template, theta, specs)
+        np.testing.assert_allclose(mu, ref_mu, rtol=1e-10)
+        np.testing.assert_allclose(jac, ref_jac, rtol=1e-7, atol=1e-9)
+        np.testing.assert_array_equal(moment_jacobian(template, theta, specs), jac)
+
+
+def _untrimmed_tail_fit(text, model, seed, specs):
+    sample = model.quantiles(np.random.default_rng(seed).random(2000))
+    return fit(parse_model_template(text), sample, specs)
+
+
+def _pareto_specs(mode):
+    return [MomentSpec(Log(), 0.1, 0.1, mode), MomentSpec(IDENT, 0.1, 0.0, mode)]
+
+
+# Fits with a window that reaches an unbounded tail: theta-hat as the
+# central-difference Jacobian over QUADPACK moments gave it before the
+# analytic moment map.  The Pareto identity moment with b = 0 needs the
+# endpoint extrapolation of QUADPACK; the batched engine fails on it.
+UNTRIMMED_TAIL_FITS = [
+    ("pareto(?,?)", Pareto(2.2, 1.5), 30, _pareto_specs(Mode.MTM),
+     [2.122352633408349, 1.5038434978050121]),
+    ("pareto(?,?)", Pareto(2.2, 1.5), 31, _pareto_specs(Mode.MWM),
+     [2.2777986346828683, 1.5372117611929075]),
+    ("pareto(?,?)", Pareto(3.0, 1.5), 32, _pareto_specs(Mode.MTM),
+     [2.9132836260544708, 1.4944705133210645]),
+    ("pareto(?,?)", Pareto(3.0, 1.5), 33, _pareto_specs(Mode.MWM),
+     [3.0574593507822234, 1.4962381711090131]),
+    ("pareto(?,?)", Pareto(5.0, 1.5), 34, _pareto_specs(Mode.MTM),
+     [5.233686186804497, 1.506476404219606]),
+    ("pareto(?,?)", Pareto(5.0, 1.5), 35, _pareto_specs(Mode.MWM),
+     [5.129978562952623, 1.5121001523892375]),
+    ("normal(?,?)", Normal(1.0, 2.0), 36, [MomentSpec(IDENT), MomentSpec(Power(2.0))],
+     [1.0272209281132028, 1.9609533814927307]),
+    ("lognormal(?,?)", Lognormal(0.5, 0.6), 37,
+     [MomentSpec(IDENT, 0.1, 0.0), MomentSpec(Log(), 0.05, 0.1)],
+     [0.5031996671053192, 0.5846683313561966]),
+    ("normal(?,?)", Normal(1.0, 2.0), 38,
+     [MomentSpec(IDENT, mode=Mode.MWM), MomentSpec(Power(2.0), mode=Mode.MWM)],
+     [1.0002857861849297, 2.014508374453481]),
+    ("lognormal(?,?)", Lognormal(0.5, 0.6), 39,
+     [MomentSpec(IDENT, 0.1, 0.0, Mode.MWM), MomentSpec(Log(), 0.05, 0.1, Mode.MWM)],
+     [0.48947755854990743, 0.6119478864501366]),
+    ("exponential(?)", Exponential(2.0), 40, [MomentSpec(IDENT)], [1.9651582226909472]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, model, seed, specs, expected",
+    UNTRIMMED_TAIL_FITS,
+    ids=[f"{c[1]}-{c[3][0].mode.value}" for c in UNTRIMMED_TAIL_FITS],
+)
+def test_untrimmed_tail_fits_keep_their_estimates(text, model, seed, specs, expected):
+    result = _untrimmed_tail_fit(text, model, seed, specs)
+    np.testing.assert_allclose(result.theta_hat, expected, rtol=1e-8)
 
 
 class TestDeltaCov:

@@ -1,6 +1,7 @@
 """Distribution families, transforms, and the composite H function."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 from robust_lmoments import (
     CompositeH,
     CustomTransform,
+    DistributionModel,
     DomainError,
     Exponential,
     Identity,
@@ -159,6 +161,79 @@ class TestCompositeH:
             ch = CompositeH(model, transform)
             vals = [ch.value(u) for u in us]
             assert all(x <= y + 1e-10 for x, y in zip(vals, vals[1:]))
+
+
+def differenced_grads(model, u, step=1e-6):
+    """Central difference of ``quantiles`` in each parameter, the
+    reference for the closed-form gradients."""
+    columns = []
+    for j, p in enumerate(model.params):
+        h = step * (1.0 + abs(p))
+        up, dn = list(model.params), list(model.params)
+        up[j] += h
+        dn[j] -= h
+        columns.append(
+            (type(model)(*up).quantiles(u) - type(model)(*dn).quantiles(u)) / (2 * h)
+        )
+    return np.stack(columns)
+
+
+@dataclass(frozen=True)
+class ScalarGumbel(DistributionModel):
+    """A user family with a scalar quantile only, so ``quantile_grads``
+    takes the base-class difference; d Q / d mu = 1 and
+    d Q / d beta = -log(-log u)."""
+
+    mu: float = 0.0
+    beta: float = 1.0
+
+    family = "scalar-gumbel"
+    param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
+
+    def quantile(self, u: float) -> float:
+        self._check_endpoint(u)
+        return self.mu - self.beta * math.log(-math.log(u))
+
+
+@dataclass(frozen=True)
+class NarrowGumbel(ScalarGumbel):
+    """A beta domain narrower than any difference step."""
+
+    param_bounds = ((-math.inf, math.inf), (0.0, 1e-7))
+
+
+class TestQuantileGrads:
+    U = np.linspace(0.001, 0.999, 201).reshape(3, 67)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+    def test_closed_forms_match_a_difference(self, model):
+        got = model.quantile_grads(self.U)
+        assert got.shape == (len(model.params),) + self.U.shape
+        np.testing.assert_allclose(
+            got, differenced_grads(model, self.U), rtol=1e-7, atol=1e-7
+        )
+
+    @pytest.mark.parametrize("model", [Exponential(1.0), Pareto(2.5, 1.0), Normal()], ids=str)
+    def test_unbounded_endpoint_raises(self, model):
+        with pytest.raises(UnboundedQuantileError):
+            model.quantile_grads(np.array([0.5, 1.0]))
+
+    def test_fallback_on_a_user_family(self):
+        u = np.array([0.01, 0.3, 0.5, 0.99])
+        got = ScalarGumbel(0.5, 2.0).quantile_grads(u)
+        exact = np.stack([np.ones_like(u), -np.log(-np.log(u))])
+        np.testing.assert_allclose(got, exact, rtol=1e-7, atol=1e-7)
+
+    def test_fallback_is_one_sided_at_a_domain_edge(self):
+        # beta - step < 0 leaves the domain: a forward difference, exact
+        # up to rounding because Q is linear in beta
+        u = np.array([0.01, 0.3, 0.99])
+        got = ScalarGumbel(0.5, 1e-7).quantile_grads(u)
+        np.testing.assert_allclose(got[1], -np.log(-np.log(u)), rtol=1e-7)
+
+    def test_fallback_refuses_a_parameter_it_cannot_step(self):
+        with pytest.raises(DomainError, match="cannot difference parameter 1"):
+            NarrowGumbel(0.5, 5e-8).quantile_grads(np.array([0.5]))
 
 
 class TestParsing:

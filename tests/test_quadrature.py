@@ -71,8 +71,10 @@ def test_extremely_bad_integrand_behavior_is_divergence():
 
 
 class TestIntegrateBatch:
-    def test_matches_integrate_on_smooth_kinked_and_log_integrands(self):
-        # One batch with a different integrand per problem.
+    @pytest.mark.parametrize("panels", [1, 4])
+    def test_matches_integrate_on_smooth_kinked_and_log_integrands(self, panels):
+        # One batch with a different integrand per problem, each starting
+        # as one panel or as several equal ones.
         scalar = [math.exp, lambda u: abs(u - 0.3), math.log]
         arrays = [np.exp, lambda u: np.abs(u - 0.3), np.log]
 
@@ -84,7 +86,7 @@ class TestIntegrateBatch:
             return out
 
         lo, hi = [0.1, 0.0, 0.0], [2.0, 1.0, 1.0]
-        got = quadrature.integrate_batch(f, lo, hi)
+        got = quadrature.integrate_batch(f, lo, hi, panels=panels)
         expected = [integrate(g, a, b) for g, a, b in zip(scalar, lo, hi)]
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
         assert got[2] == pytest.approx(-1.0, rel=1e-10)
@@ -124,9 +126,11 @@ class TestIntegrateBatch:
                 lambda u, rows: np.where(u > 0.5, np.inf, 1.0), [0.0], [1.0]
             )
 
-    def test_empty_problems_give_zero(self):
+    @pytest.mark.parametrize("panels", [1, 4])
+    def test_empty_problems_give_zero(self, panels):
         got = quadrature.integrate_batch(
-            lambda u, rows: np.ones_like(u), [0.2, 0.5, 0.7], [0.2, 1.0, 0.7]
+            lambda u, rows: np.ones_like(u), [0.2, 0.5, 0.7], [0.2, 1.0, 0.7],
+            panels=panels,
         )
         assert got.tolist() == [0.0, pytest.approx(0.5, rel=1e-14), 0.0]
         assert quadrature.integrate_batch(lambda u, rows: u, [], []).size == 0
