@@ -18,26 +18,26 @@ influence functions.  The evaluation routes, named by ``CovMethod``:
 
 ``_ROUTES`` owns which route applies to a pair; ``auto`` takes the first
 valid route of equal-props, closed, mwm-decomposition, kernel.  The
-closed routes run on the scalar ``integrate``, centre H on a level it
-takes inside the window, so a location shift cancels, and never evaluate
-H at an untrimmed endpoint;
-genuinely divergent integrals raise DivergenceError.  The alpha and
-kernel routes run on the batched engine ``integrate_batch`` and use H
-and H' alone: they share no code with the closed routes they check.
+closed routes run on the scalar ``integrate``, take each distinct window
+integral of H once per entry, centre H on a level it takes inside the
+window, so a location shift cancels, and never evaluate H at an
+untrimmed endpoint; divergent integrals raise DivergenceError.  The alpha
+and kernel routes run on the batched engine ``integrate_batch`` and use
+H and H' alone: they share no code with the closed routes they check.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
-from .moments import Mode, MomentSpec, _check_one_mode, population_winsorized_moment
+from .moments import Mode, MomentSpec, _check_one_mode, _integral, _integrals
+from .moments import population_winsorized_moment
 from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
@@ -72,7 +72,7 @@ def int_I(a: float, b: float, ch: CompositeH) -> float:
     """
     if b == a:
         return 0.0
-    value = -integrate(ch.value, a, b)
+    value = -_integral(ch, a, b)
     if b != 0.0:
         value += b * ch.value(b)
     if a != 0.0:
@@ -84,7 +84,7 @@ def int_Ibar(a: float, b: float, ch: CompositeH) -> float:
     """(1-b)H(b) - (1-a)H(a) + int_a^b H; equals int_a^b (1-v) H'(v) dv."""
     if b == a:
         return 0.0
-    value = integrate(ch.value, a, b)
+    value = _integral(ch, a, b)
     if b != 1.0:
         value += (1.0 - b) * ch.value(b)
     if a != 1.0:
@@ -110,12 +110,13 @@ def _sweep(f, parts, rel_tol: float = REL_TOL) -> list[np.ndarray]:
     lows, highs, indices = [], [], []
     for x, lo, hi, up in parts:
         xs, index = np.unique(x, return_inverse=True)
-        lows.append(np.insert(xs[:-1], 0, lo) if up else xs)
-        highs.append(xs if up else np.append(xs[1:], hi))
+        lows.append(np.concatenate([[lo], xs[:-1]]) if up else xs)
+        highs.append(xs if up else np.concatenate([xs[1:], [hi]]))
         indices.append(index)
     starts = np.cumsum([0] + [xs.size for xs in lows])
+    part_of = np.repeat(np.arange(len(parts)), np.diff(starts))[:, None]
     segments = integrate_batch(
-        lambda v, rows: f(v, np.searchsorted(starts, rows, side="right")[:, None] - 1),
+        lambda v, rows: f(v, part_of[rows]),
         np.concatenate(lows),
         np.concatenate(highs),
         rel_tol=rel_tol,
@@ -189,10 +190,12 @@ def _sigma_alpha(
     """Reference oracle: integral over (0,1) of alpha_i * alpha_j."""
     upper = min(spec_i.b_bar, spec_j.b_bar)
     cuts = _split_at(0.0, upper, [spec_i.a, spec_j.a, spec_i.b_bar, spec_j.b_bar])
+    # Identical coordinates share one sweep and one alpha.
+    pairs = list(dict.fromkeys([(spec_i, ch_i), (spec_j, ch_j)]))
 
     def integrand(u: np.ndarray, _) -> np.ndarray:
-        alpha_i, alpha_j = _alphas(u, [(spec_i, ch_i), (spec_j, ch_j)])
-        return alpha_i * alpha_j
+        alphas = _alphas(u, pairs)
+        return alphas[0] * alphas[-1]
 
     pieces = integrate_batch(integrand, cuts[:-1], cuts[1:], rel_tol=_ALPHA_REL_TOL)
     return float(pieces.sum())
@@ -233,10 +236,7 @@ def _sigma_kernel(
 
 def _scenario_i_holds(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     """Left-nested ordering: a_i <= a_j < 1-b_i <= 1-b_j."""
-    return (
-        spec_i.a <= spec_j.a < spec_i.b_bar
-        and spec_i.b_bar <= spec_j.b_bar
-    )
+    return spec_i.a <= spec_j.a < spec_i.b_bar <= spec_j.b_bar
 
 
 def _nested_pair(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
@@ -249,18 +249,15 @@ def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     return spec_i.a == spec_j.a and spec_i.b == spec_j.b
 
 
-def _centred(ch: CompositeH, shift: float) -> SimpleNamespace:
-    """H less a constant, in place of the composite where only ``value``
-    is used."""
-    return SimpleNamespace(value=lambda v: ch.value(v) - shift)
+@dataclass(frozen=True)
+class _Centred:
+    """H less a constant where only ``value`` is used; hashable, as a memo key."""
 
+    ch: CompositeH
+    shift: float
 
-def _means(spec_i, spec_j, ch_i, ch_j) -> tuple[float, float]:
-    """Each composite's winsorized mean over its own window; centred on
-    it, a location shift of H cancels before any integral is taken."""
-    m_i = population_winsorized_moment(ch_i, spec_i)
-    same = ch_i == ch_j and (spec_i.a, spec_i.b) == (spec_j.a, spec_j.b)
-    return m_i, m_i if same else population_winsorized_moment(ch_j, spec_j)
+    def value(self, v):
+        return self.ch.value(v) - self.shift
 
 
 def _sigma_closed(
@@ -285,15 +282,15 @@ def _sigma_closed(
     if not _scenario_i_holds(spec_i, spec_j):
         spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
     ch_i, ch_j = (
-        _centred(ch, ch.value(0.5 * (spec.a + spec.b_bar)))
+        _Centred(ch, ch.value(0.5 * (spec.a + spec.b_bar)))
         for spec, ch in ((spec_i, ch_i), (spec_j, ch_j))
     )
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b
 
-    c_i = integrate(ch_i.value, aj, bbi)
-    c_j = integrate(ch_j.value, aj, bbi)
+    c_i = _integral(ch_i, aj, bbi)
+    c_j = _integral(ch_j, aj, bbi)
 
     value = int_I(ai, aj, ch_i) * int_Ibar(aj, bbj, ch_j) if ai != aj else 0.0
     if bj != 0.0:
@@ -307,7 +304,7 @@ def _sigma_closed(
         value -= aj * ch_i.value(aj) * c_j
     value -= c_i * c_j
     if bbj != bbi:
-        d_j = integrate(ch_j.value, bbi, bbj)
+        d_j = _integral(ch_j, bbi, bbj)
         bracket = bbi * ch_i.value(bbi) - c_i
         if aj != 0.0:
             bracket -= aj * ch_i.value(aj)
@@ -333,7 +330,7 @@ def _psi_piece(spec: MomentSpec, ch: CompositeH, shift: float, steps, lo, hi):
         return ch.value(spec.a) - shift
     if lo >= spec.b_bar:
         return ch.value(spec.b_bar) - shift
-    return _centred(ch, shift).value
+    return _Centred(ch, shift).value
 
 
 def _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i=(), steps_j=()) -> float:
@@ -346,7 +343,9 @@ def _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i=(), steps_j=()) -> float:
     integral.  Zero-length pieces are never formed, so H is not evaluated
     at an untrimmed endpoint.
     """
-    m_i, m_j = _means(spec_i, spec_j, ch_i, ch_j)
+    # Centred on its winsorized mean, a location shift of H cancels.
+    m_i = population_winsorized_moment(ch_i, spec_i)
+    m_j = population_winsorized_moment(ch_j, spec_j)
     cuts = _split_at(0.0, 1.0, [spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar])
     value = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -496,7 +495,11 @@ def sigma_pair(
         raise DomainError(f"method {method.value} not applicable to {mode} mode")
     if not route.valid(spec_i, spec_j):
         raise OrderingError(route.refusal)
-    return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
+    memo = _integrals.set({})
+    try:
+        return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
+    finally:
+        _integrals.reset(memo)
 
 
 def cov_matrix(

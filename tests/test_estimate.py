@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import robust_lmoments.estimate as estimate_module
+import robust_lmoments.moments as moments_module
 from robust_lmoments import (
     CompositeH,
     ConvergenceError,
@@ -28,6 +29,7 @@ from robust_lmoments import (
     parse_model_template,
     population_moment,
     population_trimmed_moment,
+    sample_moment,
 )
 
 IDENT = Identity()
@@ -107,6 +109,30 @@ class TestFit:
     def test_model_instance_means_all_free(self):
         result = fit(Exponential(1.0), [1.0, 3.0], [MomentSpec(IDENT)])
         assert result.theta_hat[0] == pytest.approx(2.0, rel=1e-9)
+
+    def test_sample_is_validated_and_sorted_once_for_all_specs(self, monkeypatch):
+        sorts = []
+        ascending = moments_module._ascending
+
+        def counted(values):
+            sorts.append(len(values))
+            return ascending(values)
+
+        for module in (moments_module, estimate_module):
+            monkeypatch.setattr(module, "_ascending", counted)
+        sample = np.random.default_rng(3).lognormal(0.4, 0.5, size=3000)
+        specs = [
+            MomentSpec(IDENT, 0.05, 0.05, Mode.MWM),
+            MomentSpec(Log(), 0.10, 0.25, Mode.MWM),
+        ]
+        result = fit(parse_model_template("lognormal(?,?)"), sample, specs)
+        assert sorts == [3000]
+        expected = [sample_moment(sample, spec) for spec in specs]
+        assert result.mu_hat.tolist() == expected
+
+    def test_non_finite_sample_is_refused_before_any_moment(self):
+        with pytest.raises(DomainError, match="non-finite sample values at indices"):
+            fit(Exponential(1.0), [1.0, math.nan], [MomentSpec(IDENT)])
 
 
 class TestFailurePropagation:
