@@ -471,8 +471,8 @@ class TestWindowIntegralsOncePerEntry:
     entry: the closed forms share their int_I, int_Ibar and winsorized
     means, and nothing is carried over from one entry to the next."""
 
-    # id, sigma_pair arguments, most QUADPACK calls (the parent: 8, 8, 5,
-    # 6, 4, 7)
+    # id, sigma_pair arguments, most QUADPACK calls (taking every integral
+    # as it comes makes 8, 8, 5, 6, 4 and 7)
     CASES = [
         ("closed-staggered",
          (LOGNORMAL, [Power(2.0), Log()], [(0.05, 0.25), (0.10, 0.10)], Mode.MTM,
