@@ -168,7 +168,7 @@ def integrate_batch(
 
     Each problem starts as ``panels`` equal panels in t; smooth problems
     started as more panels need fewer rounds, each of which costs about
-    130 us plus 35 ns per node besides the integrand (2-core x86-64).
+    100 us plus 35 ns per node besides the integrand (2-core x86-64).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -18,6 +18,7 @@ from robust_lmoments import (
     MomentSpec,
     Normal,
     OrderingError,
+    Pareto,
     Power,
     Shifted,
     SingularJacobianError,
@@ -530,6 +531,73 @@ def test_alpha_sweeps_identical_coordinates_once(mode, monkeypatch):
     assert set(widths) == {1}
     influence, _ = sigma_pair(*entry, CovMethod.EQUAL_PROPS)
     assert alpha == pytest.approx(influence, rel=1e-8)
+
+
+def _nested_work(monkeypatch, *entry) -> tuple[int, int, int]:
+    """Outer rounds, inner rounds and nodes of ``sigma_pair(*entry)``
+    on the batched engine: a round is one integrand call, and a round
+    of an inner sweep runs inside an outer one."""
+    engine = asymcov_module.integrate_batch
+    work = {"outer": 0, "inner": 0, "nodes": 0}
+    depth = [0]
+
+    def counted(f, lo, hi, **kwargs):
+        level = "outer" if depth[0] == 0 else "inner"
+
+        def g(u, rows):
+            work[level] += 1
+            work["nodes"] += u.size
+            depth[0] += 1
+            try:
+                return f(u, rows)
+            finally:
+                depth[0] -= 1
+
+        return engine(g, lo, hi, **kwargs)
+
+    monkeypatch.setattr(asymcov_module, "integrate_batch", counted)
+    sigma_pair(*entry)
+    return work["outer"], work["inner"], work["nodes"]
+
+
+class TestNestedWork:
+    """The alpha and kernel routes start each outer piece as two panels;
+    one panel takes (2, 4, 3318) for alpha and (2, 4, 2793) for kernel on
+    this entry, so a drift back shows up here."""
+
+    ENTRY = (Pareto(2.5, 1.0), [IDENT, Power(2.0)], [(0.10, 0.25), (0.05, 0.05)],
+             Mode.MTM)
+    WORK = {CovMethod.ALPHA: (1, 2, 2856), CovMethod.KERNEL: (1, 2, 1848)}
+
+    @pytest.mark.parametrize("method", list(WORK), ids=lambda m: m.value)
+    def test_work_is_pinned(self, method, monkeypatch):
+        entry = _entry(*self.ENTRY, method)
+        assert _nested_work(monkeypatch, *entry) == self.WORK[method]
+
+    def test_kernel_inner_sorts_its_points_once(self, monkeypatch):
+        spec = MomentSpec(Log(), 0.10, 0.25)
+        ch = CompositeH(LOGNORMAL, Log())
+        w = np.linspace(0.01, 0.99, 42).reshape(2, 21)
+        sorts = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            sorts.append(args[0].size)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        inner = asymcov_module._kernel_inner(w, spec, ch)
+        assert sorts == [w.size]
+        # Equal points in two arrays are sorted apart, to the same segments.
+        x = np.clip(w.ravel(), spec.a, spec.b_bar)
+        heads, tails = asymcov_module._sweep(
+            lambda v, part: ch.deriv(v) * np.where(part == 0, v, 1.0 - v),
+            [(x, spec.a, spec.b_bar, True), (x.copy(), spec.a, spec.b_bar, False)],
+            asymcov_module._KERNEL_INNER_REL_TOL,
+        )
+        assert len(sorts) == 3
+        apart = (1.0 - w) * heads.reshape(w.shape) + w * tails.reshape(w.shape)
+        assert inner.tolist() == apart.tolist()
 
 
 class CodedError(Exception):
