@@ -5,8 +5,10 @@
 pass with the 21-point Gauss-Kronrod rule of QUADPACK's qk21: every
 panel of every problem is evaluated in one integrand call per round,
 and each round bisects the panels whose error estimate is above their
-share of their problem's tolerance.  The nested oracle routes use it to
-evaluate the inner integrals for all outer nodes at once.
+share of their problem's tolerance, except that such a panel at an end
+of its problem, once at most half its starting width, is cut into a mesh
+graded toward that end.  The nested oracle routes use it to evaluate the
+inner integrals for all outer nodes at once.
 
 Both share the package-wide policy: absolute floor 1e-14, relative
 target 1e-10 by default, at most 2000 subintervals per integral, and
@@ -143,6 +145,21 @@ def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return half * kronrod, half * np.maximum(err, roundoff), half * roundoff
 
 
+# Pieces of a graded split, and the distances of their ends from the
+# problem's end as fractions of the panel: 1, 1/2, ..., 1/2^(_GRADE-1), 0.
+_GRADE = 8
+_GRADE_ENDS = np.append(0.5 ** np.arange(_GRADE), 0.0)
+
+
+def _graded_pieces(rows, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Problems and ends in t of the _GRADE pieces of each panel [left, right]
+    that has an end at t = 0 or 1, cut at w/2, w/4, ..., w/2^(_GRADE-1) from it."""
+    width = (right - left)[:, None]
+    cuts = np.where((left == 0.0)[:, None], width * _GRADE_ENDS, 1.0 - width * _GRADE_ENDS)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    return rows.repeat(_GRADE), np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+
+
 def integrate_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo,
@@ -164,11 +181,16 @@ def integrate_batch(
     done when its summed error estimate is within
     max(1e-14, rel_tol * |estimate|), or at the roundoff level of its
     panels; until then each round bisects its panels whose error exceeds
-    that tolerance divided by its panel count.
+    that tolerance divided by its panel count.  A round costs about
+    100 us plus 35 ns per node besides the integrand (2-core x86-64), so
+    a failing panel at t = 0 or 1 of at most half its starting width is
+    cut in one round into _GRADE = 8 pieces, at w/2, w/4, ..., w/128 from
+    that end, rather than bisected once a round: a log singularity
+    there then takes a few rounds instead of a dozen.  Each piece counts
+    toward the subdivision limit.
 
     Each problem starts as ``panels`` equal panels in t; smooth problems
-    started as more panels need fewer rounds, each of which costs about
-    100 us plus 35 ns per node besides the integrand (2-core x86-64).
+    started as more panels need fewer rounds.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -225,7 +247,16 @@ def integrate_batch(
         kept = tuple(x[stay] for x in (rows, left, right, value, err, floor))
 
         rows, left, right = rows[split], left[split], right[split]
+        # A failing panel at an end of its problem, at most half its starting
+        # width, is cut into _GRADE pieces toward that end, which add
+        # _GRADE - 1 panels toward the limit; the rest are halved.
+        graded = ((left == 0.0) | (right == 1.0)) & ((right - left) * panels <= 0.5)
         grown = count + np.bincount(rows, minlength=m)
+        pieces = []
+        if graded.any():
+            grown += (_GRADE - 2) * np.bincount(rows[graded], minlength=m)
+            pieces.append(_graded_pieces(rows[graded], left[graded], right[graded]))
+            rows, left, right = rows[~graded], left[~graded], right[~graded]
         if grown.max() > MAX_SUBDIVISIONS:
             k = np.argmax(grown)
             raise _not_converged(
@@ -233,7 +264,8 @@ def integrate_batch(
                 f"maximum number of subdivisions ({MAX_SUBDIVISIONS}) reached",
             )
         mid = 0.5 * (left + right)
-        rows = np.concatenate([rows, rows])
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        rows, left, right = (
+            np.concatenate(x) for x in zip((rows, left, mid), (rows, mid, right), *pieces)
+        )
 
     return sign * result

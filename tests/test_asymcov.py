@@ -563,7 +563,11 @@ def _nested_work(monkeypatch, *entry) -> tuple[int, int, int]:
 class TestNestedWork:
     """The alpha and kernel routes start each outer piece as two panels;
     one panel takes (2, 4, 3318) for alpha and (2, 4, 2793) for kernel on
-    this entry, so a drift back shows up here."""
+    this entry, so a drift back shows up here.
+
+    The log entry has a log singularity at the untrimmed end u = 0, where
+    the engine cuts the end panel toward 0 in graded steps; bisecting it
+    took (14, 84, 16590) for alpha and (9, 45, 19530) for kernel."""
 
     ENTRY = (Pareto(2.5, 1.0), [IDENT, Power(2.0)], [(0.10, 0.25), (0.05, 0.05)],
              Mode.MTM)
@@ -573,6 +577,14 @@ class TestNestedWork:
     def test_work_is_pinned(self, method, monkeypatch):
         entry = _entry(*self.ENTRY, method)
         assert _nested_work(monkeypatch, *entry) == self.WORK[method]
+
+    LOG_ENTRY = (UNIF, [Log(), Log()], [(0.0, 0.1), (0.0, 0.1)], Mode.MTM)
+    LOG_WORK = {CovMethod.ALPHA: (4, 11, 10080), CovMethod.KERNEL: (3, 9, 11802)}
+
+    @pytest.mark.parametrize("method", list(LOG_WORK), ids=lambda m: m.value)
+    def test_log_singular_work_is_pinned(self, method, monkeypatch):
+        entry = _entry(*self.LOG_ENTRY, method)
+        assert _nested_work(monkeypatch, *entry) == self.LOG_WORK[method]
 
     def test_kernel_inner_sorts_its_points_once(self, monkeypatch):
         spec = MomentSpec(Log(), 0.10, 0.25)

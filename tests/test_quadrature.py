@@ -70,6 +70,26 @@ def test_extremely_bad_integrand_behavior_is_divergence():
         integrate(lambda u: 1.0 / u, 0.0, 1.0)
 
 
+class _PanelsHeld:
+    """Integrand wrapper for one problem on (0, 1) that counts the panels
+    the problem holds after each round.  Each panel is known by the span of
+    its nodes; a new panel's centre node lies inside the node span of the
+    panel it was cut from, which the new pieces replace."""
+
+    def __init__(self):
+        self.spans = np.empty((0, 2))
+        self.most = 0
+
+    def __call__(self, u, values):
+        centre = u[:, 10, None]
+        inside = (self.spans[:, 0] < centre) & (centre < self.spans[:, 1])
+        assert (inside.sum(axis=1) == 1).all() or not self.spans.size
+        cut = inside.any(axis=0)
+        self.spans = np.concatenate([self.spans[~cut], np.sort(u[:, [0, 20]], axis=1)])
+        self.most = max(self.most, len(self.spans))
+        return values
+
+
 class TestIntegrateBatch:
     @pytest.mark.parametrize("panels", [1, 4])
     def test_matches_integrate_on_smooth_kinked_and_log_integrands(self, panels):
@@ -92,10 +112,11 @@ class TestIntegrateBatch:
         assert got[2] == pytest.approx(-1.0, rel=1e-10)
 
     # Nodes per integrand call on the problem set above: the engine's work,
-    # round for round (panels 1: 18 rounds, 1323 nodes; 4: 16, 1344).
+    # round for round (panels 1: 18 rounds, 1281 nodes; 4: 16, 1260).  The
+    # third and fourth rounds grade the log's end panel and the kink's.
     WORK = {
-        1: [63] + [84] * 13 + [42] * 4,
-        4: [252] + [84] * 11 + [42] * 4,
+        1: [63, 84, 336, 210] + [42] * 14,
+        4: [252, 84, 210, 210] + [42] * 12,
     }
 
     @pytest.mark.parametrize("panels", [1, 4])
@@ -113,6 +134,52 @@ class TestIntegrateBatch:
 
         quadrature.integrate_batch(f, [0.1, 0.0, 0.0], [2.0, 1.0, 1.0], panels=panels)
         assert widths == self.WORK[panels]
+
+    @pytest.mark.parametrize("g", [np.log, lambda u: np.log1p(-u)], ids=["log-u", "log-1-u"])
+    def test_log_singular_end_takes_few_rounds(self, g):
+        # The panel next to the singular end is cut toward it in one round;
+        # bisecting it once a round took 14 rounds.
+        rounds = []
+
+        def f(u, rows):
+            rounds.append(u.shape[0])
+            return g(u)
+
+        got = quadrature.integrate_batch(f, [0.0], [1.0])
+        assert abs(got[0] + 1.0) <= 1e-12
+        assert len(rounds) <= 5
+
+    def test_interior_kink_is_bisected(self):
+        panels = []
+
+        def f(u, rows):
+            panels.append(u.shape[0])
+            return np.abs(u - 0.3)
+
+        got = quadrature.integrate_batch(f, [0.0], [1.0])
+        assert got[0] == pytest.approx(0.29, rel=1e-10)
+        assert len(panels) > 10 and panels[-10:] == [2] * 10
+
+    @pytest.mark.parametrize(
+        "g, limit",
+        [(lambda u: np.sin(1.0 / u), 2000), (lambda u: 1.0 / u, 40)],
+        ids=["sin-1-over-u", "1-over-u"],
+    )
+    def test_subdivision_limit_counts_every_piece(self, g, limit, monkeypatch):
+        # 1/u grades its end panel into 8 pieces a round; at the default
+        # limit its nodes overflow first (see the test below).
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", limit)
+        held = _PanelsHeld()
+        message = rf"maximum number of subdivisions \({limit}\)"
+        with np.errstate(divide="ignore", over="ignore"), \
+                pytest.raises(DivergenceError, match=message):
+            quadrature.integrate_batch(lambda u, rows: held(u, g(u)), [0.0], [1.0])
+        assert held.most <= limit
+
+    def test_divergent_end_is_divergence(self):
+        with np.errstate(divide="ignore", over="ignore"), \
+                pytest.raises(DivergenceError, match="not finite"):
+            quadrature.integrate_batch(lambda u, rows: 1.0 / u, [0.0], [1.0])
 
     def test_integrand_failure_reports_the_limits_of_its_round(self):
         def f(u, rows):
