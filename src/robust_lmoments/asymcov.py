@@ -31,6 +31,7 @@ so each outer piece starts as two panels, which saves rounds.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,47 +112,59 @@ def _sweep(f, parts, rel_tol: float = REL_TOL) -> list[np.ndarray]:
     between the sorted distinct points of its x, summed up from lo or
     down from hi.  Parts that pass the same array x share one sort.
     """
-    lows, highs, indices, sorts = [], [], [], {}
-    for x, lo, hi, up in parts:
+    sorts = {}
+    for x, _, _, _ in parts:
         if id(x) not in sorts:
-            sorts[id(x)] = np.unique(x, return_inverse=True)
-        xs, index = sorts[id(x)]
-        lows.append(np.concatenate([[lo], xs[:-1]]) if up else xs)
-        highs.append(xs if up else np.concatenate([xs[1:], [hi]]))
-        indices.append(index)
-    starts = np.cumsum([0] + [xs.size for xs in lows])
-    part_of = np.repeat(np.arange(len(parts)), np.diff(starts))[:, None]
+            # the distinct points and each point's index among them
+            xs = np.sort(x)
+            distinct = np.empty(xs.size, dtype=bool)
+            distinct[0] = True
+            np.not_equal(xs[1:], xs[:-1], out=distinct[1:])
+            xs = xs[distinct]
+            sorts[id(x)] = xs, np.searchsorted(xs, x)
+    sizes = [sorts[id(x)][0].size for x, _, _, _ in parts]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    lows, highs = np.empty(starts[-1]), np.empty(starts[-1])
+    for (x, lo, hi, up), s0, s1 in zip(parts, starts, starts[1:]):
+        xs = sorts[id(x)][0]
+        if up:
+            lows[s0], lows[s0 + 1:s1], highs[s0:s1] = lo, xs[:-1], xs
+        else:
+            lows[s0:s1], highs[s0:s1 - 1], highs[s1 - 1] = xs, xs[1:], hi
+    part_of = np.repeat(np.arange(len(parts)), sizes)[:, None]
     segments = integrate_batch(
-        lambda v, rows: f(v, part_of[rows]),
-        np.concatenate(lows),
-        np.concatenate(highs),
-        rel_tol=rel_tol,
+        lambda v, rows: f(v, part_of[rows]), lows, highs, rel_tol=rel_tol
     )
     sums = []
-    for (_, _, _, up), index, s0, s1 in zip(parts, indices, starts, starts[1:]):
+    for (x, _, _, up), s0, s1 in zip(parts, starts, starts[1:]):
         seg = segments[s0:s1]
+        _, index = sorts[id(x)]
         sums.append((np.cumsum(seg) if up else np.cumsum(seg[::-1])[::-1])[index])
     return sums
 
 
 def _alphas(u: np.ndarray, pairs) -> list[np.ndarray]:
     """The influence-style integrand alpha of each ``(spec, ch)`` of
-    ``pairs``, elementwise over the array u of points in (0, 1); the
-    pairwise product of two integrates to the covariance entry.
+    ``pairs``, elementwise over the array u of points in (0, 1) below
+    every pair's 1-b; the pairwise product of two integrates to the
+    covariance entry.
 
     The inner integrals of H from max(a, u) to 1-b, for every u and every
     pair, come from one batched sweep over the distinct lower limits.
     """
 
     def h_values(v: np.ndarray, part: np.ndarray) -> np.ndarray:
+        if one_h:
+            return pairs[0][1].value(v)
         out = np.empty_like(v)
         for p, (_, ch) in enumerate(pairs):
             mine = part[:, 0] == p
             out[mine] = ch.value(v[mine])
         return out
 
-    # lower limits max(a, u), capped at 1-b
-    xs = [np.clip(u.ravel(), spec.a, spec.b_bar) for spec, _ in pairs]
+    one_h = all(ch == pairs[0][1] for _, ch in pairs)
+    # lower limits max(a, u), below 1-b as u is
+    xs = [np.maximum(u.ravel(), spec.a) for spec, _ in pairs]
     tails = _sweep(
         h_values, [(x, spec.a, spec.b_bar, False) for (spec, _), x in zip(pairs, xs)]
     )
@@ -162,15 +175,13 @@ def _alphas(u: np.ndarray, pairs) -> list[np.ndarray]:
 
 
 def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
-    """alpha at u, given x = max(a, u) capped at 1-b and the inner
-    integrals ``tail`` of H from x to 1-b."""
+    """alpha at u below 1-b, given x = max(a, u) and the inner integrals
+    ``tail`` of H from x to 1-b."""
     a, b, bb = spec.a, spec.b, spec.b_bar
-    inside = x < bb
     # (1-b) H(1-b) - (1-x) H(x) + int_x^{1-b} H = int_x^{1-b} (1-v) H'(v) dv
-    psi = np.where(inside, tail, 0.0)
-    psi[inside] -= (1.0 - x[inside]) * ch.value(x[inside])
+    psi = tail - (1.0 - x) * ch.value(x)
     if b != 0.0:
-        psi[inside] += b * ch.value(bb)
+        psi += b * ch.value(bb)
     psi = psi.reshape(u.shape)
     if spec.mode is Mode.MTM:
         return psi / (spec.retained * (1.0 - u))
@@ -178,13 +189,13 @@ def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray
     if a > 0.0:
         psi += np.where(u <= a, a * (1.0 - a) * ch.deriv(a), 0.0)
     if b > 0.0:
-        psi += np.where(u <= bb, b * b * ch.deriv(bb), 0.0)
+        psi += b * b * ch.deriv(bb)
     return psi / (1.0 - u)
 
 
 def _split_at(lo: float, hi: float, kinks) -> np.ndarray:
     """[lo, hi] cut at the kinks that lie inside it."""
-    return np.unique([lo, hi, *(p for p in kinks if lo < p < hi)])
+    return np.array(sorted({lo, hi, *(p for p in kinks if lo < p < hi)}))
 
 
 def _sigma_alpha(

@@ -63,6 +63,12 @@ def test_package_error_in_integrand_passes_through():
     assert not isinstance(info.value, DivergenceError)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan)], ids=["lo", "hi"])
+def test_nan_limit_is_domain_error(lo, hi):
+    with pytest.raises(DomainError, match="must not be NaN"):
+        integrate(lambda u: u, lo, hi)
+
+
 def test_extremely_bad_integrand_behavior_is_divergence():
     # QUADPACK ends 1/u on (0, 1) with ier=3 and a finite estimate (about
     # 709.87); the integral diverges, so that message is not roundoff.
@@ -180,6 +186,47 @@ class TestIntegrateBatch:
         with np.errstate(divide="ignore", over="ignore"), \
                 pytest.raises(DivergenceError, match="not finite"):
             quadrature.integrate_batch(lambda u, rows: 1.0 / u, [0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, 0.0], [1.0, np.inf]),
+         ([-np.inf], [0.0])],
+        ids=["nan-lo", "nan-hi", "inf-hi", "inf-lo"],
+    )
+    def test_non_finite_limit_is_domain_error(self, lo, hi):
+        # The t-map needs a finite interval; refused before any arithmetic,
+        # so no overflow warning leaks either.
+        with pytest.raises(DomainError, match="needs finite limits"):
+            quadrature.integrate_batch(lambda u, rows: u, lo, hi)
+
+    @pytest.mark.parametrize("panels", [0, -1])
+    def test_fewer_than_one_panel_is_domain_error(self, panels):
+        with pytest.raises(DomainError, match=f"panels >= 1, got {panels}"):
+            quadrature.integrate_batch(lambda u, rows: u, [0.0], [1.0], panels=panels)
+
+    @pytest.mark.parametrize("panels", [1, 4])
+    def test_value_does_not_depend_on_the_rounds_of_its_batch(self, panels):
+        # exp on [0.1, 2] converges in round 1.  Beside two more copies the
+        # whole batch does, and with one panel each the engine returns
+        # straight after that round; beside a kink and a log singularity its
+        # estimate goes through the per-problem sums of later rounds.  The
+        # batch keeps its size and exp its first rows, because a BLAS product
+        # can round a row differently at another position or batch size.
+        kinked = [np.exp, lambda u: np.abs(u - 0.3), np.log]
+
+        def f(u, rows):
+            out = np.empty_like(u)
+            for k, g in enumerate(kinked):
+                mine = rows == k
+                out[mine] = g(u[mine])
+            return out
+
+        lo, hi = [0.1, 0.0, 0.0], [2.0, 1.0, 1.0]
+        mixed = quadrature.integrate_batch(f, lo, hi, panels=panels)
+        alike = quadrature.integrate_batch(
+            lambda u, rows: np.exp(u), [0.1] * 3, [2.0] * 3, panels=panels
+        )
+        assert alike[0] == mixed[0]
 
     def test_integrand_failure_reports_the_limits_of_its_round(self):
         def f(u, rows):
