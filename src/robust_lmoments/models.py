@@ -46,13 +46,22 @@ def _check_unit(u: float) -> None:
         raise DomainError(f"probability must lie in [0, 1], got {u}")
 
 
-def _check_units(u: np.ndarray) -> np.ndarray:
-    """``_check_unit`` over an array, through its extremes only (a NaN
-    propagates into both)."""
-    u = np.asarray(u, dtype=float)
+def _extremes_outside(u: np.ndarray) -> tuple[float, ...]:
+    """The least and greatest entries of ``u``, or none if it is empty or
+    both lie strictly inside (0, 1), as quadrature nodes do (a NaN
+    propagates into both and is returned)."""
     if u.size:
-        _check_unit(float(u.min()))
-        _check_unit(float(u.max()))
+        least, most = u.min(), u.max()
+        if not (0.0 < least and most < 1.0):
+            return float(least), float(most)
+    return ()
+
+
+def _check_units(u: np.ndarray) -> np.ndarray:
+    """``_check_unit`` over an array, through its extremes only."""
+    u = np.asarray(u, dtype=float)
+    for x in _extremes_outside(u):
+        _check_unit(x)
     return u
 
 
@@ -162,9 +171,8 @@ class DistributionModel:
     def _check_endpoints(self, u: np.ndarray) -> np.ndarray:
         """``_check_endpoint`` over an array, through its extremes only."""
         u = np.asarray(u, dtype=float)
-        if u.size:
-            self._check_endpoint(float(u.min()))
-            self._check_endpoint(float(u.max()))
+        for x in _extremes_outside(u):
+            self._check_endpoint(x)
         return u
 
     def __str__(self) -> str:

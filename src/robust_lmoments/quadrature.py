@@ -10,6 +10,17 @@ of its problem, once at most half its starting width, is cut into a mesh
 graded toward that end.  The nested oracle routes use it to evaluate the
 inner integrals for all outer nodes at once.
 
+Both map each problem by where it lies.  A problem strictly inside
+(0, 1) is integrated in s = log(u / (1 - u)): H = h(F^-1(u)) is analytic
+off the cuts (-inf, 0] and [1, inf), which this map sends to the edges
+of the strip |Im s| < pi, so the rule converges at a rate set by the
+problem's length in s, not by how near it comes to 0 or 1 (Takahasi and
+Mori's variable transformation).  A problem that reaches 0 or 1, or lies
+outside [0, 1], keeps u: there QUADPACK extrapolates toward the end and
+the batched engine uses a cubic map with graded end splits.  The logit
+map does not serve an end: near u = 1 a node carries no digits of 1 - u,
+so a singularity there cannot be resolved in s.
+
 Both share the package-wide policy: absolute floor 1e-14, relative
 target 1e-10 by default, at most 2000 subintervals per integral, and
 integrands evaluated only on the open interval.  A package error raised
@@ -59,12 +70,55 @@ def _not_finite(lo: float, hi: float) -> DivergenceError:
     return DivergenceError(f"integral over [{lo}, {hi}] is not finite")
 
 
+# Length in s of each starting piece of an interior ``integrate`` problem.
+_LOGIT_PIECE = 4.0
+
+
+# Lower limits at or above this take the short form of the length in s.
+_TINY = 2.0**-960
+
+
+def _logit_limits(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """logit(lo) and logit(hi) - logit(lo) of intervals strictly inside
+    (0, 1).  The length is log1p(w / (lo (1 - hi))), w = hi - lo, so that a
+    short interval keeps its digits; lo (1 - hi) stays a normal number for
+    lo >= _TINY, and below that the length is the difference of logits."""
+    start = np.log(lo / (1.0 - lo))
+    if lo.min(initial=_TINY) >= _TINY:
+        return start, np.log1p((hi - lo) / (lo * (1.0 - hi)))
+    short = np.log1p((hi - lo) / (np.maximum(lo, _TINY) * (1.0 - hi)))
+    return start, np.where(lo < _TINY, np.log(hi / (1.0 - hi)) - start, short)
+
+
+def _logistic(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = 1 / (1 + e^-s) and du/ds = u (1 - u) = E / (1 + E)^2, E = e^-|s|,
+    which neither overflows nor loses u where it is tiny.  Overwrites s;
+    works in place, as each fresh array of a round's size costs page
+    faults."""
+    negative = s < 0.0
+    e = np.abs(s, out=s)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    high = 1.0 + e
+    np.reciprocal(high, out=high)
+    low = np.multiply(e, high, out=e)
+    weight = low * high
+    # u is low where s < 0, else high
+    np.copyto(high, low, where=negative)
+    return high, weight
+
+
 def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
 ) -> float:
-    """Integrate f over [lo, hi]."""
+    """Integrate f over [lo, hi].
+
+    An interval strictly inside (0, 1) is integrated in s = logit(u), as
+    f(u(s)) u'(s) over its length in s, started as one piece per 4 units
+    of that length (QUADPACK's ``points``); any other keeps u, where
+    QUADPACK extrapolates toward an end singularity."""
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError(f"integration limits must not be NaN, got [{lo}, {hi}]")
     if hi == lo:
@@ -79,17 +133,43 @@ def integrate(
     # integrands with endpoint singularities stay evaluable.
     lo_open = math.nextafter(lo, hi)
     hi_open = math.nextafter(hi, lo)
+    options = {}
+    if 0.0 < lo and hi < 1.0:
+        # _logit_limits in scalar arithmetic
+        start = math.log(lo / (1.0 - lo))
+        if lo >= _TINY:
+            length = math.log1p((hi - lo) / (lo * (1.0 - hi)))
+        else:
+            length = math.log(hi / (1.0 - hi)) - start
+        pieces = math.ceil(length / _LOGIT_PIECE)
+        if pieces > 1:
+            options["points"] = [length * k / pieces for k in range(1, pieces)]
+        a, b = 0.0, length
 
-    def g(u: float) -> float:
-        return f(min(max(u, lo_open), hi_open))
+        def g(r: float) -> float:
+            # r = s - logit(lo); the scalar form of _logistic
+            s = start + r
+            e = math.exp(-abs(s))
+            high = 1.0 / (1.0 + e)
+            low = e * high
+            u = low if s < 0.0 else high
+            if not lo_open <= u <= hi_open:
+                u = min(max(u, lo_open), hi_open)
+            return f(u) * (low * high)
+    else:
+        a, b = lo, hi
+
+        def g(u: float) -> float:
+            return f(min(max(u, lo_open), hi_open))
 
     try:
         value, _, _, *message = quad(
-            g, lo, hi,
+            g, a, b,
             epsabs=ABS_TOL,
             epsrel=REL_TOL,
             limit=MAX_SUBDIVISIONS,
             full_output=1,
+            **options,
         )
     except RobustLMomentsError:
         raise
@@ -133,9 +213,10 @@ _GAUSS_WEIGHTS[1::2] = _WG + _WG[::-1]
 _EPS = np.finfo(float).eps
 
 
-def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kronrod estimates, error estimates and roundoff floors of panels
-    with half-widths ``half`` from their node values ``fv`` (p, 21)."""
+def _gk21(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Kronrod estimates, error estimates and roundoff floors, the rows of a
+    (3, p) array, of panels with half-widths ``half`` from their node values
+    ``fv`` (p, 21)."""
     kronrod = fv @ _KRONROD_WEIGHTS
     err = np.abs(kronrod - fv @ _GAUSS_WEIGHTS)
     resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
@@ -144,7 +225,11 @@ def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where(resasc > 0, scaled, err)
     roundoff = 50.0 * _EPS * (np.abs(fv) @ _KRONROD_WEIGHTS)
-    return half * kronrod, half * np.maximum(err, roundoff), half * roundoff
+    out = np.empty((3, fv.shape[0]))
+    np.multiply(half, kronrod, out=out[0])
+    np.multiply(half, np.maximum(err, roundoff), out=out[1])
+    np.multiply(half, roundoff, out=out[2])
+    return out
 
 
 # Pieces of a graded split, and the distances of their ends from the
@@ -162,18 +247,58 @@ def _graded_pieces(rows, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows.repeat(_GRADE), np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
 
 
+def _cubic(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t^2 (3 - 2t) and t (1 - t): the cubic map's shape and a sixth of
+    its derivative."""
+    return t * t * (3.0 - 2.0 * t), t * (1.0 - t)
+
+
 @functools.lru_cache(maxsize=8)
 def _starting_panels(panels: int) -> tuple[np.ndarray, ...]:
     """Ends and half-widths in t of the ``panels`` equal starting panels,
-    and t^2 (3 - 2t) and t (1 - t) at their nodes, flattened in panel order."""
+    and t, t^2 (3 - 2t) and t (1 - t) at their nodes, flattened in panel
+    order."""
     index = np.arange(panels)
     left, right = index / panels, (index + 1) / panels
     half = 0.5 * (right - left)
     t = (left + half)[:, None] + half[:, None] * _GK21_NODES
-    tables = left, right, half, (t * t * (3.0 - 2.0 * t)).ravel(), (t * (1.0 - t)).ravel()
+    tables = left, right, half, t.ravel(), *(x.ravel() for x in _cubic(t))
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _map_nodes(t, cubic, logit, start, length, s_start, s_length):
+    """Nodes u at t of rows of panels, and the factors ``scale`` (one per
+    row) and ``weight`` of du/dt: in logit coordinates where ``logit``
+    holds (True or False for every row, or a mask of rows), else by the
+    cubic map, whose ``cubic`` = (shape, jac) may be None when ``logit`` is
+    True."""
+    if logit is True:
+        u, weight = _logistic(s_start + s_length * t)
+        return u, s_length, weight
+    shape, jac = cubic
+    u, scale = start + length * shape, 6.0 * length
+    if logit is False:
+        return u, scale, jac
+    inner = np.flatnonzero(logit)
+    weight = np.empty(u.shape)
+    weight[...] = jac
+    u[inner], weight[inner] = _logistic(
+        s_start[inner] + s_length[inner] * (t if t.ndim == 1 else t[inner])
+    )
+    scale[inner] = s_length[inner]
+    return u, scale, weight
+
+
+def _panel_sums(x: np.ndarray, panels: int) -> np.ndarray:
+    """Per problem, 0.0 + x_0 + x_1 + ... over its ``panels`` consecutive
+    entries of each row of x: the order in which ``np.bincount`` adds them."""
+    x = x.reshape(x.shape[0], -1, panels)
+    total = x[..., 0] + 0.0
+    for j in range(1, panels):
+        total += x[..., j]
+    return total
 
 
 def integrate_batch(
@@ -190,34 +315,40 @@ def integrate_batch(
     the problem index of each panel as a (p,) integer array, and returns
     the integrand at those nodes.
 
-    Each problem is integrated in the variable t of
-    u = lo + (hi - lo) t^2 (3 - 2t), t in [0, 1], whose Jacobian vanishes
-    at both ends, so that integrable endpoint singularities (such as those
-    of H and H' at u -> 0 or 1) need far fewer bisections.  Problem k is
+    Each problem is integrated in a variable t in [0, 1] that it maps to
+    u on its own.  A problem strictly inside (0, 1) takes
+    u = logistic(s_lo + (s_hi - s_lo) t), s = logit(u), with
+    du/dt = (s_hi - s_lo) E / (1 + E)^2, E = e^-|s|.  Any other takes
+    u = lo + (hi - lo) t^2 (3 - 2t), whose Jacobian vanishes at both ends,
+    so that integrable endpoint singularities (such as those of H and H'
+    at u -> 0 or 1) need far fewer bisections.  Problem k is
     done when its summed error estimate is within
     max(1e-14, rel_tol * |estimate|), or at the roundoff level of its
     panels; until then each round bisects its panels whose error exceeds
     that tolerance divided by its panel count.  A round that refines
-    costs about 100 us plus 35 ns per node besides the integrand (2-core
-    x86-64), so a failing panel at t = 0 or 1 of at most half its
-    starting width is cut in one round into _GRADE = 8 pieces, at w/2,
-    w/4, ..., w/128 from that end, rather than bisected once a round: a
-    log singularity there then takes a few rounds instead of a dozen.
-    Each piece counts toward the subdivision limit.
+    costs about 75 us plus 33 ns per node besides the integrand (2-core
+    x86-64), so a failing panel at t = 0 or 1 of a problem that reaches
+    0 or 1 or lies outside [0, 1], once at most half its starting width,
+    is cut in one round into _GRADE = 8 pieces, at w/2, w/4, ..., w/128
+    from that end, rather than bisected once a round: a log singularity
+    there then takes a few rounds instead of a dozen.  Each piece counts
+    toward the subdivision limit.
 
     Each problem starts as ``panels`` equal panels in t; smooth problems
-    started as more panels need fewer rounds.  The first round takes the
-    map at those panels' nodes from a table; when each problem is one
-    panel and all converge there, the call returns after it, for about
-    55 us plus 12 ns per node.
+    started as more panels need fewer rounds.  The first round takes t
+    and the cubic map at those panels' nodes from a table; when every
+    problem converges there, the call returns after it with each
+    problem's panels summed in order, for about 85 us plus 16 ns per node
+    (74 us plus 12 ns when no problem is interior).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if panels < 1:
         raise DomainError(f"integrate_batch needs panels >= 1, got {panels}")
     flip = hi < lo
-    # Per problem: ends, length and open interval, gathered once a round.
-    limits = np.empty((5, lo.size))
+    # Per problem: ends, length, open interval and, if it is interior, its
+    # start and length in s = logit(u), gathered once a round.
+    limits = np.zeros((7, lo.size))
     np.minimum(lo, hi, out=limits[0])
     np.maximum(lo, hi, out=limits[1])
     if not np.isfinite(limits[:2]).all():
@@ -229,22 +360,32 @@ def integrate_batch(
     np.subtract(hi, lo, out=limits[2])
     np.nextafter(lo, hi, out=limits[3])
     np.nextafter(hi, lo, out=limits[4])
+    # Interior problems take the logit map: all of them, none, or a mix.
+    inner = (0.0 < lo) & (hi < 1.0)
+    every = bool(inner.all())
+    mixed = not every and bool(inner.any())
+    if every:
+        limits[5], limits[6] = _logit_limits(lo, hi)
+    elif mixed:
+        limits[5, inner], limits[6, inner] = _logit_limits(lo[inner], hi[inner])
     m = lo.size
     result = np.zeros(m)
 
-    # Round 1 holds the same panels for every problem, so it takes the t-map
-    # at their nodes from a table, one problem to a row of ``panels`` * 21.
+    # Round 1 holds the same panels for every problem, so it takes t and the
+    # cubic map at their nodes from a table, one problem to a row of
+    # ``panels`` * 21.
     live = np.flatnonzero(hi > lo)
     rows = live.repeat(panels)
-    left, right, half, shape, jac = _starting_panels(panels)
+    left, right, half, t, *cubic = _starting_panels(panels)
     half = np.repeat(half[None], live.size, 0).ravel()
-    start, end, length, lo_open, hi_open = limits[:, live, None]
+    start, end, length, lo_open, hi_open, s_start, s_length = limits[:, live, None]
+    logit = inner[live] if mixed else every
     # Per panel: problem, ends in t, estimate, error, roundoff floor; ``kept``
     # holds the unfinished panels of earlier rounds that were not bisected,
     # and is None in round 1.
     kept = None
     while rows.size:
-        u = start + length * shape
+        u, scale, weight = _map_nodes(t, cubic, logit, start, length, s_start, s_length)
         # Nodes can round onto an endpoint; nudge them onto the open interval.
         np.minimum(np.maximum(u, lo_open, out=u), hi_open, out=u)
         try:
@@ -254,21 +395,24 @@ def integrate_batch(
         except (ArithmeticError, ValueError) as exc:
             raise _integrand_failed(start, end, exc) from exc
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            fv = (fv.reshape(length.size, -1) * (6.0 * length) * jac).reshape(-1, 21)
-            value, err, floor = _gk21(fv, half)
+            fv = fv.reshape(scale.size, -1) * scale
+            fv *= weight
+            fv = fv.reshape(-1, 21)
+            estimates = _gk21(fv, half)
+        value, err, floor = estimates
         finite = np.isfinite(value) & np.isfinite(err)
         if not finite.all():
             raise _not_finite(*limits[:2, rows[np.argmin(finite)]])
 
         if kept is None:
-            if panels == 1:
-                # One panel per problem: if each converged (the test below
-                # for one panel), its panel is its value.
-                tol = np.maximum(ABS_TOL, rel_tol * np.abs(value))
-                if ((err <= tol) | (err <= floor)).all():
-                    # + 0.0 maps -0.0 to 0.0, as the sums below, which start at 0.0
-                    result[rows] = value + 0.0
-                    break
+            # Round 1: each problem's panels are ``panels`` consecutive rows.
+            # If all converged (the test below, whose third case differs from
+            # the first only by rounding), their sums are the values.
+            total, total_err, total_floor = _panel_sums(estimates, panels)
+            tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
+            if ((total_err <= tol) | (total_err <= total_floor)).all():
+                result[live] = total
+                break
             left, right = (np.repeat(x[None], live.size, 0).ravel() for x in (left, right))
         elif kept[0].size:
             rows, left, right, value, err, floor = (
@@ -297,16 +441,19 @@ def integrate_batch(
         kept = tuple(x[stay] for x in (rows, left, right, value, err, floor))
 
         rows, left, right = rows[split], left[split], right[split]
-        # A failing panel at an end of its problem, at most half its starting
-        # width, is cut into _GRADE pieces toward that end, which add
-        # _GRADE - 1 panels toward the limit; the rest are halved.
-        graded = ((left == 0.0) | (right == 1.0)) & ((right - left) * panels <= 0.5)
+        # A failing panel at an end of a problem in u, at most half its
+        # starting width, is cut into _GRADE pieces toward that end, which
+        # add _GRADE - 1 panels toward the limit; the rest are halved.
         grown = count + np.bincount(rows, minlength=m)
         pieces = []
-        if graded.any():
-            grown += (_GRADE - 2) * np.bincount(rows[graded], minlength=m)
-            pieces.append(_graded_pieces(rows[graded], left[graded], right[graded]))
-            rows, left, right = rows[~graded], left[~graded], right[~graded]
+        if not every:
+            graded = ((left == 0.0) | (right == 1.0)) & ((right - left) * panels <= 0.5)
+            if mixed:
+                graded &= ~inner[rows]
+            if graded.any():
+                grown += (_GRADE - 2) * np.bincount(rows[graded], minlength=m)
+                pieces.append(_graded_pieces(rows[graded], left[graded], right[graded]))
+                rows, left, right = rows[~graded], left[~graded], right[~graded]
         if grown.max() > MAX_SUBDIVISIONS:
             k = np.argmax(grown)
             raise _not_converged(
@@ -319,7 +466,8 @@ def integrate_batch(
         )
         half = 0.5 * (right - left)
         t = (left + half)[:, None] + half[:, None] * _GK21_NODES
-        shape, jac = t * t * (3.0 - 2.0 * t), t * (1.0 - t)
-        start, end, length, lo_open, hi_open = limits[:, rows, None]
+        logit = inner[rows] if mixed else every
+        cubic = None if every else _cubic(t)
+        start, end, length, lo_open, hi_open, s_start, s_length = limits[:, rows, None]
 
     return np.negative(result, out=result, where=flip)

@@ -563,15 +563,19 @@ def _nested_work(monkeypatch, *entry) -> tuple[int, int, int]:
 class TestNestedWork:
     """The alpha and kernel routes start each outer piece as two panels;
     one panel takes (2, 4, 3318) for alpha and (2, 4, 2793) for kernel on
-    this entry, so a drift back shows up here.
+    this entry, so a drift back shows up here.  Its pieces and inner
+    segments lie inside (0, 1), so the engine integrates them in logit
+    coordinates; in u they took (1, 2, 2856) and (1, 2, 1848).
 
     The log entry has a log singularity at the untrimmed end u = 0, where
     the engine cuts the end panel toward 0 in graded steps; bisecting it
-    took (14, 84, 16590) for alpha and (9, 45, 19530) for kernel."""
+    took (14, 84, 16590) for alpha and (9, 45, 19530) for kernel.  Its
+    interior pieces and segments take the logit map; with every piece in
+    u it took (4, 11, 10080) and (3, 9, 11802)."""
 
     ENTRY = (Pareto(2.5, 1.0), [IDENT, Power(2.0)], [(0.10, 0.25), (0.05, 0.05)],
              Mode.MTM)
-    WORK = {CovMethod.ALPHA: (1, 2, 2856), CovMethod.KERNEL: (1, 2, 1848)}
+    WORK = {CovMethod.ALPHA: (1, 1, 2814), CovMethod.KERNEL: (1, 1, 1806)}
 
     @pytest.mark.parametrize("method", list(WORK), ids=lambda m: m.value)
     def test_work_is_pinned(self, method, monkeypatch):
@@ -579,7 +583,7 @@ class TestNestedWork:
         assert _nested_work(monkeypatch, *entry) == self.WORK[method]
 
     LOG_ENTRY = (UNIF, [Log(), Log()], [(0.0, 0.1), (0.0, 0.1)], Mode.MTM)
-    LOG_WORK = {CovMethod.ALPHA: (4, 11, 10080), CovMethod.KERNEL: (3, 9, 11802)}
+    LOG_WORK = {CovMethod.ALPHA: (4, 7, 9366), CovMethod.KERNEL: (3, 3, 10836)}
 
     @pytest.mark.parametrize("method", list(LOG_WORK), ids=lambda m: m.value)
     def test_log_singular_work_is_pinned(self, method, monkeypatch):

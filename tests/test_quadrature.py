@@ -2,6 +2,7 @@
 scalar wrapper and of the batched engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from robust_lmoments import (
     DomainError,
     Exponential,
     Log,
+    Lognormal,
     MomentSpec,
     Normal,
+    Power,
     parse_transform,
     population_moment,
     register_transform,
@@ -74,6 +77,63 @@ def test_extremely_bad_integrand_behavior_is_divergence():
     # 709.87); the integral diverges, so that message is not roundoff.
     with pytest.raises(DivergenceError, match="bad integrand behavior"):
         integrate(lambda u: 1.0 / u, 0.0, 1.0)
+
+
+# Intervals strictly inside (0, 1) at the reach of the logit map: deep in
+# the lower tail, from the least subnormal, up to the last double below 1,
+# and all but 1e-12 at each end.
+EXTREME_INTERIOR = [
+    (1e-300, 1e-290), (5e-324, 0.5), (0.5, 1.0 - 2.0**-53), (1e-12, 1.0 - 1e-12)
+]
+
+
+@pytest.mark.parametrize("lo, hi", EXTREME_INTERIOR, ids=["deep", "subnormal", "top", "wide"])
+def test_logit_map_keeps_the_length_of_extreme_intervals(lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = integrate(lambda u: 1.0, lo, hi)
+        batched = quadrature.integrate_batch(lambda u, rows: np.ones_like(u), [lo], [hi])
+    assert scalar == pytest.approx(hi - lo, rel=1e-12, abs=0)
+    assert batched[0] == pytest.approx(hi - lo, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "ch, lo, hi, expected",
+    [
+        (CompositeH(Lognormal(0.0, 0.5), Power(2.0)), 0.05, 0.95, 1.2141227360994757),
+        (CompositeH(Exponential(1.0), Log()), 0.05, 0.9, -0.4938559668349177),
+    ],
+    ids=["lognormal-power2", "exponential-log"],
+)
+def test_interior_window_takes_few_points(ch, lo, hi, expected):
+    # In u these took 189 and 105 points; in logit coordinates each is two
+    # pieces of one 21-point rule.
+    points = []
+
+    def f(u):
+        points.append(u)
+        return ch.value(u)
+
+    assert integrate(f, lo, hi) == pytest.approx(expected, rel=1e-13)
+    assert len(points) <= 42
+
+
+def test_problems_that_reach_an_end_keep_the_u_map():
+    # Values of the u-space paths (QUADPACK's extrapolation; the cubic t-map
+    # with graded end splits), unchanged by the logit map of interior problems.
+    assert integrate(math.log, 0.0, 1.0).hex() == "-0x1.fffffffffffffp-1"
+    assert integrate(math.exp, 0.1, 2.0).hex() == "0x1.922b2cbfe5d79p+2"
+
+    def f(u, rows):
+        return np.where(rows[:, None] == 0, np.log(u), np.exp(u))
+
+    expected = {
+        1: ["-0x1.0000000000012p+0", "0x1.922b2cbfe5d78p+2"],
+        4: ["-0x1.0000000000001p+0", "0x1.922b2cbfe5d79p+2"],
+    }
+    for panels, values in expected.items():
+        got = quadrature.integrate_batch(f, [0.0, 0.1], [1.0, 2.0], panels=panels)
+        assert [x.hex() for x in got] == values
 
 
 class _PanelsHeld:
@@ -204,14 +264,16 @@ class TestIntegrateBatch:
         with pytest.raises(DomainError, match=f"panels >= 1, got {panels}"):
             quadrature.integrate_batch(lambda u, rows: u, [0.0], [1.0], panels=panels)
 
-    @pytest.mark.parametrize("panels", [1, 4])
-    def test_value_does_not_depend_on_the_rounds_of_its_batch(self, panels):
-        # exp on [0.1, 2] converges in round 1.  Beside two more copies the
-        # whole batch does, and with one panel each the engine returns
-        # straight after that round; beside a kink and a log singularity its
-        # estimate goes through the per-problem sums of later rounds.  The
-        # batch keeps its size and exp its first rows, because a BLAS product
-        # can round a row differently at another position or batch size.
+    @pytest.mark.parametrize("hi", [2.0, 0.9], ids=["cubic-map", "logit-map"])
+    @pytest.mark.parametrize("panels", [1, 2, 4])
+    def test_value_does_not_depend_on_the_rounds_of_its_batch(self, panels, hi):
+        # exp on [0.1, hi] converges in round 1.  Beside two more copies the
+        # whole batch does, and the engine returns straight after that round
+        # with each problem's panels summed in order; beside a kink and a log
+        # singularity its estimate goes through the per-problem sums of later
+        # rounds.  The batch keeps its size and exp its first rows, because a
+        # BLAS product can round a row differently at another position or
+        # batch size.
         kinked = [np.exp, lambda u: np.abs(u - 0.3), np.log]
 
         def f(u, rows):
@@ -221,10 +283,9 @@ class TestIntegrateBatch:
                 out[mine] = g(u[mine])
             return out
 
-        lo, hi = [0.1, 0.0, 0.0], [2.0, 1.0, 1.0]
-        mixed = quadrature.integrate_batch(f, lo, hi, panels=panels)
+        mixed = quadrature.integrate_batch(f, [0.1, 0.0, 0.0], [hi, 1.0, 1.0], panels=panels)
         alike = quadrature.integrate_batch(
-            lambda u, rows: np.exp(u), [0.1] * 3, [2.0] * 3, panels=panels
+            lambda u, rows: np.exp(u), [0.1] * 3, [hi] * 3, panels=panels
         )
         assert alike[0] == mixed[0]
 
