@@ -143,11 +143,11 @@ def _sweep(f, parts, rel_tol: float = REL_TOL) -> list[np.ndarray]:
     return sums
 
 
-def _alphas(u: np.ndarray, pairs) -> list[np.ndarray]:
+def _alphas(u: np.ndarray, pairs, edge_dhs) -> list[np.ndarray]:
     """The influence-style integrand alpha of each ``(spec, ch)`` of
     ``pairs``, elementwise over the array u of points in (0, 1) below
-    every pair's 1-b; the pairwise product of two integrates to the
-    covariance entry.
+    every pair's 1-b, given each pair's ``_edge_derivs``; the pairwise
+    product of two integrates to the covariance entry.
 
     The inner integrals of H from max(a, u) to 1-b, for every u and every
     pair, come from one batched sweep over the distinct lower limits.
@@ -169,14 +169,14 @@ def _alphas(u: np.ndarray, pairs) -> list[np.ndarray]:
         h_values, [(x, spec.a, spec.b_bar, False) for (spec, _), x in zip(pairs, xs)]
     )
     return [
-        _alpha_from_tail(u, x, tail, spec, ch)
-        for (spec, ch), x, tail in zip(pairs, xs, tails)
+        _alpha_from_tail(u, x, tail, spec, ch, dh)
+        for (spec, ch), x, tail, dh in zip(pairs, xs, tails, edge_dhs)
     ]
 
 
-def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray:
-    """alpha at u below 1-b, given x = max(a, u) and the inner integrals
-    ``tail`` of H from x to 1-b."""
+def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH, dh) -> np.ndarray:
+    """alpha at u below 1-b, given x = max(a, u), the inner integrals
+    ``tail`` of H from x to 1-b and H' at the window's edges ``dh``."""
     a, b, bb = spec.a, spec.b, spec.b_bar
     # (1-b) H(1-b) - (1-x) H(x) + int_x^{1-b} H = int_x^{1-b} (1-v) H'(v) dv
     psi = tail - (1.0 - x) * ch.value(x)
@@ -186,10 +186,11 @@ def _alpha_from_tail(u, x, tail, spec: MomentSpec, ch: CompositeH) -> np.ndarray
     if spec.mode is Mode.MTM:
         return psi / (spec.retained * (1.0 - u))
     # winsorized: indicator-weighted atoms at the window edges
+    dh_a, dh_b = dh
     if a > 0.0:
-        psi += np.where(u <= a, a * (1.0 - a) * ch.deriv(a), 0.0)
+        psi += np.where(u <= a, a * (1.0 - a) * dh_a, 0.0)
     if b > 0.0:
-        psi += b * b * ch.deriv(bb)
+        psi += b * b * dh_b
     return psi / (1.0 - u)
 
 
@@ -209,9 +210,12 @@ def _sigma_alpha(
     cuts = _split_at(0.0, upper, [spec_i.a, spec_j.a, spec_i.b_bar, spec_j.b_bar])
     # Identical coordinates share one sweep and one alpha.
     pairs = list(dict.fromkeys([(spec_i, ch_i), (spec_j, ch_j)]))
+    edge_dhs = [
+        _edge_derivs(spec, ch) if spec.mode is Mode.MWM else None for spec, ch in pairs
+    ]
 
     def integrand(u: np.ndarray, _) -> np.ndarray:
-        alphas = _alphas(u, pairs)
+        alphas = _alphas(u, pairs, edge_dhs)
         return alphas[0] * alphas[-1]
 
     pieces = integrate_batch(
@@ -332,11 +336,20 @@ def _sigma_closed(
     return gamma_factor(spec_i, spec_j) * value
 
 
+def _edge_derivs(spec: MomentSpec, ch: CompositeH) -> tuple[float, float]:
+    """H' at a and at 1-b, from one array call over the trimmed edges; 0.0
+    at an untrimmed edge, where H' is not evaluated."""
+    edges = [(spec.a, spec.a > 0.0), (spec.b_bar, spec.b > 0.0)]
+    points = [t for t, trimmed in edges if trimmed]
+    dh = iter(ch.deriv(np.array(points)).tolist() if points else ())
+    return tuple(next(dh) if trimmed else 0.0 for _, trimmed in edges)
+
+
 def _edge_steps(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
     """(t, w) of each winsorized edge step w (t - 1{u <= t}) of the
     influence function: w = a H'(a) at a and b H'(1-b) at 1-b, if trimmed."""
-    edges = [(spec.a, spec.a), (spec.b_bar, spec.b)]
-    return [(t, share * ch.deriv(t)) for t, share in edges if share > 0.0]
+    edges = zip((spec.a, spec.b_bar), (spec.a, spec.b), _edge_derivs(spec, ch))
+    return [(t, share * dh) for t, share, dh in edges if share > 0.0]
 
 
 def _psi_piece(spec: MomentSpec, ch: CompositeH, shift: float, steps, lo, hi):
@@ -402,14 +415,14 @@ def _sigma_mwm_equal_props(
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
 
     total = _psi_integral(spec_i, spec_j, ch_i, ch_j)
+    dh_a_i, dh_b_i = _edge_derivs(spec_i, ch_i)
+    dh_a_j, dh_b_j = _edge_derivs(spec_j, ch_j)
     if a > 0.0:
-        dh_a_i, dh_a_j = ch_i.deriv(a), ch_j.deriv(a)
         total += a * a * (
             dh_a_j * int_Ibar(a, bb, ch_i) + dh_a_i * int_Ibar(a, bb, ch_j)
         )
         total += a ** 3 * (1.0 - a) * dh_a_i * dh_a_j
     if b > 0.0:
-        dh_b_i, dh_b_j = ch_i.deriv(bb), ch_j.deriv(bb)
         total += b * b * (dh_b_j * int_I(a, bb, ch_i) + dh_b_i * int_I(a, bb, ch_j))
         total += b ** 3 * (1.0 - b) * dh_b_i * dh_b_j
     if a > 0.0 and b > 0.0:

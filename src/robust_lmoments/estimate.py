@@ -25,6 +25,7 @@ import numpy as np
 from .asymcov import CovMatrix, cov_matrix
 from .errors import (
     ConvergenceError,
+    DivergenceError,
     DomainError,
     RobustLMomentsError,
     SingularJacobianError,
@@ -88,13 +89,20 @@ def _batched_moments(model: DistributionModel, free, specs) -> tuple[np.ndarray,
             jac[s] /= spec.retained
             continue
         # Winsorized: an atom of mass a at a and b at 1-b; a zero-mass atom
-        # is never evaluated, its endpoint may be unbounded.
+        # is never evaluated, its endpoint may be unbounded.  An overflow
+        # there is refused as the integrand's is, not warned about.
         edges = [(t, w) for t, w in ((spec.a, spec.a), (spec.b_bar, spec.b)) if w > 0.0]
         if edges:
             t, w = np.array(edges).T
-            x = model.quantiles(t)
-            mu[s] += spec.transform.values(x) @ w
-            jac[s] += (model.quantile_grads(t)[free] * spec.transform.derivs(x)) @ w
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                x = model.quantiles(t)
+                mu[s] += spec.transform.values(x) @ w
+                jac[s] += (model.quantile_grads(t)[free] * spec.transform.derivs(x)) @ w
+            if not (np.isfinite(mu[s]) and np.isfinite(jac[s]).all()):
+                raise DivergenceError(
+                    f"winsorized moment of {spec.transform} on [{spec.a}, "
+                    f"{spec.b_bar}] is not finite at {model}"
+                )
     return mu, jac
 
 

@@ -57,14 +57,6 @@ def _extremes_outside(u: np.ndarray) -> tuple[float, ...]:
     return ()
 
 
-def _check_units(u: np.ndarray) -> np.ndarray:
-    """``_check_unit`` over an array, through its extremes only."""
-    u = np.asarray(u, dtype=float)
-    for x in _extremes_outside(u):
-        _check_unit(x)
-    return u
-
-
 _DIFFERENCE_STEP = 1e-6
 
 
@@ -93,8 +85,10 @@ def central_difference(f, params, member) -> np.ndarray:
 class DistributionModel:
     """Base class for parametric families.
 
-    Subclasses are immutable dataclasses exposing the quantile function
-    and its derivative.  Their fields are the parameters:
+    Subclasses are immutable dataclasses exposing the quantile function,
+    as a scalar ``quantile`` and optionally an array ``quantiles``, and
+    its derivative as an array ``quantile_densities``.  Their fields are
+    the parameters:
     ``params`` is the field values in declaration order and the field
     defaults are the family's default member.  ``param_bounds`` gives
     open-domain limits per parameter used by the fitting line search.
@@ -116,17 +110,15 @@ class DistributionModel:
     def quantile(self, u: float) -> float:
         raise NotImplementedError
 
-    def quantile_density(self, u: float) -> float:
-        raise NotImplementedError
-
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """Array form of ``quantile``: same values, same domain errors.
         Families without a numpy expression fall back to this adapter."""
         return np.vectorize(self.quantile, otypes=[float])(u)
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        """Array form of ``quantile_density``, with the same fallback."""
-        return np.vectorize(self.quantile_density, otypes=[float])(u)
+        """The quantile density q(u) = d quantiles(u) / du, elementwise;
+        an array form only, with no fallback."""
+        raise NotImplementedError
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
         """d quantiles(u) / d params[j] for every parameter j, stacked
@@ -175,6 +167,21 @@ class DistributionModel:
             self._check_endpoint(x)
         return u
 
+    def _check_density_domain(self, u: np.ndarray, singular=()) -> np.ndarray:
+        """``_check_unit`` over an array, through its extremes only, then a
+        SingularityError where u reaches an end in ``singular``, at which
+        the quantile density diverges."""
+        u = np.asarray(u, dtype=float)
+        extremes = _extremes_outside(u)
+        for x in extremes:
+            _check_unit(x)
+        for x in extremes:
+            if x in singular:
+                raise SingularityError(
+                    f"{self.family} quantile density diverges at u={x:g}"
+                )
+        return u
+
     def __str__(self) -> str:
         inner = ",".join(f"{p:g}" for p in self.params)
         return f"{self.family}({inner})"
@@ -211,12 +218,8 @@ class Uniform(DistributionModel):
         u = self._check_endpoints(u)
         return np.stack([1.0 - u, u])
 
-    def quantile_density(self, u: float) -> float:
-        _check_unit(u)
-        return self.hi - self.lo
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(_check_units(u), self.hi - self.lo)
+        return np.full_like(self._check_density_domain(u), self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -246,16 +249,8 @@ class Exponential(DistributionModel):
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
         return (self.quantiles(u) / self.scale)[None]
 
-    def quantile_density(self, u: float) -> float:
-        _check_unit(u)
-        if u == 1.0:
-            raise SingularityError("exponential quantile density diverges at u=1")
-        return self.scale / (1.0 - u)
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = _check_units(u)
-        if u.size and u.max() == 1.0:
-            raise SingularityError("exponential quantile density diverges at u=1")
+        u = self._check_density_domain(u, (1.0,))
         return self.scale / (1.0 - u)
 
 
@@ -298,16 +293,8 @@ class Pareto(DistributionModel):
         q = self.xm * (1.0 - u) ** (-1.0 / self.shape)
         return np.stack([q * np.log1p(-u) / self.shape ** 2, q / self.xm])
 
-    def quantile_density(self, u: float) -> float:
-        _check_unit(u)
-        if u == 1.0:
-            raise SingularityError("pareto quantile density diverges at u=1")
-        return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = _check_units(u)
-        if u.size and u.max() == 1.0:
-            raise SingularityError("pareto quantile density diverges at u=1")
+        u = self._check_density_domain(u, (1.0,))
         return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
 
 
@@ -349,18 +336,8 @@ class Lognormal(DistributionModel):
         q = np.exp(self.mu + self.sigma * z)
         return np.stack([q, q * z])
 
-    def quantile_density(self, u: float) -> float:
-        _check_unit(u)
-        if u in (0.0, 1.0):
-            raise SingularityError("lognormal quantile density diverges at u in {0,1}")
-        z = float(ndtri(u))
-        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return self.sigma * math.exp(self.mu + self.sigma * z) / phi
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = _check_units(u)
-        if u.size and (u.min() == 0.0 or u.max() == 1.0):
-            raise SingularityError("lognormal quantile density diverges at u in {0,1}")
+        u = self._check_density_domain(u, (0.0, 1.0))
         z = ndtri(u)
         phi = np.exp(-0.5 * z * z) / _SQRT_2PI
         return self.sigma * np.exp(self.mu + self.sigma * z) / phi
@@ -395,18 +372,8 @@ class Normal(DistributionModel):
         z = ndtri(u)
         return np.stack([np.ones_like(z), z])
 
-    def quantile_density(self, u: float) -> float:
-        _check_unit(u)
-        if u in (0.0, 1.0):
-            raise SingularityError("normal quantile density diverges at u in {0,1}")
-        z = float(ndtri(u))
-        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return self.sigma / phi
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = _check_units(u)
-        if u.size and (u.min() == 0.0 or u.max() == 1.0):
-            raise SingularityError("normal quantile density diverges at u in {0,1}")
+        u = self._check_density_domain(u, (0.0, 1.0))
         z = ndtri(u)
         return self.sigma / (np.exp(-0.5 * z * z) / _SQRT_2PI)
 
@@ -502,7 +469,8 @@ def parse_model_template(text: str) -> ModelTemplate:
 
 
 class HTransform:
-    """Base class for the per-coordinate transform h with derivative.
+    """Base class for the per-coordinate transform h with derivative, a
+    scalar and an array ``value`` and an array ``derivs``.
 
     Subclasses are immutable dataclasses whose fields are the transform's
     parameters, as in ``power(2)``."""
@@ -512,17 +480,14 @@ class HTransform:
     def value(self, x: float) -> float:
         raise NotImplementedError
 
-    def deriv(self, x: float) -> float:
-        raise NotImplementedError
-
     def values(self, x: np.ndarray) -> np.ndarray:
         """Array form of ``value``: same values, same domain errors.
         Custom transforms fall back to this adapter."""
         return np.vectorize(self.value, otypes=[float])(x)
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
-        """Array form of ``deriv``, with the same fallback."""
-        return np.vectorize(self.deriv, otypes=[float])(x)
+        """The derivative h'(x), elementwise; an array form only."""
+        raise NotImplementedError
 
     def __str__(self) -> str:
         args = ",".join(f"{getattr(self, f.name):g}" for f in fields(self))
@@ -535,9 +500,6 @@ class Identity(HTransform):
 
     def value(self, x: float) -> float:
         return x
-
-    def deriv(self, x: float) -> float:
-        return 1.0
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -560,11 +522,6 @@ class Power(HTransform):
         if x < 0 and self.exponent != int(self.exponent):
             raise DomainError(f"power({self.exponent}) undefined for x={x} < 0")
         return x ** self.exponent
-
-    def deriv(self, x: float) -> float:
-        if x < 0 and self.exponent != int(self.exponent):
-            raise DomainError(f"power({self.exponent}) undefined for x={x} < 0")
-        return self.exponent * x ** (self.exponent - 1.0)
 
     def _check_reals(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -590,11 +547,6 @@ class Log(HTransform):
             raise DomainError(f"log transform undefined for x={x} < 0")
         return math.log(x)
 
-    def deriv(self, x: float) -> float:
-        if x <= 0:
-            raise DomainError(f"log derivative undefined for x={x} <= 0")
-        return 1.0 / x
-
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.size and x.min() < 0:
@@ -618,9 +570,6 @@ class Shifted(HTransform):
     def value(self, x: float) -> float:
         return x + self.offset
 
-    def deriv(self, x: float) -> float:
-        return 1.0
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.offset
 
@@ -630,7 +579,8 @@ class Shifted(HTransform):
 
 @dataclass(frozen=True)
 class CustomTransform(HTransform):
-    """Transform registered at runtime from paired value/derivative callbacks."""
+    """Transform registered at runtime from paired scalar value/derivative
+    callbacks; ``derivs`` maps the derivative callback over an array."""
 
     name: str
     value_fn: Callable[[float], float]
@@ -641,8 +591,8 @@ class CustomTransform(HTransform):
     def value(self, x: float) -> float:
         return self.value_fn(x)
 
-    def deriv(self, x: float) -> float:
-        return self.deriv_fn(x)
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        return np.vectorize(self.deriv_fn, otypes=[float])(x)
 
     def __str__(self) -> str:
         return self.name
@@ -690,8 +640,9 @@ def parse_transform(text: str) -> HTransform:
 
 @dataclass(frozen=True)
 class CompositeH:
-    """The composite H(u) = h(F^-1(u)) with chain-rule derivative; both
-    take a float or, elementwise, an ndarray."""
+    """The composite H(u) = h(F^-1(u)) with chain-rule derivative.  The
+    value takes a float or, elementwise, an ndarray; the derivative is
+    computed in array form, and a float comes back as a numpy scalar."""
 
     model: DistributionModel
     transform: HTransform
@@ -701,9 +652,6 @@ class CompositeH:
             return self.transform.values(self.model.quantiles(u))
         return self.transform.value(self.model.quantile(u))
 
-    def deriv(self, u: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(u, np.ndarray):
-            x = self.model.quantiles(u)
-            return self.transform.derivs(x) * self.model.quantile_densities(u)
-        x = self.model.quantile(u)
-        return self.transform.deriv(x) * self.model.quantile_density(u)
+    def deriv(self, u: float | np.ndarray) -> np.ndarray:
+        x = self.model.quantiles(u)
+        return self.transform.derivs(x) * self.model.quantile_densities(u)

@@ -388,13 +388,15 @@ def integrate_batch(
         u, scale, weight = _map_nodes(t, cubic, logit, start, length, s_start, s_length)
         # Nodes can round onto an endpoint; nudge them onto the open interval.
         np.minimum(np.maximum(u, lo_open, out=u), hi_open, out=u)
-        try:
-            fv = np.asarray(f(u.reshape(-1, 21), rows), dtype=float)
-        except RobustLMomentsError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise _integrand_failed(start, end, exc) from exc
+        # An overflow or invalid value in f is refused below as a
+        # non-finite value, not warned about.
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            try:
+                fv = np.asarray(f(u.reshape(-1, 21), rows), dtype=float)
+            except RobustLMomentsError:
+                raise
+            except (ArithmeticError, ValueError) as exc:
+                raise _integrand_failed(start, end, exc) from exc
             fv = fv.reshape(scale.size, -1) * scale
             fv *= weight
             fv = fv.reshape(-1, 21)

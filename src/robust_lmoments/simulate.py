@@ -91,6 +91,18 @@ class SimulationConfig:
             raise DomainError(
                 f"replications must be >= 100, got {self.replications}"
             )
+        # The template must describe the model the draws come from: its
+        # family, with every fixed value at the model's parameter.
+        template = self.template
+        if template is not None and (
+            template.cls is not type(self.model)
+            or any(v not in (None, p) for v, p in zip(template.values, self.model.params))
+        ):
+            shown = ",".join("?" if v is None else f"{v:g}" for v in template.values)
+            raise DomainError(
+                f"template {template.cls.family}({shown}) does not describe the "
+                f"model {self.model}"
+            )
         # A positive proportion that trims nothing at this n makes the
         # sample moment estimate a different functional from the formulas.
         for i, spec in enumerate(self.specs):
@@ -229,8 +241,15 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
 
 
 def coverage_check(config: SimulationConfig, confidence: float) -> float:
-    """Fraction of replications whose normal confidence interval for the
-    parameters covers the truth; expected to be close to ``confidence``."""
+    """Fraction of replications in which every free parameter's marginal
+    normal interval, theta_hat +- z se at level ``confidence``, covers its
+    true value at once.
+
+    With one free parameter that event has nominal level ``confidence``.
+    With p >= 2 it is the rectangle of the marginal intervals, whose
+    nominal level is below ``confidence`` (about confidence^p for nearly
+    uncorrelated estimates), so the fraction is expected to fall short
+    of ``confidence`` even when every interval is right."""
     if not 0.0 < confidence <= 1.0:
         raise DomainError(f"confidence must lie in (0, 1], got {confidence}")
     template = config.template or ModelTemplate.all_free(config.model)

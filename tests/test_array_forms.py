@@ -1,5 +1,7 @@
-"""Array forms of the quantile, the quantile density, the transform, its
-derivative and the composite H against their scalar twins."""
+"""Array forms of the quantile, the transform and the composite H against
+their scalar twins; the quantile density, the transform derivative and
+the composite H', which have array forms only, against central
+differences and closed forms."""
 
 import math
 
@@ -8,8 +10,10 @@ import pytest
 
 from robust_lmoments import (
     CompositeH,
+    DistributionModel,
     DomainError,
     Exponential,
+    HTransform,
     Identity,
     Log,
     Lognormal,
@@ -113,72 +117,139 @@ INTERIOR = np.linspace(0.001, 0.999, 201)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_quantile_densities_match_scalar(model):
-    expected = np.array([model.quantile_density(float(p)) for p in INTERIOR])
+def test_quantile_densities_match_a_central_difference(model):
+    step = 1e-4 * np.minimum(INTERIOR, 1.0 - INTERIOR)
+    difference = (
+        model.quantiles(INTERIOR + step) - model.quantiles(INTERIOR - step)
+    ) / (2.0 * step)
     np.testing.assert_allclose(
-        model.quantile_densities(INTERIOR), expected, rtol=1e-14, atol=0
+        model.quantile_densities(INTERIOR), difference, rtol=1e-7, atol=0
     )
 
 
-@pytest.mark.parametrize("end", [0.0, 1.0])
+# q at an end of the unit interval: its value, or the refusal where it
+# diverges; the composite of identity adds the unbounded quantile's
+# refusal, which comes first.
+DENSITY_AT_ENDS = {
+    "uniform(-1,3)": (4.0, 4.0),
+    "exponential(1.5)": (1.5, SingularityError),
+    "pareto(2.5,1)": (0.4, SingularityError),
+    "lognormal(0.2,0.5)": (SingularityError, SingularityError),
+    "normal(0.5,2)": (SingularityError, SingularityError),
+}
+IDENTITY_DERIV_AT_ENDS = {
+    "uniform(-1,3)": (4.0, 4.0),
+    "exponential(1.5)": (1.5, UnboundedQuantileError),
+    "pareto(2.5,1)": (0.4, UnboundedQuantileError),
+    "lognormal(0.2,0.5)": (SingularityError, UnboundedQuantileError),
+    "normal(0.5,2)": (UnboundedQuantileError, UnboundedQuantileError),
+}
+
+
+def _check_at_end(fn, end, expected):
+    if isinstance(expected, float):
+        assert fn(np.array([0.5, end]))[1] == expected
+    else:
+        assert _error_class(fn, np.array([0.5, end])) is expected
+
+
+@pytest.mark.parametrize("end", [0, 1])
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_quantile_densities_at_the_ends_raise_alike(model, end):
-    expected = _error_class(model.quantile_density, end)
-    got = _error_class(model.quantile_densities, np.array([0.5, end]))
-    assert got is expected
-    if expected is None:
-        assert model.quantile_densities(np.array([end]))[0] == model.quantile_density(end)
-    elif type(model) is not Uniform:
-        assert expected is SingularityError
+def test_quantile_densities_at_the_ends(model, end):
+    _check_at_end(model.quantile_densities, float(end), DENSITY_AT_ENDS[str(model)][end])
+
+
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_composite_derivative_at_the_ends(model, end):
+    _check_at_end(
+        CompositeH(model, Identity()).deriv,
+        float(end),
+        IDENTITY_DERIV_AT_ENDS[str(model)][end],
+    )
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_quantile_densities_refuse_u_outside_the_unit_interval(model, bad):
+    assert _error_class(model.quantile_densities, np.array([0.5, bad])) is DomainError
+
+
+def _anywhere(x):
+    return True
+
+
+# h' in closed form and the domain of x it is defined on, per point.
+DERIVS = {
+    "identity": (lambda x: 1.0, _anywhere),
+    "power(2)": (lambda x: 2.0 * x, _anywhere),
+    "power(2.5)": (lambda x: 2.5 * math.sqrt(x) ** 3, lambda x: x >= 0.0),
+    "log": (lambda x: 1.0 / x, lambda x: x > 0.0),
+    "shifted(1)": (lambda x: 1.0, _anywhere),
+    "signed-cube-root": (lambda x: 1.0 / (3.0 * (x * x) ** (1.0 / 3.0)), _anywhere),
+}
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_derivs_match_scalar_or_raise_alike(model, transform):
+def test_derivs_match_closed_forms_or_refuse_outside_the_domain(model, transform):
     x = model.quantiles(INTERIOR)
-    scalar_error = None
-    for point in x:
-        scalar_error = scalar_error or _error_class(transform.deriv, float(point))
-    if scalar_error is not None:
-        assert _error_class(transform.derivs, x) is scalar_error
+    closed_form, defined = DERIVS[str(transform)]
+    if not all(defined(p) for p in x):
+        assert _error_class(transform.derivs, x) is DomainError
         return
-    expected = np.array([transform.deriv(float(p)) for p in x])
+    expected = np.array([closed_form(float(p)) for p in x])
     np.testing.assert_allclose(transform.derivs(x), expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5])
 def test_log_derivative_at_non_positive_x_is_a_domain_error(bad):
-    assert _error_class(Log().deriv, bad) is DomainError
     assert _error_class(Log().derivs, np.array([1.0, bad])) is DomainError
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_composite_arrays_match_scalar_or_raise_alike(model, transform):
+def test_composite_values_match_scalar_or_raise_alike(model, transform):
     ch = CompositeH(model, transform)
     u = INTERIOR.reshape(3, 67)  # any shape, elementwise
-    for scalar, array in ((ch.value, ch.value), (ch.deriv, ch.deriv)):
-        scalar_error = None
-        for point in INTERIOR:
-            scalar_error = scalar_error or _error_class(scalar, float(point))
-        if scalar_error is not None:
-            assert _error_class(array, u) is scalar_error
-            continue
-        expected = np.array([scalar(float(p)) for p in INTERIOR]).reshape(u.shape)
-        # The log of a quantile near 1 turns a one-ulp difference between
-        # numpy's and math's exp or pow into a larger relative one, hence
-        # the absolute floor of a few ulps of 1.
-        np.testing.assert_allclose(array(u), expected, rtol=1e-14, atol=1e-15)
+    scalar_error = None
+    for point in INTERIOR:
+        scalar_error = scalar_error or _error_class(ch.value, float(point))
+    if scalar_error is not None:
+        assert _error_class(ch.value, u) is scalar_error
+        return
+    expected = np.array([ch.value(float(p)) for p in INTERIOR]).reshape(u.shape)
+    # The log of a quantile near 1 turns a one-ulp difference between
+    # numpy's and math's exp or pow into a larger relative one, hence
+    # the absolute floor of a few ulps of 1.
+    np.testing.assert_allclose(ch.value(u), expected, rtol=1e-14, atol=1e-15)
 
 
-@pytest.mark.parametrize("end", [0.0, 1.0])
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_composite_derivative_at_the_ends_raises_alike(model, end):
-    ch = CompositeH(model, Identity())
-    expected = _error_class(ch.deriv, end)
-    assert _error_class(ch.deriv, np.array([0.5, end])) is expected
-    if expected is None:
-        assert ch.deriv(np.array([end]))[0] == ch.deriv(end)
+def test_composite_derivative_is_elementwise_in_any_shape(model, transform):
+    ch = CompositeH(model, transform)
+    u = INTERIOR.reshape(3, 67)
+    error = _error_class(ch.deriv, INTERIOR)
+    if error is not None:
+        assert _error_class(ch.deriv, u) is error
+        return
+    one_at_a_time = np.array([ch.deriv(float(p)) for p in INTERIOR]).reshape(u.shape)
+    # numpy's pow may differ by an ulp between an array and a scalar.
+    np.testing.assert_allclose(ch.deriv(u), one_at_a_time, rtol=1e-14, atol=0)
+
+
+def test_a_family_or_transform_without_an_array_derivative_refuses():
+    class Bare(DistributionModel):
+        param_bounds = ()
+
+    class BareTransform(HTransform):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().quantile_densities(np.array([0.5]))
+    with pytest.raises(NotImplementedError):
+        BareTransform().derivs(np.array([0.5]))
 
 
 def test_empty_derivative_arrays():

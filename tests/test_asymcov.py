@@ -426,7 +426,7 @@ def test_mwm_decomposition_takes_h_prime_once_per_trimmed_edge(windows, monkeypa
     deriv = CompositeH.deriv
 
     def counted(ch, u):
-        calls.append((ch.transform, u))
+        calls.extend((ch.transform, point) for point in np.ravel(u).tolist())
         return deriv(ch, u)
 
     monkeypatch.setattr(CompositeH, "deriv", counted)
@@ -519,9 +519,9 @@ def test_alpha_sweeps_identical_coordinates_once(mode, monkeypatch):
     widths = []
     alphas = asymcov_module._alphas
 
-    def recorded(u, pairs):
+    def recorded(u, pairs, edge_dhs):
         widths.append(len(pairs))
-        return alphas(u, pairs)
+        return alphas(u, pairs, edge_dhs)
 
     monkeypatch.setattr(asymcov_module, "_alphas", recorded)
     spec = MomentSpec(Log(), 0.10, 0.25, mode)

@@ -1,6 +1,7 @@
 """Moment-matching fits and delta-method covariance propagation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from robust_lmoments import (
     population_trimmed_moment,
     sample_moment,
 )
+from robust_lmoments.models import ModelTemplate
 
 IDENT = Identity()
 
@@ -219,6 +221,27 @@ class TestFailurePropagation:
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
         with pytest.raises(DivergenceError, match=r"diverged from \[0.0, 1.0\]"):
             fit(parse_model_template("normal(?,?)"), sample, specs)
+
+
+def test_an_overflowing_moment_map_fails_the_fit_without_a_warning():
+    # sigma grows along the bracket until exp overflows in the quantiles.
+    sample = np.random.default_rng(1).lognormal(0.0, 1.0, 500)
+    template = ModelTemplate(Lognormal, (2.0, None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            fit(template, sample, [MomentSpec(IDENT, 0.05, 0.05)])
+
+
+def test_an_overflowing_winsorized_edge_atom_is_divergence_not_a_warning():
+    # x^2 stays finite at every node inside [0.45, 0.55] and overflows at
+    # the edge atom at 0.55.
+    model = Uniform(0.0, 1.00001 * math.sqrt(np.finfo(float).max) / 0.55)
+    spec = MomentSpec(Power(2.0), 0.45, 0.45, Mode.MWM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="^winsorized moment of power"):
+            moment_jacobian(ModelTemplate.all_free(model), model.params, [spec])
 
 
 def test_a_diverging_start_leaves_the_fit_to_the_other():

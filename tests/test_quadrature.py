@@ -332,6 +332,14 @@ class TestIntegrateBatch:
                 lambda u, rows: np.where(u > 0.5, np.inf, 1.0), [0.0], [1.0]
             )
 
+    def test_overflow_in_the_integrand_is_divergence_not_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="not finite"):
+                quadrature.integrate_batch(
+                    lambda u, rows: np.exp(1000.0 * u), [0.5], [0.9]
+                )
+
     @pytest.mark.parametrize("panels", [1, 4])
     def test_empty_problems_give_zero(self, panels):
         got = quadrature.integrate_batch(

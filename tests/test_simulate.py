@@ -41,8 +41,9 @@ IDENT = Identity()
 
 @dataclass(frozen=True)
 class Gumbel(DistributionModel):
-    """A user family with only scalar forms, so ``quantiles`` takes the
-    ``np.vectorize`` fallback of the base class."""
+    """A user family with a scalar quantile only, so ``quantiles`` takes
+    the ``np.vectorize`` fallback of the base class, and the array
+    quantile density every family codes."""
 
     mu: float = 0.0
     beta: float = 1.0
@@ -54,8 +55,8 @@ class Gumbel(DistributionModel):
         self._check_endpoint(u)
         return self.mu - self.beta * math.log(-math.log(u))
 
-    def quantile_density(self, u: float) -> float:
-        return self.beta / (u * -math.log(u))
+    def quantile_densities(self, u: np.ndarray) -> np.ndarray:
+        return self.beta / (u * -np.log(u))
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,29 @@ class TestConfigValidation:
         SimulationConfig(
             Uniform(0, 1), (MomentSpec(IDENT),), n=np.int64(100), replications=np.int32(100)
         )
+
+    # Both used to run: coverage 0.0 and 1.0 at n=500, R=100, seed 1.
+    def test_template_of_another_family_rejected(self):
+        with pytest.raises(
+            DomainError,
+            match=r"^template normal\(\?,\?\) does not describe the model lognormal\(0,1\)$",
+        ):
+            SimulationConfig(
+                Lognormal(0.0, 1.0), (MomentSpec(IDENT, 0.1, 0.1),), n=500,
+                replications=100, master_seed=1,
+                template=parse_model_template("normal(?,?)"),
+            )
+
+    def test_template_fixing_another_parameter_value_rejected(self):
+        with pytest.raises(
+            DomainError,
+            match=r"^template normal\(\?,5\) does not describe the model normal\(0,1\)$",
+        ):
+            SimulationConfig(
+                Normal(0.0, 1.0), (MomentSpec(IDENT, 0.1, 0.1),), n=500,
+                replications=100, master_seed=1,
+                template=parse_model_template("normal(?,5)"),
+            )
 
 
 class TestRunMc:
