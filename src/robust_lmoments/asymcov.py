@@ -18,19 +18,22 @@ influence functions.  The evaluation routes, named by ``CovMethod``:
 
 ``_ROUTES`` owns which route applies to a pair; ``auto`` takes the first
 valid route of equal-props, closed, mwm-decomposition, kernel.  The
-closed routes run on the scalar ``integrate``, take each distinct window
-integral of H once per entry, centre H on a level it takes inside the
-window, so a location shift cancels, and never evaluate H at an
-untrimmed endpoint; divergent integrals raise DivergenceError.  The alpha
-and kernel routes run on the batched engine ``integrate_batch`` and use
-H and H' alone: they share no code with the closed routes they check.
-Each of their outer rounds pays for a whole inner sweep over its nodes,
-so each outer piece starts as two panels, which saves rounds.
+closed routes are algebra over one table per entry, built on the scalar
+``integrate``: [0, 1] cut at the four window ends, each side's H less
+its value at its window's midpoint, so a location shift cancels,
+integrated once over each piece inside its window, and the product of
+both sides once over each piece inside both windows.  H is never
+evaluated at an untrimmed endpoint; divergent integrals raise
+DivergenceError.  The alpha and kernel routes run on the batched engine
+``integrate_batch`` and use H and H' alone: they share no code with the
+closed routes they check.  Each of their outer rounds pays for a whole
+inner sweep over its nodes, so each outer piece starts as two panels.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -39,8 +42,7 @@ import numpy as np
 
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
-from .moments import Mode, MomentSpec, _check_one_mode, _integral, _integrals
-from .moments import population_winsorized_moment
+from .moments import Mode, MomentSpec, _check_one_mode
 from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
@@ -69,32 +71,29 @@ class CovMethod(str, enum.Enum):
     AUTO = "auto"
 
 
-def int_I(a: float, b: float, ch: CompositeH) -> float:
-    """bH(b) - aH(a) - int_a^b H; equals int_a^b v H'(v) dv.
-
-    Zero-coefficient endpoint products are dropped without evaluating H,
-    so an integrable singularity at 0 does not poison the result.
-    """
+def _by_parts(value, a: float, b: float, integral: float, bar: bool) -> float:
+    """int_a^b w H' by parts, given ``integral`` = int_a^b H and H as
+    ``value``: w(b) H(b) - w(a) H(a) - int_a^b w' H, with w(v) = v, or
+    1 - v if ``bar``.  H is not evaluated at an endpoint where w is 0, so an
+    integrable singularity there does not poison the result."""
     if b == a:
         return 0.0
-    value = -_integral(ch, a, b)
-    if b != 0.0:
-        value += b * ch.value(b)
-    if a != 0.0:
-        value -= a * ch.value(a)
-    return value
+    total = integral if bar else -integral
+    for t, sign in ((b, 1.0), (a, -1.0)):
+        w = 1.0 - t if bar else t
+        if w != 0.0:
+            total += sign * w * value(t)
+    return total
+
+
+def int_I(a: float, b: float, ch: CompositeH) -> float:
+    """bH(b) - aH(a) - int_a^b H; equals int_a^b v H'(v) dv."""
+    return _by_parts(ch.value, a, b, integrate(ch.value, a, b), bar=False)
 
 
 def int_Ibar(a: float, b: float, ch: CompositeH) -> float:
     """(1-b)H(b) - (1-a)H(a) + int_a^b H; equals int_a^b (1-v) H'(v) dv."""
-    if b == a:
-        return 0.0
-    value = _integral(ch, a, b)
-    if b != 1.0:
-        value += (1.0 - b) * ch.value(b)
-    if a != 1.0:
-        value -= (1.0 - a) * ch.value(a)
-    return value
+    return _by_parts(ch.value, a, b, integrate(ch.value, a, b), bar=True)
 
 
 def gamma_factor(spec_i: MomentSpec, spec_j: MomentSpec) -> float:
@@ -273,28 +272,97 @@ def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
     return spec_i.a == spec_j.a and spec_i.b == spec_j.b
 
 
-@dataclass(frozen=True)
-class _Centred:
-    """H less a constant where only ``value`` is used; hashable, as a memo key."""
+def _edge_derivs(spec: MomentSpec, ch: CompositeH) -> tuple[float, float]:
+    """H' at a and at 1-b, from one array call over the trimmed edges; 0.0
+    at an untrimmed edge, where H' is not evaluated."""
+    edges = [(spec.a, spec.a > 0.0), (spec.b_bar, spec.b > 0.0)]
+    points = [t for t, trimmed in edges if trimmed]
+    dh = iter(ch.deriv(np.array(points)).tolist() if points else ())
+    return tuple(next(dh) if trimmed else 0.0 for _, trimmed in edges)
 
-    ch: CompositeH
-    shift: float
+
+class _Side:
+    """One coordinate of an entry as G = H - c, c the value of H at the
+    midpoint of its own window, with the integral of G over each of the
+    entry's pieces inside that window."""
+
+    def __init__(self, spec: MomentSpec, ch: CompositeH, pieces):
+        self.spec, self.ch = spec, ch
+        self.centre = ch.value(0.5 * (spec.a + spec.b_bar))
+        self.inside = {
+            (lo, hi): integrate(self.value, lo, hi)
+            for lo, hi in pieces
+            if spec.a <= lo and hi <= spec.b_bar
+        }
 
     def value(self, v):
-        return self.ch.value(v) - self.shift
+        return self.ch.value(v) - self.centre
+
+    def integral(self, lo: float, hi: float) -> float:
+        """int_lo^hi G, for cuts lo and hi of the entry inside the window."""
+        return sum((s for (p, q), s in self.inside.items() if lo <= p and q <= hi), 0.0)
+
+    def by_parts(self, lo: float, hi: float, bar: bool = False) -> float:
+        """int_I(lo, hi), or int_Ibar if ``bar``; the same for G as for H."""
+        return _by_parts(self.value, lo, hi, self.integral(lo, hi), bar)
+
+    @functools.cached_property
+    def edge_dh(self) -> tuple[float, float]:
+        return _edge_derivs(self.spec, self.ch)
+
+    @functools.cached_property
+    def mean(self) -> float:
+        """The winsorized mean of G, with no atom where an edge is untrimmed."""
+        spec = self.spec
+        total = self.integral(spec.a, spec.b_bar)
+        if spec.a > 0.0:
+            total += spec.a * self.value(spec.a)
+        if spec.b > 0.0:
+            total += spec.b * self.value(spec.b_bar)
+        return total
+
+    def psi(self, lo: float, hi: float, steps: bool) -> tuple[float, float]:
+        """The influence function on the piece [lo, hi], before any
+        retained-mass factor, as (A, d): G - d with A its integral over the
+        piece inside the window, the constant -d with A = 0 beside it.  It is
+        H clipped to the window less its winsorized mean, plus, if ``steps``,
+        a step w (t - 1{u <= t}) at each trimmed edge t, w = a H'(a) at a and
+        b H'(1-b) at 1-b: constants on the piece that fold into d."""
+        spec, d = self.spec, self.mean
+        if steps:
+            edges = zip((spec.a, spec.b_bar), (spec.a, spec.b), self.edge_dh)
+            for t, share, dh in edges:
+                d -= share * dh * (t - (hi <= t))
+        if hi <= spec.a:
+            return 0.0, d - self.value(spec.a)
+        if lo >= spec.b_bar:
+            return 0.0, d - self.value(spec.b_bar)
+        return self.inside[lo, hi], d
 
 
-def _sigma_closed(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
+class _Table:
+    """The window integrals of one covariance entry: its sides, and G_i G_j
+    integrated once over each piece inside both windows, the pieces being
+    [0, 1] cut at the four window ends.  Coordinates with the same spec and
+    composite share one side."""
+
+    def __init__(self, spec_i, spec_j, ch_i, ch_j):
+        cuts = sorted({0.0, 1.0, spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar})
+        self.pieces = list(zip(cuts[:-1], cuts[1:]))
+        i = self.i = _Side(spec_i, ch_i, self.pieces)
+        same = (spec_i, ch_i) == (spec_j, ch_j)
+        j = self.j = i if same else _Side(spec_j, ch_j, self.pieces)
+        self.products = {
+            piece: integrate(lambda v: i.value(v) * j.value(v), *piece)
+            for piece in i.inside
+            if piece in j.inside
+        }
+
+
+def _sigma_closed(spec_i, spec_j, ch_i, ch_j) -> float:
     """Closed form under the left-nested ordering, in whichever orientation
-    of the pair it holds, on the composites centred on H at the midpoint
-    of their own windows: the form subtracts products of integrals, which
-    an uncentred shift of H would swamp, and is unchanged by any constant
-    shift in exact arithmetic.
+    of the pair it holds, over the entry's table: the form subtracts
+    products of integrals, which an uncentred shift of H would swamp.
 
     The tail cross term multiplies the bracket
     ``(1-b_i) H_i(1-b_i) - a_j H_i(a_j) - int H_i`` by ``int H_j`` over
@@ -305,125 +373,73 @@ def _sigma_closed(
     """
     if not _scenario_i_holds(spec_i, spec_j):
         spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
-    ch_i, ch_j = (
-        _Centred(ch, ch.value(0.5 * (spec.a + spec.b_bar)))
-        for spec, ch in ((spec_i, ch_i), (spec_j, ch_j))
-    )
+    table = _Table(spec_i, spec_j, ch_i, ch_j)
+    i, j = table.i, table.j
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
     bi, bj = spec_i.b, spec_j.b
-
-    c_i = _integral(ch_i, aj, bbi)
-    c_j = _integral(ch_j, aj, bbi)
-
-    value = int_I(ai, aj, ch_i) * int_Ibar(aj, bbj, ch_j) if ai != aj else 0.0
+    c_i, c_j = i.integral(aj, bbi), j.integral(aj, bbi)
+    value = i.by_parts(ai, aj) * j.by_parts(aj, bbj, bar=True) if ai != aj else 0.0
     if bj != 0.0:
-        value += bj * ch_j.value(bbj) * int_I(aj, bbi, ch_i)
+        value += bj * j.value(bbj) * i.by_parts(aj, bbi)
     if aj != 0.0:
-        value -= aj * ch_j.value(aj) * int_Ibar(aj, bbi, ch_i)
+        value -= aj * j.value(aj) * i.by_parts(aj, bbi, bar=True)
     if bi != 0.0:
-        value -= bi * ch_i.value(bbi) * c_j
-    value += integrate(lambda v: ch_i.value(v) * ch_j.value(v), aj, bbi)
+        value -= bi * i.value(bbi) * c_j
+    # the overlap [a_j, 1-b_i] is one piece
+    value += table.products[aj, bbi]
     if aj != 0.0:
-        value -= aj * ch_i.value(aj) * c_j
+        value -= aj * i.value(aj) * c_j
     value -= c_i * c_j
     if bbj != bbi:
-        d_j = _integral(ch_j, bbi, bbj)
-        bracket = bbi * ch_i.value(bbi) - c_i
+        d_j = j.integral(bbi, bbj)
+        bracket = bbi * i.value(bbi) - c_i
         if aj != 0.0:
-            bracket -= aj * ch_i.value(aj)
+            bracket -= aj * i.value(aj)
         value += bracket * d_j
     return gamma_factor(spec_i, spec_j) * value
 
 
-def _edge_derivs(spec: MomentSpec, ch: CompositeH) -> tuple[float, float]:
-    """H' at a and at 1-b, from one array call over the trimmed edges; 0.0
-    at an untrimmed edge, where H' is not evaluated."""
-    edges = [(spec.a, spec.a > 0.0), (spec.b_bar, spec.b > 0.0)]
-    points = [t for t, trimmed in edges if trimmed]
-    dh = iter(ch.deriv(np.array(points)).tolist() if points else ())
-    return tuple(next(dh) if trimmed else 0.0 for _, trimmed in edges)
-
-
-def _edge_steps(spec: MomentSpec, ch: CompositeH) -> list[tuple[float, float]]:
-    """(t, w) of each winsorized edge step w (t - 1{u <= t}) of the
-    influence function: w = a H'(a) at a and b H'(1-b) at 1-b, if trimmed."""
-    edges = zip((spec.a, spec.b_bar), (spec.a, spec.b), _edge_derivs(spec, ch))
-    return [(t, share * dh) for t, share, dh in edges if share > 0.0]
-
-
-def _psi_piece(spec: MomentSpec, ch: CompositeH, shift: float, steps, lo, hi):
-    """The influence function, before any retained-mass factor, on a piece
-    [lo, hi] that no window end cuts: H clipped to the window less the mean
-    ``shift``, plus the steps, constants there that fold into the shift.
-    A constant beside the window, a callable inside it."""
-    for t, w in steps:
-        shift -= w * (t - (hi <= t))
-    if hi <= spec.a:
-        return ch.value(spec.a) - shift
-    if lo >= spec.b_bar:
-        return ch.value(spec.b_bar) - shift
-    return _Centred(ch, shift).value
-
-
-def _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i=(), steps_j=()) -> float:
-    """Integral over (0, 1) of the product of the influence functions.
-    Without steps it is the kernel double integral V11 as
-    Cov(H_i(U_i), H_j(U_j)), U_k the uniform clipped to window k
-    (Chernoff, Gastwirth & Johns, 1967), for every ordering of the windows.
-
-    [0, 1] is cut at the window ends, so each piece costs at most one
-    integral.  Zero-length pieces are never formed, so H is not evaluated
-    at an untrimmed endpoint.
-    """
-    # Centred on its winsorized mean, a location shift of H cancels.
-    m_i = population_winsorized_moment(ch_i, spec_i)
-    m_j = population_winsorized_moment(ch_j, spec_j)
-    cuts = _split_at(0.0, 1.0, [spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar])
+def _psi_integral(table: _Table, steps: bool = False) -> float:
+    """Integral over (0, 1) of the product of the influence functions: on
+    each piece, P - d_j A_i - d_i A_j + d_i d_j (hi - lo), P the product
+    integral there (0 unless inside both windows).  Without steps it is the
+    kernel double integral V11 as Cov(H_i(U_i), H_j(U_j)), U_k the uniform
+    clipped to window k (Chernoff, Gastwirth & Johns, 1967)."""
     value = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        x = _psi_piece(spec_i, ch_i, m_i, steps_i, lo, hi)
-        y = _psi_piece(spec_j, ch_j, m_j, steps_j, lo, hi)
-        if callable(x) and callable(y):
-            value += integrate(lambda v: x(v) * y(v), lo, hi)
-        elif callable(x):
-            value += y * integrate(x, lo, hi)
-        elif callable(y):
-            value += x * integrate(y, lo, hi)
-        else:
-            value += x * y * (hi - lo)
-    return float(value)
+    for lo, hi in table.pieces:
+        a_i, d_i = table.i.psi(lo, hi, steps)
+        a_j, d_j = table.j.psi(lo, hi, steps)
+        product = table.products.get((lo, hi), 0.0)
+        value += product - d_j * a_i - d_i * a_j + d_i * d_j * (hi - lo)
+    return value
 
 
 def _sigma_influence(spec_i, spec_j, ch_i, ch_j) -> float:
     """The influence-function integral: trimmed, times the retained-mass
-    factor; winsorized, with the edge steps, H' taken once per edge."""
+    factor; winsorized, with the edge steps."""
+    table = _Table(spec_i, spec_j, ch_i, ch_j)
     if spec_i.mode is Mode.MTM:
-        return gamma_factor(spec_i, spec_j) * _psi_integral(spec_i, spec_j, ch_i, ch_j)
-    steps_i, steps_j = _edge_steps(spec_i, ch_i), _edge_steps(spec_j, ch_j)
-    return _psi_integral(spec_i, spec_j, ch_i, ch_j, steps_i, steps_j)
+        return gamma_factor(spec_i, spec_j) * _psi_integral(table)
+    return _psi_integral(table, steps=True)
 
 
-def _sigma_mwm_equal_props(
-    spec_i: MomentSpec,
-    spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
-) -> float:
+def _sigma_mwm_equal_props(spec_i, spec_j, ch_i, ch_j) -> float:
     """Winsorized covariance for equal proportions across the pair: the
     step-free V11 plus the paper's edge-atom terms."""
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
-
-    total = _psi_integral(spec_i, spec_j, ch_i, ch_j)
-    dh_a_i, dh_b_i = _edge_derivs(spec_i, ch_i)
-    dh_a_j, dh_b_j = _edge_derivs(spec_j, ch_j)
+    table = _Table(spec_i, spec_j, ch_i, ch_j)
+    i, j = table.i, table.j
+    total = _psi_integral(table)
+    dh_a_i, dh_b_i = i.edge_dh
+    dh_a_j, dh_b_j = j.edge_dh
     if a > 0.0:
         total += a * a * (
-            dh_a_j * int_Ibar(a, bb, ch_i) + dh_a_i * int_Ibar(a, bb, ch_j)
+            dh_a_j * i.by_parts(a, bb, bar=True) + dh_a_i * j.by_parts(a, bb, bar=True)
         )
         total += a ** 3 * (1.0 - a) * dh_a_i * dh_a_j
     if b > 0.0:
-        total += b * b * (dh_b_j * int_I(a, bb, ch_i) + dh_b_i * int_I(a, bb, ch_j))
+        total += b * b * (dh_b_j * i.by_parts(a, bb) + dh_b_i * j.by_parts(a, bb))
         total += b ** 3 * (1.0 - b) * dh_b_i * dh_b_j
     if a > 0.0 and b > 0.0:
         total += a * a * b * b * (dh_a_i * dh_b_j + dh_a_j * dh_b_i)
@@ -528,11 +544,7 @@ def sigma_pair(
         raise DomainError(f"method {method.value} not applicable to {mode} mode")
     if not route.valid(spec_i, spec_j):
         raise OrderingError(route.refusal)
-    memo = _integrals.set({})
-    try:
-        return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
-    finally:
-        _integrals.reset(memo)
+    return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
 
 
 def cov_matrix(

@@ -11,7 +11,6 @@ import enum
 import io
 import math
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -136,18 +135,6 @@ def sample_moment(values: Sequence[float], spec: MomentSpec) -> float:
     return sorted_sample_moment(_ascending(values), spec)
 
 
-_integrals: ContextVar[dict] = ContextVar("_integrals")
-
-
-def _integral(ch, lo: float, hi: float) -> float:
-    """int_lo^hi H, taken once per (composite, lo, hi) within the memo that
-    ``asymcov.sigma_pair`` sets in ``_integrals`` for each entry."""
-    memo = _integrals.get({})
-    if (ch, lo, hi) not in memo:
-        memo[ch, lo, hi] = integrate(ch.value, lo, hi)
-    return memo[ch, lo, hi]
-
-
 def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
     return integrate(ch.value, spec.a, spec.b_bar) / spec.retained
 
@@ -155,7 +142,7 @@ def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
 def population_winsorized_moment(ch: CompositeH, spec: MomentSpec) -> float:
     # Atom weight 0 contributes exactly 0; do not evaluate H there, the
     # endpoint may be unbounded.
-    total = _integral(ch, spec.a, spec.b_bar)
+    total = integrate(ch.value, spec.a, spec.b_bar)
     if spec.a > 0:
         total += spec.a * ch.value(spec.a)
     if spec.b > 0:

@@ -24,6 +24,7 @@ from robust_lmoments import (
     SingularJacobianError,
     Uniform,
     cov_matrix,
+    register_transform,
     sigma_pair,
 )
 import robust_lmoments.asymcov as asymcov_module
@@ -441,6 +442,27 @@ def test_mwm_decomposition_takes_h_prime_once_per_trimmed_edge(windows, monkeypa
         assert sorted(mine) == sorted(edges)
 
 
+@pytest.mark.parametrize(
+    "method", [CovMethod.MWM_DECOMP, CovMethod.EQUAL_PROPS], ids=lambda m: m.value
+)
+def test_a_diagonal_entry_takes_h_prime_once_per_trimmed_edge(method, monkeypatch):
+    """Both coordinates of a diagonal entry are one side of its table, so
+    H' is read once at each trimmed edge, not once per coordinate."""
+    points = []
+    deriv = CompositeH.deriv
+
+    def counted(ch, u):
+        points.extend(np.ravel(u).tolist())
+        return deriv(ch, u)
+
+    monkeypatch.setattr(CompositeH, "deriv", counted)
+    spec = MomentSpec(IDENT, 0.1, 0.2, Mode.MWM)
+    # equal composites, not the same object
+    ch_i, ch_j = CompositeH(Exponential(1.0), IDENT), CompositeH(Exponential(1.0), IDENT)
+    sigma_pair(spec, spec, ch_i, ch_j, method)
+    assert sorted(points) == [0.1, 0.8]
+
+
 def _quadpack_calls(monkeypatch, *entry) -> int:
     """The scalar QUADPACK calls that ``sigma_pair(*entry)`` makes."""
     calls = []
@@ -468,19 +490,19 @@ EQUAL_MWM = (
 
 
 class TestWindowIntegralsOncePerEntry:
-    """Each distinct window integral of H is taken once per covariance
-    entry: the closed forms share their int_I, int_Ibar and winsorized
-    means, and nothing is carried over from one entry to the next."""
+    """The closed forms read one table per covariance entry: [0, 1] cut at
+    the window ends, each side's integral over each piece inside its
+    window and the product's over each piece inside both, each taken once,
+    with a side that both coordinates share built once."""
 
-    # id, sigma_pair arguments, most QUADPACK calls (taking every integral
-    # as it comes makes 8, 8, 5, 6, 4 and 7)
+    # id, sigma_pair arguments, QUADPACK calls (sides' pieces + products)
     CASES = [
         ("closed-staggered",
          (LOGNORMAL, [Power(2.0), Log()], [(0.05, 0.25), (0.10, 0.10)], Mode.MTM,
-          CovMethod.CLOSED), 6),
+          CovMethod.CLOSED), 5),
         ("closed-staggered-swapped",
          (LOGNORMAL, [Log(), Power(2.0)], [(0.10, 0.10), (0.05, 0.25)], Mode.MTM,
-          CovMethod.CLOSED), 6),
+          CovMethod.CLOSED), 5),
         ("closed-equal",
          (LOGNORMAL, [Power(2.0), Log()], [(0.10, 0.10)] * 2, Mode.MTM,
           CovMethod.CLOSED), 3),
@@ -494,24 +516,10 @@ class TestWindowIntegralsOncePerEntry:
     ]
 
     @pytest.mark.parametrize(
-        "entry, most", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+        "entry, calls", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
     )
-    def test_quadpack_calls_per_entry(self, entry, most, monkeypatch):
-        assert 0 < _quadpack_calls(monkeypatch, *_entry(*entry)) <= most
-
-    def test_the_memo_lasts_one_entry(self, monkeypatch):
-        once = _quadpack_calls(monkeypatch, *_entry(*EQUAL_MWM))
-        assert _quadpack_calls(monkeypatch, *_entry(*EQUAL_MWM)) == once
-        assert moments_module._integrals.get(None) is None
-
-    def test_the_memo_is_dropped_when_a_route_raises(self, monkeypatch):
-        def diverging(f, lo, hi):
-            raise DivergenceError(f"integral over [{lo}, {hi}] did not converge")
-
-        monkeypatch.setattr(asymcov_module, "integrate", diverging)
-        with pytest.raises(DivergenceError):
-            sigma_pair(*_entry(*EQUAL_MWM))
-        assert moments_module._integrals.get(None) is None
+    def test_quadpack_calls_per_entry(self, entry, calls, monkeypatch):
+        assert _quadpack_calls(monkeypatch, *_entry(*entry)) == calls
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -639,6 +647,18 @@ class TestCovMatrixErrors:
             cov_matrix(specs, UNIF)
         assert str(info.value) == "entry (0, 0): flat"
         assert info.value.condition == 5.0
+
+    @pytest.mark.parametrize(
+        "method", [CovMethod.AUTO, CovMethod.ALPHA], ids=lambda m: m.value
+    )
+    def test_divergent_window_integral_is_refused_with_its_entry(self, method):
+        # H = 1/u on uniform(0, 1) is not integrable at the untrimmed end 0.
+        reciprocal = register_transform(
+            "reciprocal", lambda x: 1.0 / x, lambda x: -1.0 / (x * x)
+        )
+        specs = [MomentSpec(reciprocal, 0.0, 0.1)]
+        with pytest.raises(DivergenceError, match=r"^entry \(0, 0\): "):
+            cov_matrix(specs, UNIF, method)
 
     def test_exception_with_other_constructor_keeps_its_type(self):
         specs = [MomentSpec(_raising_transform(CodedError(7, "bad")), 0.1, 0.1)]
