@@ -273,12 +273,11 @@ def _equal_props(spec_i: MomentSpec, spec_j: MomentSpec) -> bool:
 
 
 def _edge_derivs(spec: MomentSpec, ch: CompositeH) -> tuple[float, float]:
-    """H' at a and at 1-b, from one array call over the trimmed edges; 0.0
-    at an untrimmed edge, where H' is not evaluated."""
-    edges = [(spec.a, spec.a > 0.0), (spec.b_bar, spec.b > 0.0)]
-    points = [t for t, trimmed in edges if trimmed]
-    dh = iter(ch.deriv(np.array(points)).tolist() if points else ())
-    return tuple(next(dh) if trimmed else 0.0 for _, trimmed in edges)
+    """H' at a and at 1-b, from one array call over the edge atoms; 0.0 at
+    an untrimmed edge, where H' is not evaluated."""
+    points = [u for u, _ in spec.edge_atoms]
+    dh = dict(zip(points, ch.deriv(np.array(points)).tolist() if points else ()))
+    return dh.get(spec.a, 0.0), dh.get(spec.b_bar, 0.0)
 
 
 class _Side:
@@ -312,13 +311,10 @@ class _Side:
 
     @functools.cached_property
     def mean(self) -> float:
-        """The winsorized mean of G, with no atom where an edge is untrimmed."""
-        spec = self.spec
-        total = self.integral(spec.a, spec.b_bar)
-        if spec.a > 0.0:
-            total += spec.a * self.value(spec.a)
-        if spec.b > 0.0:
-            total += spec.b * self.value(spec.b_bar)
+        """The winsorized mean of G."""
+        total = self.integral(self.spec.a, self.spec.b_bar)
+        for u, mass in self.spec.edge_atoms:
+            total += mass * self.value(u)
         return total
 
     def psi(self, lo: float, hi: float, steps: bool) -> tuple[float, float]:
@@ -344,7 +340,8 @@ class _Table:
     """The window integrals of one covariance entry: its sides, and G_i G_j
     integrated once over each piece inside both windows, the pieces being
     [0, 1] cut at the four window ends.  Coordinates with the same spec and
-    composite share one side."""
+    composite share one side, whose product integral evaluates G once per
+    node and squares it."""
 
     def __init__(self, spec_i, spec_j, ch_i, ch_j):
         cuts = sorted({0.0, 1.0, spec_i.a, spec_i.b_bar, spec_j.a, spec_j.b_bar})
@@ -353,7 +350,7 @@ class _Table:
         same = (spec_i, ch_i) == (spec_j, ch_j)
         j = self.j = i if same else _Side(spec_j, ch_j, self.pieces)
         self.products = {
-            piece: integrate(lambda v: i.value(v) * j.value(v), *piece)
+            piece: integrate(lambda v: (g := i.value(v)) * (g if same else j.value(v)), *piece)
             for piece in i.inside
             if piece in j.inside
         }

@@ -12,13 +12,14 @@ quadrature.  The D of the accepted Newton point drives the next step, and
 the D at the root drives the sandwich.  A spec whose window reaches an
 unbounded tail of the family takes the scalar QUADPACK moment and its
 central difference instead: the batched engine does not extrapolate
-towards an endpoint singularity.
+towards an endpoint singularity.  A fit works in each h over the least
+power of two above the mean |h(X)| over its window: exactly, and unit-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +31,15 @@ from .errors import (
     RobustLMomentsError,
     SingularJacobianError,
 )
-from .models import CompositeH, DistributionModel, ModelTemplate, central_difference
-from .moments import Mode, MomentSpec, _ascending, population_moment, sorted_sample_moment
+from .models import CompositeH, DistributionModel, ModelTemplate, _Scaled, central_difference
+from .moments import (
+    Mode,
+    MomentSpec,
+    _ascending,
+    _window,
+    _window_moment,
+    population_moment,
+)
 from .quadrature import integrate_batch
 
 __all__ = ["FitResult", "fit", "delta_cov", "moment_jacobian"]
@@ -88,12 +96,10 @@ def _batched_moments(model: DistributionModel, free, specs) -> tuple[np.ndarray,
             mu[s] /= spec.retained
             jac[s] /= spec.retained
             continue
-        # Winsorized: an atom of mass a at a and b at 1-b; a zero-mass atom
-        # is never evaluated, its endpoint may be unbounded.  An overflow
-        # there is refused as the integrand's is, not warned about.
-        edges = [(t, w) for t, w in ((spec.a, spec.a), (spec.b_bar, spec.b)) if w > 0.0]
-        if edges:
-            t, w = np.array(edges).T
+        # Winsorized: the edge atoms.  An overflow there is refused as the
+        # integrand's is, not warned about.
+        if spec.edge_atoms:
+            t, w = np.array(spec.edge_atoms).T
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 x = model.quantiles(t)
                 mu[s] += spec.transform.values(x) @ w
@@ -112,11 +118,9 @@ def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, 
 
     def moments(t) -> np.ndarray:
         model = template.bind(t)
-        return np.array(
-            [population_moment(CompositeH(model, s.transform), s) for s in specs]
-        )
+        return np.array([population_moment(CompositeH(model, s.transform), s) for s in specs])
 
-    jac = central_difference(moments, theta, lambda t: _in_domain(template, t))
+    jac = central_difference(moments, template, theta)
     return moments(theta), jac.T
 
 
@@ -133,36 +137,17 @@ def _moment_map(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.n
             template.bind(theta), template.free_indices, [specs[i] for i in batched]
         )
     if scalar.size:
-        mu[scalar], jac[scalar] = _scalar_moments(
-            template, theta, [specs[i] for i in scalar]
-        )
+        mu[scalar], jac[scalar] = _scalar_moments(template, theta, [specs[i] for i in scalar])
     return mu, jac
 
 
-def _residual(mu: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-    """Relative moment residual, absolute where the sample moment is 0."""
-    out = np.empty_like(mu)
-    for j, (m, mh) in enumerate(zip(mu, mu_hat)):
-        out[j] = m / mh - 1.0 if abs(mh) > 1e-12 else m - mh
-    return out
-
-
-def _evaluate(template, theta, specs, mu_hat) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and moment Jacobian at theta, from one moment-map evaluation."""
+def _evaluate(template, theta, specs, mu_hat):
+    """At theta: the residual (mu - mu_hat) / s, as mu / s - mu_hat / s so that
+    it is bitwise mu / mu_hat - 1 where s = mu_hat; the moment Jacobian; and s,
+    which is 1 where |mu_hat| <= 1e-12 (of the sample's size, in fit's units)."""
     mu, jac = _moment_map(template, theta, specs)
-    return _residual(mu, mu_hat), jac
-
-
-def _in_domain(template: ModelTemplate, theta) -> bool:
-    for value, (lo, hi) in zip(theta, template.free_bounds()):
-        if not lo < value < hi:
-            return False
-    # family-level constraints (e.g. uniform hi > lo) surface on bind
-    try:
-        template.bind(theta)
-    except DomainError:
-        return False
-    return True
+    s = np.where(np.abs(mu_hat) > 1e-12, mu_hat, 1.0)
+    return mu / s - mu_hat / s, jac, s
 
 
 def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
@@ -178,7 +163,7 @@ def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
     alt = np.array([default[i] for i in free], dtype=float)
     if not np.allclose(alt, starts[0]):
         starts.append(alt)
-    return [s for s in starts if _in_domain(template, s)] or [starts[0]]
+    return [s for s in starts if template.admits(s)] or [starts[0]]
 
 
 def moment_jacobian(template: ModelTemplate, theta, specs) -> np.ndarray:
@@ -190,8 +175,7 @@ def _newton(template, specs, mu_hat, theta0):
     """Damped Newton from theta0: (root, iterations, residual, Jacobian at
     the root)."""
     theta = np.asarray(theta0, dtype=float)
-    r, jac = _evaluate(template, theta, specs, mu_hat)
-    scale = np.where(np.abs(mu_hat) > 1e-12, mu_hat, 1.0)
+    r, jac, scale = _evaluate(template, theta, specs, mu_hat)
     for iteration in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) <= RESIDUAL_TOL:
             return theta, iteration - 1, float(np.max(np.abs(r))), jac
@@ -206,9 +190,9 @@ def _newton(template, specs, mu_hat, theta0):
         norm0 = float(np.linalg.norm(r))
         for _ in range(40):
             cand = theta + lam * step
-            if _in_domain(template, cand):
+            if template.admits(cand):
                 try:
-                    r_cand, jac_cand = _evaluate(template, cand, specs, mu_hat)
+                    r_cand, jac_cand, _ = _evaluate(template, cand, specs, mu_hat)
                 except RobustLMomentsError:
                     r_cand = None
                 if r_cand is not None and float(np.linalg.norm(r_cand)) < norm0:
@@ -290,9 +274,14 @@ def fit(
     if isinstance(template, DistributionModel):
         template = ModelTemplate.all_free(template)
     _check_spec_count(template, specs)
-    k = template.free_count
     xs = _ascending(sample)  # validated and sorted once for every spec
-    mu_hat = np.array([sorted_sample_moment(xs, s) for s in specs])
+    mu_hat, units = np.empty(len(specs)), np.empty(len(specs))
+    for j, s in enumerate(specs):
+        lo, hi = _window(xs.size, s)
+        h = s.transform.values(xs[lo:hi])  # once, for the moment and its unit
+        mu_hat[j] = _window_moment(h, lo, hi, xs.size, s.mode)
+        units[j] = math.ldexp(1.0, math.frexp(np.abs(h).mean())[1])
+    specs = [replace(s, transform=_Scaled(s.transform, 1 / u)) for s, u in zip(specs, units)]
 
     starts = _initial_guesses(template, sample)
     solutions = []
@@ -301,26 +290,22 @@ def fit(
     # convergence error) is one failed start; the others still run.
     for start in starts:
         try:
-            solutions.append(_newton(template, specs, mu_hat, start))
+            solutions.append(_newton(template, specs, mu_hat / units, start))
         except RobustLMomentsError as exc:
             failure = exc
-    if not solutions and k == 1:
-        theta, iterations, residual = _bisect_1d(template, specs, mu_hat, starts[0])
+    if not solutions and template.free_count == 1:
+        theta, iterations, residual = _bisect_1d(template, specs, mu_hat / units, starts[0])
         jac = _moment_map(template, theta, specs)[1]
         solutions.append((theta, iterations, residual, jac))
     if not solutions:
         raise failure
 
     theta, iterations, residual, jac = solutions[0]
-    non_unique = False
-    alt = None
-    for other, *_ in solutions[1:]:
-        if not np.allclose(other, theta, rtol=1e-4, atol=1e-8):
-            non_unique = True
-            alt = other
+    others = [t for t, *_ in solutions[1:] if not np.allclose(t, theta, rtol=1e-4, atol=1e-8)]
     model = template.bind(theta)
-    cov_mu = cov_matrix(specs, model)
-    cov_theta = _sandwich(jac, cov_mu)
+    cov = cov_matrix(specs, model)
+    cov_mu = CovMatrix(cov.entries * np.outer(units, units), cov.methods)
+    cov_theta = _sandwich(jac * units[:, None], cov_mu)
     return FitResult(
         model=model,
         theta_hat=theta,
@@ -329,29 +314,25 @@ def fit(
         cov_theta=cov_theta,
         iterations=iterations,
         residual_norm=float(residual),
-        non_unique=non_unique,
-        alt_theta=alt,
+        non_unique=bool(others),
+        alt_theta=others[-1] if others else None,
     )
 
 
 def delta_cov(
-    model: DistributionModel,
-    specs: list[MomentSpec],
-    cov_mu: CovMatrix,
-    *,
-    template: ModelTemplate | None = None,
-    theta=None,
+    model: DistributionModel, specs: list[MomentSpec], cov_mu: CovMatrix
 ) -> CovMatrix:
     """Parameter-space covariance D^-1 Sigma_mu D^-T with D = d mu / d theta."""
-    if template is None:
-        template = ModelTemplate.all_free(model)
-        theta = np.asarray(model.params, dtype=float)
-    return _sandwich(moment_jacobian(template, theta, specs), cov_mu)
+    theta = np.asarray(model.params, dtype=float)
+    return _sandwich(moment_jacobian(ModelTemplate.all_free(model), theta, specs), cov_mu)
 
 
 def _sandwich(jac: np.ndarray, cov_mu: CovMatrix) -> CovMatrix:
-    """D^-1 Sigma_mu D^-T, refused when D is numerically singular."""
-    condition = float(np.linalg.cond(jac))
+    """D^-1 Sigma_mu D^-T, refused when D is numerically singular, judged
+    with D's rows, then its columns, scaled to a largest entry of 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = jac / np.abs(jac).max(axis=1, keepdims=True)
+        condition = float(np.linalg.cond(np.nan_to_num(rows / np.abs(rows).max(axis=0))))
     if not math.isfinite(condition) or condition > _MAX_CONDITION:
         raise SingularJacobianError(
             f"moment-map Jacobian is numerically singular (cond={condition:.3e})",
@@ -360,7 +341,4 @@ def _sandwich(jac: np.ndarray, cov_mu: CovMatrix) -> CovMatrix:
     inv = np.linalg.inv(jac)
     sigma = inv @ cov_mu.entries @ inv.T
     sigma = 0.5 * (sigma + sigma.T)
-    methods = tuple(
-        tuple("delta" for _ in range(sigma.shape[1])) for _ in range(sigma.shape[0])
-    )
-    return CovMatrix(sigma, methods)
+    return CovMatrix(sigma, (("delta",) * sigma.shape[1],) * sigma.shape[0])

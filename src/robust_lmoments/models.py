@@ -60,22 +60,22 @@ def _extremes_outside(u: np.ndarray) -> tuple[float, ...]:
 _DIFFERENCE_STEP = 1e-6
 
 
-def central_difference(f, params, member) -> np.ndarray:
-    """d f(p) / d p_j at ``params`` for every j, stacked on a new first
-    axis: a central difference with step 1e-6 (1 + |p_j|), one-sided
-    where a step leaves the domain that ``member(p)`` tests."""
-    params = np.asarray(params, dtype=float)
+def central_difference(f, template: "ModelTemplate", theta) -> np.ndarray:
+    """d f(theta) / d theta_j for each free parameter j of ``template``,
+    stacked on a new first axis: a central difference, one-sided where a
+    step leaves the template's domain.  The step is 1e-6 |theta_j|, but
+    1e-6 times the model's largest |parameter| (1e-6 if all are 0) where
+    theta_j's bounds hold 0: a location may sit at or near 0 at any scale."""
+    theta = np.asarray(theta, dtype=float)
+    size = max(abs(p) for p in template.bind(theta).params) or 1.0
     columns = []
-    for j in range(params.size):
-        step = _DIFFERENCE_STEP * (1.0 + abs(params[j]))
-        up = params.copy()
-        dn = params.copy()
+    for j, (lo, hi) in enumerate(template.free_bounds()):
+        step = _DIFFERENCE_STEP * (size if lo < 0.0 < hi else abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
         up[j] += step
         dn[j] -= step
-        if not member(up):
-            up = params
-        if not member(dn):
-            dn = params
+        up = up if template.admits(up) else theta
+        dn = dn if template.admits(dn) else theta
         if np.array_equal(up, dn):
             raise DomainError(f"cannot difference parameter {j} inside its domain")
         columns.append((np.asarray(f(up)) - np.asarray(f(dn))) / (up[j] - dn[j]))
@@ -125,19 +125,9 @@ class DistributionModel:
         into shape (len(params),) + u.shape.  Families without closed
         forms fall back to a central difference of ``quantiles`` in each
         parameter, one-sided where a step leaves the family's domain."""
-        cls = type(self)
-
-        def member(p) -> bool:
-            if not all(lo < v < hi for v, (lo, hi) in zip(p, cls.param_bounds)):
-                return False
-            try:
-                cls(*p)
-            except DomainError:
-                return False
-            return True
-
         u = np.asarray(u, dtype=float)
-        return central_difference(lambda p: cls(*p).quantiles(u), self.params, member)
+        template = ModelTemplate.all_free(self)
+        return central_difference(lambda p: template.bind(p).quantiles(u), template, self.params)
 
     # (lower bounded, upper bounded) support flags
     bounded_below: bool = False
@@ -445,8 +435,7 @@ class ModelTemplate:
         return tuple(i for i, v in enumerate(self.values) if v is None)
 
     def free_bounds(self) -> tuple[tuple[float, float], ...]:
-        all_bounds = self.cls.param_bounds
-        return tuple(all_bounds[i] for i in self.free_indices)
+        return tuple(self.cls.param_bounds[i] for i in self.free_indices)
 
     def bind(self, theta) -> DistributionModel:
         theta = list(theta)
@@ -456,6 +445,16 @@ class ModelTemplate:
             )
         free = iter(theta)
         return self.cls(*(next(free) if v is None else v for v in self.values))
+
+    def admits(self, theta) -> bool:
+        """Each free value inside its open bounds, then the family's own checks."""
+        if not all(lo < v < hi for v, (lo, hi) in zip(theta, self.free_bounds())):
+            return False
+        try:
+            self.bind(theta)
+        except DomainError:
+            return False
+        return True
 
 
 def parse_model_template(text: str) -> ModelTemplate:
@@ -575,6 +574,26 @@ class Shifted(HTransform):
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class _Scaled(HTransform):
+    """h times a power of two, a scaling that binary arithmetic keeps exact."""
+
+    h: HTransform
+    factor: float
+
+    def value(self, x: float) -> float:
+        return self.h.value(x) * self.factor
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.h.values(x) * self.factor
+
+    def derivs(self, x: np.ndarray) -> np.ndarray:
+        return self.h.derivs(x) * self.factor
+
+    def __str__(self) -> str:
+        return str(self.h)
 
 
 @dataclass(frozen=True)

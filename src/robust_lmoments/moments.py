@@ -71,6 +71,12 @@ class MomentSpec:
     def retained(self) -> float:
         return 1.0 - self.a - self.b
 
+    @property
+    def edge_atoms(self) -> tuple[tuple[float, float], ...]:
+        """Winsorizing's atoms (u, mass), mass a at a and b at 1-b, but no
+        zero mass: its end, which may be unbounded, is never evaluated."""
+        return tuple((u, w) for u, w in ((self.a, self.a), (self.b_bar, self.b)) if w > 0)
+
 
 def floor_count(n: int, proportion: float) -> int:
     """Largest integer m with m <= n * proportion, stable against float
@@ -135,25 +141,22 @@ def sample_moment(values: Sequence[float], spec: MomentSpec) -> float:
     return sorted_sample_moment(_ascending(values), spec)
 
 
-def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
-    return integrate(ch.value, spec.a, spec.b_bar) / spec.retained
-
-
-def population_winsorized_moment(ch: CompositeH, spec: MomentSpec) -> float:
-    # Atom weight 0 contributes exactly 0; do not evaluate H there, the
-    # endpoint may be unbounded.
+def population_moment(ch: CompositeH, spec: MomentSpec) -> float:
+    """H's window integral, over the retained mass if trimmed, else plus the edge atoms."""
     total = integrate(ch.value, spec.a, spec.b_bar)
-    if spec.a > 0:
-        total += spec.a * ch.value(spec.a)
-    if spec.b > 0:
-        total += spec.b * ch.value(spec.b_bar)
+    if spec.mode is Mode.MTM:
+        return total / spec.retained
+    for u, mass in spec.edge_atoms:
+        total += mass * ch.value(u)
     return total
 
 
-def population_moment(ch: CompositeH, spec: MomentSpec) -> float:
-    if spec.mode is Mode.MTM:
-        return population_trimmed_moment(ch, spec)
-    return population_winsorized_moment(ch, spec)
+def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
+    return population_moment(ch, replace(spec, mode=Mode.MTM))
+
+
+def population_winsorized_moment(ch: CompositeH, spec: MomentSpec) -> float:
+    return population_moment(ch, replace(spec, mode=Mode.MWM))
 
 
 def load_sample(path: str | Path) -> np.ndarray:

@@ -298,7 +298,8 @@ class TestBisection:
         # A moment map whose residual jumps from -1e-6 to 1e-6 at pi and
         # whose Jacobian is singular, so that Newton fails from every start.
         def jump(template, theta, specs):
-            mu_hat = 7.0 / 3.0  # the untrimmed mean of the sample below
+            # the untrimmed mean of the sample below, in the fit's units
+            mu_hat = sample_moment([1.0, 2.0, 4.0], specs[0])
             residual = np.where(np.asarray(theta) > math.pi, 1e-6, -1e-6)
             return mu_hat * (1.0 + residual), np.zeros((1, 1))
 
@@ -467,3 +468,86 @@ class TestDeltaCov:
 
         cov_th = delta_cov(model, specs, cov_matrix(specs, model))
         assert np.allclose(cov_th.entries, cov_th.entries.T)
+
+    def test_the_same_spec_twice_is_refused(self):
+        # two equal rows: D is singular however its rows and columns are scaled
+        from robust_lmoments import SingularJacobianError, cov_matrix
+
+        model, rng = Normal(1.0, 2.0), np.random.default_rng(1)
+        specs = [MomentSpec(IDENT, 0.1, 0.1)] * 2
+        with pytest.raises(SingularJacobianError):
+            delta_cov(model, specs, cov_matrix(specs, model))
+        with pytest.raises(SingularJacobianError):
+            fit(parse_model_template("normal(?,?)"), rng.normal(1.0, 2.0, 500), specs)
+
+
+class TestUnitEquivariance:
+    """Fitting the data c x in any unit c gives c times the unit-scale
+    estimates and standard errors of location and scale parameters, and the
+    same shape, with no spurious second root."""
+
+    # template, power of c in each parameter, sample draw
+    FAMILIES = {
+        "normal": ("normal(?,?)", (1, 1), lambda g: g.normal(1.0, 2.0, 2000)),
+        "exponential": ("exponential(?)", (1,), lambda g: g.exponential(2.0, 2000)),
+        "pareto": ("pareto(?,?)", (0, 1), lambda g: 1.5 * (1.0 + g.pareto(4.0, 2000))),
+    }
+    # (transform, a, b) per family: windows inside both tails (the batched
+    # moment map), and windows that reach an unbounded tail (QUADPACK)
+    WINDOWS = {
+        "bounded": {
+            "normal": [(IDENT, 0.1, 0.1), (Power(2.0), 0.05, 0.2)],
+            "exponential": [(IDENT, 0.05, 0.1)],
+            "pareto": [(IDENT, 0.05, 0.1), (Power(2.0), 0.1, 0.05)],
+        },
+        "tail": {
+            "normal": [(IDENT, 0.0, 0.0), (Power(2.0), 0.0, 0.0)],
+            "exponential": [(IDENT, 0.0, 0.0)],
+            "pareto": [(IDENT, 0.0, 0.0), (Power(2.0), 0.1, 0.0)],
+        },
+    }
+
+    @staticmethod
+    def _estimates(result) -> np.ndarray:
+        return np.concatenate(
+            [result.theta_hat, np.sqrt(np.diag(result.cov_theta.entries))]
+        )
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("windows", list(WINDOWS))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_fit_scales_with_the_data(self, family, windows, mode):
+        text, powers, draw = self.FAMILIES[family]
+        template = parse_model_template(text)
+        specs = [MomentSpec(t, a, b, mode) for t, a, b in self.WINDOWS[windows][family]]
+        x = draw(np.random.default_rng(3))
+        unit = self._estimates(fit(template, x, specs))
+        for c in (1e-7, 1e-3, 1e3):
+            result = fit(template, c * x, specs)
+            assert not result.non_unique
+            scale = np.tile(c ** np.array(powers, dtype=float), 2)
+            np.testing.assert_allclose(self._estimates(result), scale * unit, rtol=1e-6)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_standardized_data_step_the_location_with_the_scale(self, mode):
+        # The start's location is about 1e-17: a step relative to it alone
+        # would not move a quantile, and the location's column of D would read 0.
+        template = parse_model_template("normal(?,?)")
+        specs = [MomentSpec(IDENT, 0.0, 0.0, mode), MomentSpec(Power(2.0), 0.0, 0.0, mode)]
+        x = np.random.default_rng(1).normal(1.0, 2.0, 2000)
+        m, s = x.mean(), x.std()
+        raw, std = fit(template, x, specs), fit(template, (x - m) / s, specs)
+        np.testing.assert_allclose(std.theta_hat, (raw.theta_hat - [m, 0.0]) / s, atol=1e-9)
+        se_raw, se_std = self._estimates(raw)[2:], self._estimates(std)[2:]
+        np.testing.assert_allclose(se_std, se_raw / s, rtol=1e-6)
+
+    def test_a_tiny_unit_is_not_judged_singular(self):
+        # At c = 1e-13 the raw D has condition 1.2e13; row and column scaling
+        # bring it to that of the unit-scale fit.
+        template = parse_model_template("normal(?,?)")
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        x = np.random.default_rng(1).normal(0.0, 1.0, 2000)
+        unit = self._estimates(fit(template, x, specs))
+        result = fit(template, 1e-13 * x, specs)
+        assert not result.non_unique
+        np.testing.assert_allclose(self._estimates(result), 1e-13 * unit, rtol=1e-6)

@@ -28,6 +28,7 @@ from robust_lmoments import (
     parse_transform,
     register_transform,
 )
+from robust_lmoments.models import central_difference
 
 ALL_MODELS = [
     Uniform(0.0, 1.0),
@@ -196,10 +197,24 @@ class ScalarGumbel(DistributionModel):
 
 
 @dataclass(frozen=True)
-class NarrowGumbel(ScalarGumbel):
-    """A beta domain narrower than any difference step."""
+class BoundedGumbel(ScalarGumbel):
+    """A beta domain with an upper end."""
 
-    param_bounds = ((-math.inf, math.inf), (0.0, 1e-7))
+    param_bounds = ((-math.inf, math.inf), (0.0, 1.0))
+
+
+@dataclass(frozen=True)
+class SteepGumbel(ScalarGumbel):
+    """A beta domain with a lower end away from 0."""
+
+    param_bounds = ((-math.inf, math.inf), (1.0, math.inf))
+
+
+@dataclass(frozen=True)
+class NarrowGumbel(ScalarGumbel):
+    """A beta domain narrower than any difference step at beta = 1."""
+
+    param_bounds = ((-math.inf, math.inf), (1.0 - 1e-7, 1.0 + 1e-7))
 
 
 class TestQuantileGrads:
@@ -224,16 +239,34 @@ class TestQuantileGrads:
         exact = np.stack([np.ones_like(u), -np.log(-np.log(u))])
         np.testing.assert_allclose(got, exact, rtol=1e-7, atol=1e-7)
 
-    def test_fallback_is_one_sided_at_a_domain_edge(self):
-        # beta - step < 0 leaves the domain: a forward difference, exact
-        # up to rounding because Q is linear in beta
+    @pytest.mark.parametrize(
+        "model",
+        [BoundedGumbel(0.5, 1.0 - 1e-7), SteepGumbel(0.5, 1.0 + 1e-7)],
+        ids=["backward", "forward"],
+    )
+    def test_fallback_is_one_sided_at_a_domain_edge(self, model):
+        # a step of 1e-6 beta leaves (0, 1) above and (1, inf) below: a
+        # one-sided difference, exact up to rounding because Q is linear in beta
         u = np.array([0.01, 0.3, 0.99])
-        got = ScalarGumbel(0.5, 1e-7).quantile_grads(u)
-        np.testing.assert_allclose(got[1], -np.log(-np.log(u)), rtol=1e-7)
+        np.testing.assert_allclose(model.quantile_grads(u)[1], -np.log(-np.log(u)), rtol=1e-7)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-17, 0.5])
+    def test_a_location_steps_with_the_model_scale(self, mu):
+        # A step of 1e-6 |mu| would not move Q at mu = 1e-17, nor exist at 0.
+        u = np.array([0.01, 0.3, 0.99])
+        got = ScalarGumbel(mu, 2.0).quantile_grads(u)
+        np.testing.assert_allclose(got[0], np.ones_like(u), rtol=1e-7)
+
+    def test_a_positive_parameter_steps_relative_to_itself(self):
+        # d beta^2 / d beta at beta = 1e-7: a step of 1e-6 (1 + beta) leaves
+        # beta > 0, and its forward difference reads 1.2e-6; 1e-6 beta stays inside.
+        template = ModelTemplate.all_free(ScalarGumbel())
+        got = central_difference(lambda q: q[1] ** 2, template, [0.5, 1e-7])
+        np.testing.assert_allclose(got, [0.0, 2e-7], rtol=1e-8, atol=1e-15)
 
     def test_fallback_refuses_a_parameter_it_cannot_step(self):
         with pytest.raises(DomainError, match="cannot difference parameter 1"):
-            NarrowGumbel(0.5, 5e-8).quantile_grads(np.array([0.5]))
+            NarrowGumbel(0.5, 1.0).quantile_grads(np.array([0.5]))
 
 
 class TestParsing:
