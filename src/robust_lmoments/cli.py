@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import os
 import sys
 import tempfile
@@ -23,9 +22,9 @@ import numpy as np
 
 from .asymcov import CovMethod, CovMatrix, cov_matrix
 from .audit import run_mtm_audit, run_mwm_audit, run_mwm_equal_props_audit
-from .errors import RobustLMomentsError
+from .errors import DomainError, RobustLMomentsError
 from .estimate import fit as fit_model
-from .models import parse_model, parse_model_template, parse_transform
+from .models import Identity, parse_model, parse_model_template, parse_transform
 from .moments import (
     CompositeH,
     Mode,
@@ -58,6 +57,7 @@ class RunConfig:
 
 
 def _trim_pair(text: str) -> tuple[float, float]:
+    """Two numbers 'a,b' that a MomentSpec takes as trimming proportions."""
     try:
         a_txt, b_txt = text.split(",")
         a, b = float(a_txt), float(b_txt)
@@ -65,14 +65,10 @@ def _trim_pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected 'a,b' with two numbers, got {text!r}"
         ) from exc
-    if math.isnan(a) or math.isnan(b):
-        raise argparse.ArgumentTypeError(
-            f"trimming proportions must be numbers, got {text!r}"
-        )
-    if a < 0 or b < 0:
-        raise argparse.ArgumentTypeError("trimming proportions must be >= 0")
-    if a + b >= 1:
-        raise argparse.ArgumentTypeError("a+b must be < 1")
+    try:
+        MomentSpec(Identity(), a, b)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return a, b
 
 

@@ -12,14 +12,15 @@ quadrature.  The D of the accepted Newton point drives the next step, and
 the D at the root drives the sandwich.  A spec whose window reaches an
 unbounded tail of the family takes the scalar QUADPACK moment and its
 central difference instead: the batched engine does not extrapolate
-towards an endpoint singularity.  A fit works in each h over the least
-power of two above the mean |h(X)| over its window: exactly, and unit-free.
+towards an endpoint singularity.  Both quadratures are purely relative, so
+moments, D and covariances scale with the data; so does the residual's
+floor, the least power of two above the mean |h(X)| over a spec's window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     RobustLMomentsError,
     SingularJacobianError,
 )
-from .models import CompositeH, DistributionModel, ModelTemplate, _Scaled, central_difference
+from .models import CompositeH, DistributionModel, ModelTemplate, central_difference
 from .moments import (
     Mode,
     MomentSpec,
@@ -141,13 +142,13 @@ def _moment_map(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.n
     return mu, jac
 
 
-def _evaluate(template, theta, specs, mu_hat):
+def _evaluate(template, theta, specs, target):
     """At theta: the residual (mu - mu_hat) / s, as mu / s - mu_hat / s so that
-    it is bitwise mu / mu_hat - 1 where s = mu_hat; the moment Jacobian; and s,
-    which is 1 where |mu_hat| <= 1e-12 (of the sample's size, in fit's units)."""
+    it is bitwise mu / mu_hat - 1 where s = mu_hat, and the moment Jacobian;
+    ``target`` is (mu_hat, s)."""
+    mu_hat, s = target
     mu, jac = _moment_map(template, theta, specs)
-    s = np.where(np.abs(mu_hat) > 1e-12, mu_hat, 1.0)
-    return mu / s - mu_hat / s, jac, s
+    return mu / s - mu_hat / s, jac
 
 
 def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
@@ -171,16 +172,16 @@ def moment_jacobian(template: ModelTemplate, theta, specs) -> np.ndarray:
     return _moment_map(template, theta, specs)[1]
 
 
-def _newton(template, specs, mu_hat, theta0):
-    """Damped Newton from theta0: (root, iterations, residual, Jacobian at
-    the root)."""
+def _newton(template, specs, target, theta0):
+    """Damped Newton from theta0 toward ``target`` = (mu_hat, residual
+    scales): (root, iterations, residual, Jacobian at the root)."""
     theta = np.asarray(theta0, dtype=float)
-    r, jac, scale = _evaluate(template, theta, specs, mu_hat)
+    r, jac = _evaluate(template, theta, specs, target)
     for iteration in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) <= RESIDUAL_TOL:
             return theta, iteration - 1, float(np.max(np.abs(r))), jac
         try:
-            step = np.linalg.solve(jac / scale[:, None], -r)
+            step = np.linalg.solve(jac / target[1][:, None], -r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "Jacobian of the moment map is singular", condition=math.inf
@@ -192,7 +193,7 @@ def _newton(template, specs, mu_hat, theta0):
             cand = theta + lam * step
             if template.admits(cand):
                 try:
-                    r_cand, jac_cand, _ = _evaluate(template, cand, specs, mu_hat)
+                    r_cand, jac_cand = _evaluate(template, cand, specs, target)
                 except RobustLMomentsError:
                     r_cand = None
                 if r_cand is not None and float(np.linalg.norm(r_cand)) < norm0:
@@ -206,11 +207,11 @@ def _newton(template, specs, mu_hat, theta0):
     raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
 
 
-def _bisect_1d(template, specs, mu_hat, theta0):
+def _bisect_1d(template, specs, target, theta0):
     """Fallback for one free parameter: bracket then bisect the residual."""
 
     def f(t):
-        return _evaluate(template, [t], specs, mu_hat)[0][0]
+        return _evaluate(template, [t], specs, target)[0][0]
 
     lo_bound, hi_bound = template.free_bounds()[0]
     t0 = float(theta0[0])
@@ -281,7 +282,8 @@ def fit(
         h = s.transform.values(xs[lo:hi])  # once, for the moment and its unit
         mu_hat[j] = _window_moment(h, lo, hi, xs.size, s.mode)
         units[j] = math.ldexp(1.0, math.frexp(np.abs(h).mean())[1])
-    specs = [replace(s, transform=_Scaled(s.transform, 1 / u)) for s, u in zip(specs, units)]
+    # each residual relative to mu_hat, or absolute in its unit where mu_hat ~ 0
+    target = mu_hat, np.where(np.abs(mu_hat) > 1e-12 * units, mu_hat, units)
 
     starts = _initial_guesses(template, sample)
     solutions = []
@@ -290,11 +292,11 @@ def fit(
     # convergence error) is one failed start; the others still run.
     for start in starts:
         try:
-            solutions.append(_newton(template, specs, mu_hat / units, start))
+            solutions.append(_newton(template, specs, target, start))
         except RobustLMomentsError as exc:
             failure = exc
     if not solutions and template.free_count == 1:
-        theta, iterations, residual = _bisect_1d(template, specs, mu_hat / units, starts[0])
+        theta, iterations, residual = _bisect_1d(template, specs, target, starts[0])
         jac = _moment_map(template, theta, specs)[1]
         solutions.append((theta, iterations, residual, jac))
     if not solutions:
@@ -303,9 +305,8 @@ def fit(
     theta, iterations, residual, jac = solutions[0]
     others = [t for t, *_ in solutions[1:] if not np.allclose(t, theta, rtol=1e-4, atol=1e-8)]
     model = template.bind(theta)
-    cov = cov_matrix(specs, model)
-    cov_mu = CovMatrix(cov.entries * np.outer(units, units), cov.methods)
-    cov_theta = _sandwich(jac * units[:, None], cov_mu)
+    cov_mu = cov_matrix(specs, model)
+    cov_theta = _sandwich(jac, cov_mu)
     return FitResult(
         model=model,
         theta_hat=theta,
@@ -322,9 +323,14 @@ def fit(
 def delta_cov(
     model: DistributionModel, specs: list[MomentSpec], cov_mu: CovMatrix
 ) -> CovMatrix:
-    """Parameter-space covariance D^-1 Sigma_mu D^-T with D = d mu / d theta."""
-    theta = np.asarray(model.params, dtype=float)
-    return _sandwich(moment_jacobian(ModelTemplate.all_free(model), theta, specs), cov_mu)
+    """Parameter-space covariance D^-1 Sigma_mu D^-T with D = d mu / d theta,
+    for one spec per parameter of ``model`` and a k x k ``cov_mu``."""
+    template = ModelTemplate.all_free(model)
+    _check_spec_count(template, specs)
+    k = len(specs)
+    if cov_mu.entries.shape != (k, k):
+        raise DomainError(f"cov_mu must be {k} x {k} for {k} specs, got {cov_mu.entries.shape}")
+    return _sandwich(moment_jacobian(template, model.params, specs), cov_mu)
 
 
 def _sandwich(jac: np.ndarray, cov_mu: CovMatrix) -> CovMatrix:

@@ -9,6 +9,7 @@ analytically per family; finite differences are reserved for the tests.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -57,6 +58,13 @@ def _extremes_outside(u: np.ndarray) -> tuple[float, ...]:
     return ()
 
 
+def _check_finite(obj) -> None:
+    """Refuse a NaN or infinite numeric field of a family or transform."""
+    for f in fields(obj):
+        if isinstance(v := getattr(obj, f.name), numbers.Real) and not math.isfinite(v):
+            raise DomainError(f"{type(obj).__name__.lower()} {f.name} must be finite, got {v}")
+
+
 _DIFFERENCE_STEP = 1e-6
 
 
@@ -88,7 +96,7 @@ class DistributionModel:
     Subclasses are immutable dataclasses exposing the quantile function,
     as a scalar ``quantile`` and optionally an array ``quantiles``, and
     its derivative as an array ``quantile_densities``.  Their fields are
-    the parameters:
+    the parameters, refused unless finite:
     ``params`` is the field values in declaration order and the field
     defaults are the family's default member.  ``param_bounds`` gives
     open-domain limits per parameter used by the fitting line search.
@@ -96,6 +104,7 @@ class DistributionModel:
 
     family: str = "abstract"
     param_bounds: tuple[tuple[float, float], ...]
+    __post_init__ = _check_finite
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -188,6 +197,7 @@ class Uniform(DistributionModel):
     bounded_above = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.hi > self.lo:
             raise DomainError(f"uniform requires hi > lo, got ({self.lo}, {self.hi})")
 
@@ -221,6 +231,7 @@ class Exponential(DistributionModel):
     bounded_below = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.scale > 0:
             raise DomainError(f"exponential scale must be > 0, got {self.scale}")
 
@@ -256,6 +267,7 @@ class Pareto(DistributionModel):
     bounded_below = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.shape > 0 or not self.xm > 0:
             raise DomainError(
                 f"pareto requires shape > 0 and xm > 0, got ({self.shape}, {self.xm})"
@@ -298,6 +310,7 @@ class Lognormal(DistributionModel):
     bounded_below = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.sigma > 0:
             raise DomainError(f"lognormal sigma must be > 0, got {self.sigma}")
 
@@ -342,6 +355,7 @@ class Normal(DistributionModel):
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.sigma > 0:
             raise DomainError(f"normal sigma must be > 0, got {self.sigma}")
 
@@ -475,6 +489,7 @@ class HTransform:
     parameters, as in ``power(2)``."""
 
     kind: str = "abstract"
+    __post_init__ = _check_finite
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -514,6 +529,7 @@ class Power(HTransform):
     kind = "power"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.exponent < 1:
             raise DomainError(f"power exponent must be >= 1, got {self.exponent}")
 
@@ -574,26 +590,6 @@ class Shifted(HTransform):
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class _Scaled(HTransform):
-    """h times a power of two, a scaling that binary arithmetic keeps exact."""
-
-    h: HTransform
-    factor: float
-
-    def value(self, x: float) -> float:
-        return self.h.value(x) * self.factor
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.h.values(x) * self.factor
-
-    def derivs(self, x: np.ndarray) -> np.ndarray:
-        return self.h.derivs(x) * self.factor
-
-    def __str__(self) -> str:
-        return str(self.h)
 
 
 @dataclass(frozen=True)

@@ -385,9 +385,9 @@ class TestRefusals:
         "argv, message",
         [
             (["--trim", "0.1"], "expected 'a,b' with two numbers, got '0.1'"),
-            (["--trim=-0.1,0.2"], "trimming proportions must be >= 0"),
-            (["--trim", "nan,0.1"], "trimming proportions must be numbers"),
-            (["--trim", "0.1,nan"], "trimming proportions must be numbers"),
+            (["--trim=-0.1,0.2"], "proportions must be >= 0, got a=-0.1, b=0.2"),
+            (["--trim", "nan,0.1"], "proportions must be numbers, got a=nan, b=0.1"),
+            (["--trim", "0.1,nan"], "proportions must be numbers, got a=0.1, b=nan"),
         ],
         ids=["one-number", "negative", "nan-lower", "nan-upper"],
     )
@@ -404,7 +404,7 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert "trimming proportions must be numbers, got 'nan,0.1'" in captured.err
+        assert "proportions must be numbers, got a=nan, b=0.1" in captured.err
 
     def test_non_finite_family_parameter(self, capsys):
         code = main(["asymcov", "--family", "normal(nan,1)"])

@@ -1,6 +1,8 @@
 """Properties of the covariance routes over randomly drawn specs: family,
 transforms, trimming windows in any ordering, and mode."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from robust_lmoments import (
     Shifted,
     Uniform,
     cov_matrix,
+    delta_cov,
     sigma_pair,
 )
 from robust_lmoments.audit import relative_deviation
@@ -194,3 +197,48 @@ def test_a_location_shift_leaves_each_entry_unchanged(method, data, d):
     base = _entry(model, specs, method)
     shifted = _entry(_shifted(model, d), specs, method)
     _assert_within_bound(shifted, base, model, specs, method, 1.0)
+
+
+# Members of c times a variable of each family, with the power of c by which
+# each parameter scales: a location or scale by c, a shape not at all, and
+# lognormal's mu by a shift of log c.
+UNIT_FREE_MEMBERS = {
+    "uniform": (lambda c: Uniform(c, 3.0 * c), (1, 1)),
+    "exponential": (lambda c: Exponential(c), (1,)),
+    "pareto": (lambda c: Pareto(6.0, c), (0, 1)),
+    "lognormal": (lambda c: Lognormal(math.log(c), 0.5), (0, 0)),
+    "normal": (lambda c: Normal(c, 2.0 * c), (1, 1)),
+}
+UNIT_FREE_WINDOWS = [
+    (Mode.MTM, 0.0, 0.0),
+    (Mode.MTM, 0.1, 0.1),
+    (Mode.MTM, 0.05, 0.2),
+    (Mode.MWM, 0.1, 0.1),
+    (Mode.MWM, 0.05, 0.2),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, a, b", UNIT_FREE_WINDOWS, ids=[f"{m.value}-{a}-{b}" for m, a, b in UNIT_FREE_WINDOWS]
+)
+@pytest.mark.parametrize("family", sorted(UNIT_FREE_MEMBERS))
+def test_covariances_do_not_depend_on_the_units_of_the_data(family, mode, a, b):
+    # Entry (i, j) of identity and power(2) scales by c^(p_i + p_j), and each
+    # delta-method standard error by its parameter's power of c, however
+    # small the data's units: the quadratures keep no absolute floor.
+    member, degrees = UNIT_FREE_MEMBERS[family]
+    specs = [MomentSpec(Identity(), a, b, mode), MomentSpec(Power(2.0), a, b, mode)]
+    powers = np.add.outer([1, 2], [1, 2])
+    own = specs[: len(degrees)]  # one spec per parameter for delta_cov
+
+    def unit_free(c):
+        model = member(c)
+        cov = cov_matrix(specs, model).entries / c**powers
+        se = np.sqrt(np.diag(delta_cov(model, own, cov_matrix(own, model)).entries))
+        return cov, se / c ** np.array(degrees)
+
+    cov_1, se_1 = unit_free(1.0)
+    for c in (1e-7, 1e-3, 1e3):
+        cov, se = unit_free(c)
+        assert np.abs(cov - cov_1).max() <= 1e-11 * np.abs(cov_1).max(), c
+        np.testing.assert_allclose(se, se_1, rtol=1e-6, atol=0, err_msg=f"c = {c}")

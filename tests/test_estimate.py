@@ -199,11 +199,11 @@ class TestFailurePropagation:
         newton = estimate_module._newton
         starts = []
 
-        def first_start_diverges(template, specs, mu_hat, theta0):
+        def first_start_diverges(template, specs, target, theta0):
             starts.append(theta0)
             if len(starts) == 1:
                 raise DivergenceError("integral over [0.1, 1.0] did not converge")
-            return newton(template, specs, mu_hat, theta0)
+            return newton(template, specs, target, theta0)
 
         monkeypatch.setattr(estimate_module, "_newton", first_start_diverges)
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
@@ -213,7 +213,7 @@ class TestFailurePropagation:
         assert result.residual_norm <= 1e-9
 
     def test_every_start_failing_raises_the_last_failure(self, monkeypatch):
-        def diverging(template, specs, mu_hat, theta0):
+        def diverging(template, specs, target, theta0):
             raise DivergenceError(f"diverged from {theta0.tolist()}")
 
         monkeypatch.setattr(estimate_module, "_newton", diverging)
@@ -298,7 +298,7 @@ class TestBisection:
         # A moment map whose residual jumps from -1e-6 to 1e-6 at pi and
         # whose Jacobian is singular, so that Newton fails from every start.
         def jump(template, theta, specs):
-            # the untrimmed mean of the sample below, in the fit's units
+            # the untrimmed mean of the sample below
             mu_hat = sample_moment([1.0, 2.0, 4.0], specs[0])
             residual = np.where(np.asarray(theta) > math.pi, 1e-6, -1e-6)
             return mu_hat * (1.0 + residual), np.zeros((1, 1))
@@ -479,6 +479,24 @@ class TestDeltaCov:
             delta_cov(model, specs, cov_matrix(specs, model))
         with pytest.raises(SingularJacobianError):
             fit(parse_model_template("normal(?,?)"), rng.normal(1.0, 2.0, 500), specs)
+
+    def test_a_spec_count_other_than_the_parameter_count_is_refused(self):
+        # It used to let numpy's LinAlgError out of the sandwich.
+        from robust_lmoments import cov_matrix
+
+        model = Exponential(1.0)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        with pytest.raises(DomainError, match="^need exactly 1 moment specs"):
+            delta_cov(model, specs, cov_matrix(specs, model))
+
+    def test_a_cov_mu_of_another_shape_is_refused(self):
+        from robust_lmoments import cov_matrix
+
+        model = Normal(0.0, 1.0)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        cov_mu = cov_matrix(specs[:1], model)
+        with pytest.raises(DomainError, match=r"^cov_mu must be 2 x 2 for 2 specs"):
+            delta_cov(model, specs, cov_mu)
 
 
 class TestUnitEquivariance:

@@ -347,6 +347,29 @@ class TestParsing:
         with pytest.raises(DomainError, match="^non-finite parameter in"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Normal(math.nan, 1.0),
+            lambda: Lognormal(math.inf, 1.0),
+            lambda: Normal(0.0, math.inf),
+            lambda: Uniform(0.0, math.inf),
+            lambda: Pareto(math.inf, 1.0),
+            lambda: Exponential(-math.inf),
+            lambda: Power(math.nan),
+            lambda: Shifted(math.nan),
+        ],
+        ids=[
+            "normal-nan-mu", "lognormal-inf-mu", "normal-inf-sigma", "uniform-inf-hi",
+            "pareto-inf-shape", "exponential-minus-inf", "power-nan", "shifted-nan",
+        ],
+    )
+    def test_non_finite_parameter_is_refused_on_construction(self, make):
+        # These used to construct and then fail as a DivergenceError of the
+        # first integral over H.
+        with pytest.raises(DomainError, match="must be finite, got"):
+            make()
+
     def test_bare_name_only_for_parameterless_transform(self):
         with pytest.raises(DomainError, match="unknown transform"):
             parse_transform("power")

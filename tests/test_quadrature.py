@@ -348,3 +348,31 @@ class TestIntegrateBatch:
         )
         assert got.tolist() == [0.0, pytest.approx(0.5, rel=1e-14), 0.0]
         assert quadrature.integrate_batch(lambda u, rows: u, [], []).size == 0
+
+
+# (integrand of a float or an array, lo, hi): smooth but peaked, so that it takes
+# several subdivisions; odd about the middle of its interval, so that its
+# value is 0 to rounding; and singular at an end.
+UNIT_FREE_CASES = {
+    "smooth": (lambda u: 1.0 / (0.01 + (u - 0.3) ** 2), 0.1, 0.9),
+    "odd": (lambda u: u - 0.575, 0.25, 0.9),
+    "end-singular": (lambda u: 1.0 / np.sqrt(u), 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("k", [-60, 40])
+@pytest.mark.parametrize("case", sorted(UNIT_FREE_CASES))
+def test_tolerance_is_unit_free(case, k):
+    # No absolute floor: both quadratures of 2^k f take the same steps as
+    # those of f, so the values scale by 2^k exactly.
+    g, lo, hi = UNIT_FREE_CASES[case]
+    scale = 2.0**k
+
+    def scalar(c):
+        return integrate(lambda u: c * g(u), lo, hi)
+
+    def batched(c):
+        return quadrature.integrate_batch(lambda u, rows: c * g(u), [lo], [hi])[0]
+
+    assert scalar(scale) == scale * scalar(1.0)
+    assert batched(scale) == scale * batched(1.0)
