@@ -328,6 +328,8 @@ def delta_cov(
     template = ModelTemplate.all_free(model)
     _check_spec_count(template, specs)
     k = len(specs)
+    if not isinstance(cov_mu, CovMatrix):
+        raise DomainError(f"cov_mu must be a CovMatrix, got {type(cov_mu).__name__}")
     if cov_mu.entries.shape != (k, k):
         raise DomainError(f"cov_mu must be {k} x {k} for {k} specs, got {cov_mu.entries.shape}")
     return _sandwich(moment_jacobian(template, model.params, specs), cov_mu)

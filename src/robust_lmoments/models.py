@@ -42,20 +42,53 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _check_unit(u: float) -> None:
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {u}")
+def _least(x) -> float:
+    """The least of a float or of an array of floats; NaN if it is empty."""
+    return x if isinstance(x, float) else (float(x.min()) if x.size else math.nan)
 
 
-def _extremes_outside(u: np.ndarray) -> tuple[float, ...]:
-    """The least and greatest entries of ``u``, or none if it is empty or
-    both lie strictly inside (0, 1), as quadrature nodes do (a NaN
-    propagates into both and is returned)."""
-    if u.size:
-        least, most = u.min(), u.max()
-        if not (0.0 < least and most < 1.0):
-            return float(least), float(most)
-    return ()
+def _check_unit(u, refused=None):
+    """``u`` as a float, or as an array of floats if it is not one, once
+    it lies in [0, 1], else a DomainError; then the error
+    ``refused[end](end)`` for the first end (0 or 1) of the mapping
+    ``refused`` that u reaches.  An array is checked through its least and
+    greatest entries only, which lie strictly inside (0, 1) for quadrature
+    nodes (a NaN propagates into both)."""
+    if isinstance(u, float):
+        if 0.0 < u < 1.0:
+            return u
+        ends = (u,)
+    else:
+        u = np.asarray(u, dtype=float)
+        if not u.size:
+            return u
+        ends = (float(u.min()), float(u.max()))
+        if 0.0 < ends[0] and ends[1] < 1.0:
+            return u
+    for x in ends:
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"probability must lie in [0, 1], got {x}")
+    for end, error in (refused or {}).items():
+        if end in ends:
+            raise error(end)
+    return u
+
+
+class _FloatFunctions:
+    """The elementary functions of the quantile and transform expressions
+    for a float: ``math``'s, which return Python floats.  Each expression
+    picks this set or ``_ArrayFunctions`` by ``isinstance(x, float)``."""
+
+    log1p, exp = math.log1p, math.exp
+    log = staticmethod(lambda x: math.log(x) if x else -math.inf)  # -inf at 0, as numpy's
+    ndtri = staticmethod(lambda u: float(ndtri(u)))
+
+
+class _ArrayFunctions:
+    """The same functions for an array: numpy's, elementwise."""
+
+    log1p, exp, ndtri = np.log1p, np.exp, ndtri
+    log = staticmethod(np.errstate(divide="ignore")(np.log))  # log(0) = -inf, silently
 
 
 def _check_finite(obj) -> None:
@@ -93,18 +126,32 @@ def central_difference(f, template: "ModelTemplate", theta) -> np.ndarray:
 class DistributionModel:
     """Base class for parametric families.
 
-    Subclasses are immutable dataclasses exposing the quantile function,
-    as a scalar ``quantile`` and optionally an array ``quantiles``, and
-    its derivative as an array ``quantile_densities``.  Their fields are
-    the parameters, refused unless finite:
-    ``params`` is the field values in declaration order and the field
-    defaults are the family's default member.  ``param_bounds`` gives
-    open-domain limits per parameter used by the fitting line search.
+    Subclasses are immutable dataclasses exposing the quantile function
+    as ``quantiles`` and its derivative as ``quantile_densities``, both
+    elementwise.  ``quantiles`` takes a float or an array and answers in
+    kind, with one expression whose functions come from ``math`` for a
+    float and from numpy for an array (``_FloatFunctions`` or
+    ``_ArrayFunctions``).  Their fields are the parameters, refused unless
+    finite: ``params`` is the field values in declaration order and the
+    field defaults are the family's default member.  ``param_bounds``
+    gives open-domain limits per parameter used by the fitting line search.
     """
 
     family: str = "abstract"
     param_bounds: tuple[tuple[float, float], ...]
     __post_init__ = _check_finite
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The ends of [0, 1] at which the quantile is infinite, each with
+        # the error that refuses it there.
+        cls._infinite_ends = {
+            end: lambda end: UnboundedQuantileError(
+                f"{cls.family}: quantile at {end:g} is {'+' if end else '-'}infinity"
+            )
+            for end, bounded in ((0.0, cls.bounded_below), (1.0, cls.bounded_above))
+            if not bounded
+        }
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -116,17 +163,13 @@ class DistributionModel:
         sample ``x``; all ones for a family that defines none."""
         return (1.0,) * len(cls.param_bounds)
 
-    def quantile(self, u: float) -> float:
+    def quantiles(self, u: float | np.ndarray) -> float | np.ndarray:
+        """The quantile F^-1(u) of a float, or elementwise of an array,
+        refused at an end of [0, 1] where it is infinite."""
         raise NotImplementedError
 
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        """Array form of ``quantile``: same values, same domain errors.
-        Families without a numpy expression fall back to this adapter."""
-        return np.vectorize(self.quantile, otypes=[float])(u)
-
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        """The quantile density q(u) = d quantiles(u) / du, elementwise;
-        an array form only, with no fallback."""
+        """The quantile density q(u) = d quantiles(u) / du, elementwise."""
         raise NotImplementedError
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
@@ -148,38 +191,13 @@ class DistributionModel:
         proportion only on a side where the quantile is finite."""
         return (a > 0.0 or cls.bounded_below) and (b > 0.0 or cls.bounded_above)
 
-    def _check_endpoint(self, u: float) -> None:
-        _check_unit(u)
-        if u == 0.0 and not self.bounded_below:
-            raise UnboundedQuantileError(
-                f"{self.family}: quantile at 0 is -infinity"
-            )
-        if u == 1.0 and not self.bounded_above:
-            raise UnboundedQuantileError(
-                f"{self.family}: quantile at 1 is +infinity"
-            )
-
-    def _check_endpoints(self, u: np.ndarray) -> np.ndarray:
-        """``_check_endpoint`` over an array, through its extremes only."""
-        u = np.asarray(u, dtype=float)
-        for x in _extremes_outside(u):
-            self._check_endpoint(x)
-        return u
-
-    def _check_density_domain(self, u: np.ndarray, singular=()) -> np.ndarray:
-        """``_check_unit`` over an array, through its extremes only, then a
-        SingularityError where u reaches an end in ``singular``, at which
-        the quantile density diverges."""
-        u = np.asarray(u, dtype=float)
-        extremes = _extremes_outside(u)
-        for x in extremes:
-            _check_unit(x)
-        for x in extremes:
-            if x in singular:
-                raise SingularityError(
-                    f"{self.family} quantile density diverges at u={x:g}"
-                )
-        return u
+    def _singular(self, *ends: float) -> dict:
+        """The refusal, for ``_check_unit``, of the ends at which the
+        quantile density diverges."""
+        return dict.fromkeys(
+            ends,
+            lambda end: SingularityError(f"{self.family} quantile density diverges at u={end:g}"),
+        )
 
     def __str__(self) -> str:
         inner = ",".join(f"{p:g}" for p in self.params)
@@ -206,20 +224,16 @@ class Uniform(DistributionModel):
         span = x.max() - x.min()
         return (x.min() - 0.05 * span, x.max() + 0.05 * span)
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return self.lo + (self.hi - self.lo) * u
-
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
         return self.lo + (self.hi - self.lo) * u
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
+        u = _check_unit(np.asarray(u, dtype=float), self._infinite_ends)
         return np.stack([1.0 - u, u])
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(self._check_density_domain(u), self.hi - self.lo)
+        return np.full_like(_check_unit(np.asarray(u, dtype=float)), self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -239,19 +253,16 @@ class Exponential(DistributionModel):
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
         return (max(float(np.mean(x)), 1e-8),)
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return -self.scale * math.log1p(-u)
-
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
-        return -self.scale * np.log1p(-u)
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
+        fn = _FloatFunctions if isinstance(u, float) else _ArrayFunctions
+        return -self.scale * fn.log1p(-u)
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
-        return (self.quantiles(u) / self.scale)[None]
+        return (self.quantiles(np.asarray(u, dtype=float)) / self.scale)[None]
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_density_domain(u, (1.0,))
+        u = _check_unit(np.asarray(u, dtype=float), self._singular(1.0))
         return self.scale / (1.0 - u)
 
 
@@ -282,21 +293,17 @@ class Pareto(DistributionModel):
         excess = float(np.mean(np.log(positive))) - math.log(xm)
         return (1.0 / excess if excess > 1e-9 else 2.0, xm)
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return self.xm * (1.0 - u) ** (-1.0 / self.shape)
-
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
         return self.xm * (1.0 - u) ** (-1.0 / self.shape)
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
-        q = self.xm * (1.0 - u) ** (-1.0 / self.shape)
+        u = np.asarray(u, dtype=float)
+        q = self.quantiles(u)
         return np.stack([q * np.log1p(-u) / self.shape ** 2, q / self.xm])
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_density_domain(u, (1.0,))
+        u = _check_unit(np.asarray(u, dtype=float), self._singular(1.0))
         return (self.xm / self.shape) * (1.0 - u) ** (-1.0 / self.shape - 1.0)
 
 
@@ -322,25 +329,20 @@ class Lognormal(DistributionModel):
         logs = np.log(positive)
         return (float(np.mean(logs)), float(np.std(logs)) or 1.0)
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        if u == 0.0:
-            return 0.0
-        return math.exp(self.mu + self.sigma * float(ndtri(u)))
-
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        # ndtri(0) = -inf, so u = 0 maps to exp(-inf) = 0 as in the scalar form
-        u = self._check_endpoints(u)
-        return np.exp(self.mu + self.sigma * ndtri(u))
+    def quantiles(self, u):
+        # ndtri(0) = -inf, so u = 0 maps to exp(-inf) = 0
+        u = _check_unit(u, self._infinite_ends)
+        fn = _FloatFunctions if isinstance(u, float) else _ArrayFunctions
+        return fn.exp(self.mu + self.sigma * fn.ndtri(u))
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
+        u = _check_unit(np.asarray(u, dtype=float), self._infinite_ends)
         z = ndtri(u)
         q = np.exp(self.mu + self.sigma * z)
         return np.stack([q, q * z])
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_density_domain(u, (0.0, 1.0))
+        u = _check_unit(np.asarray(u, dtype=float), self._singular(0.0, 1.0))
         z = ndtri(u)
         phi = np.exp(-0.5 * z * z) / _SQRT_2PI
         return self.sigma * np.exp(self.mu + self.sigma * z) / phi
@@ -363,21 +365,17 @@ class Normal(DistributionModel):
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
         return (float(np.mean(x)), float(np.std(x)) or 1.0)
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return self.mu + self.sigma * float(ndtri(u))
-
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
-        return self.mu + self.sigma * ndtri(u)
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
+        fn = _FloatFunctions if isinstance(u, float) else _ArrayFunctions
+        return self.mu + self.sigma * fn.ndtri(u)
 
     def quantile_grads(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_endpoints(u)
-        z = ndtri(u)
+        z = ndtri(_check_unit(np.asarray(u, dtype=float), self._infinite_ends))
         return np.stack([np.ones_like(z), z])
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
-        u = self._check_density_domain(u, (0.0, 1.0))
+        u = _check_unit(np.asarray(u, dtype=float), self._singular(0.0, 1.0))
         z = ndtri(u)
         return self.sigma / (np.exp(-0.5 * z * z) / _SQRT_2PI)
 
@@ -482,8 +480,9 @@ def parse_model_template(text: str) -> ModelTemplate:
 
 
 class HTransform:
-    """Base class for the per-coordinate transform h with derivative, a
-    scalar and an array ``value`` and an array ``derivs``.
+    """Base class for the per-coordinate transform h: ``values`` takes a
+    float or an array and answers in kind, as ``quantiles`` does, and
+    ``derivs`` gives h' elementwise over an array.
 
     Subclasses are immutable dataclasses whose fields are the transform's
     parameters, as in ``power(2)``."""
@@ -491,13 +490,9 @@ class HTransform:
     kind: str = "abstract"
     __post_init__ = _check_finite
 
-    def value(self, x: float) -> float:
+    def values(self, x: float | np.ndarray) -> float | np.ndarray:
+        """h(x) of a float, or elementwise of an array."""
         raise NotImplementedError
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Array form of ``value``: same values, same domain errors.
-        Custom transforms fall back to this adapter."""
-        return np.vectorize(self.value, otypes=[float])(x)
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         """The derivative h'(x), elementwise; an array form only."""
@@ -512,11 +507,8 @@ class HTransform:
 class Identity(HTransform):
     kind = "identity"
 
-    def value(self, x: float) -> float:
-        return x
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+    def values(self, x):
+        return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
@@ -533,41 +525,38 @@ class Power(HTransform):
         if self.exponent < 1:
             raise DomainError(f"power exponent must be >= 1, got {self.exponent}")
 
-    def value(self, x: float) -> float:
-        if x < 0 and self.exponent != int(self.exponent):
-            raise DomainError(f"power({self.exponent}) undefined for x={x} < 0")
-        return x ** self.exponent
-
-    def _check_reals(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.exponent != int(self.exponent) and x.size and x.min() < 0:
-            raise DomainError(f"power({self.exponent}) undefined for x={x.min()} < 0")
+    def _check_reals(self, x):
+        """``x`` as a float, or as an array of floats if it is not one,
+        refused if it holds a negative value and the exponent is not whole."""
+        if isinstance(x, float):
+            if x >= 0.0:
+                return x
+        else:
+            x = np.asarray(x, dtype=float)
+        if self.exponent != int(self.exponent) and (least := _least(x)) < 0:
+            raise DomainError(f"power({self.exponent}) undefined for x={least} < 0")
         return x
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def values(self, x):
         return self._check_reals(x) ** self.exponent
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
-        return self.exponent * self._check_reals(x) ** (self.exponent - 1.0)
+        return self.exponent * self._check_reals(np.asarray(x, dtype=float)) ** (self.exponent - 1.0)
 
 
 @dataclass(frozen=True)
 class Log(HTransform):
     kind = "log"
 
-    def value(self, x: float) -> float:
-        if x <= 0:
-            if x == 0:
-                return -math.inf
-            raise DomainError(f"log transform undefined for x={x} < 0")
-        return math.log(x)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.size and x.min() < 0:
-            raise DomainError(f"log transform undefined for x={x.min()} < 0")
-        with np.errstate(divide="ignore"):  # log(0) = -inf, as in value()
-            return np.log(x)
+    def values(self, x):
+        if isinstance(x, float):
+            fn, least = _FloatFunctions, x
+        else:
+            fn, x = _ArrayFunctions, np.asarray(x, dtype=float)
+            least = _least(x)
+        if least < 0:
+            raise DomainError(f"log transform undefined for x={least} < 0")
+        return fn.log(x)
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -582,11 +571,8 @@ class Shifted(HTransform):
 
     kind = "shifted"
 
-    def value(self, x: float) -> float:
-        return x + self.offset
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) + self.offset
+    def values(self, x):
+        return (x if isinstance(x, float) else np.asarray(x, dtype=float)) + self.offset
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
@@ -595,7 +581,8 @@ class Shifted(HTransform):
 @dataclass(frozen=True)
 class CustomTransform(HTransform):
     """Transform registered at runtime from paired scalar value/derivative
-    callbacks; ``derivs`` maps the derivative callback over an array."""
+    callbacks: ``values`` calls the value callback on a float and maps it
+    over an array, as ``derivs`` maps the derivative callback."""
 
     name: str
     value_fn: Callable[[float], float]
@@ -603,8 +590,10 @@ class CustomTransform(HTransform):
 
     kind = "custom"
 
-    def value(self, x: float) -> float:
-        return self.value_fn(x)
+    def values(self, x):
+        if isinstance(x, float):
+            return self.value_fn(x)
+        return np.vectorize(self.value_fn, otypes=[float])(x)
 
     def derivs(self, x: np.ndarray) -> np.ndarray:
         return np.vectorize(self.deriv_fn, otypes=[float])(x)
@@ -656,17 +645,15 @@ def parse_transform(text: str) -> HTransform:
 @dataclass(frozen=True)
 class CompositeH:
     """The composite H(u) = h(F^-1(u)) with chain-rule derivative.  The
-    value takes a float or, elementwise, an ndarray; the derivative is
-    computed in array form, and a float comes back as a numpy scalar."""
+    value takes a float or an array and answers in kind; the derivative
+    is computed in array form, and a float comes back as a numpy scalar."""
 
     model: DistributionModel
     transform: HTransform
 
     def value(self, u: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(u, np.ndarray):
-            return self.transform.values(self.model.quantiles(u))
-        return self.transform.value(self.model.quantile(u))
+        return self.transform.values(self.model.quantiles(u))
 
     def deriv(self, u: float | np.ndarray) -> np.ndarray:
-        x = self.model.quantiles(u)
-        return self.transform.derivs(x) * self.model.quantile_densities(u)
+        u = np.asarray(u, dtype=float)
+        return self.transform.derivs(self.model.quantiles(u)) * self.model.quantile_densities(u)

@@ -54,6 +54,14 @@ class MomentSpec:
     mode: Mode = Mode.MTM
 
     def __post_init__(self):
+        if not isinstance(self.transform, HTransform):
+            raise DomainError(f"transform must be an HTransform, got {self.transform!r}")
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise DomainError(
+                f"mode must be one of {[m.value for m in Mode]}, got {self.mode!r}"
+            ) from None
         if math.isnan(self.a) or math.isnan(self.b):
             raise DomainError(
                 f"proportions must be numbers, got a={self.a}, b={self.b}"
@@ -121,6 +129,8 @@ def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
 
 def _ascending(values: Sequence[float]) -> np.ndarray:
     x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"sample must be one-dimensional, got shape {x.shape}")
     if x.size < 1:
         raise EmptyWindowError("empty sample")
     bad = np.flatnonzero(~np.isfinite(x))

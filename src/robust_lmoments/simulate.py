@@ -32,7 +32,7 @@ from scipy.special import ndtri
 from .asymcov import CovMatrix, CovMethod, cov_matrix
 from .errors import DomainError, RobustLMomentsError
 from .estimate import _check_spec_count, fit
-from .models import CompositeH, DistributionModel, ModelTemplate
+from .models import CompositeH, DistributionModel, ModelTemplate, _check_unit
 from .moments import (
     _FLOOR_SLACK,
     MomentSpec,
@@ -81,7 +81,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_one_mode(self.specs)
-        for name in ("n", "replications"):
+        for name in ("n", "replications", "master_seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -161,10 +161,10 @@ def _run_replications(config: SimulationConfig, task):
         rng.random(out=u)
         u.sort()
         try:
-            # What ``quantiles`` checks on the whole draw, through the
-            # extremes (``_check_endpoints``), before the task sees part of it.
-            model._check_endpoint(float(u[0]))
-            model._check_endpoint(float(u[-1]))
+            # What ``quantiles`` checks on the whole draw, through its
+            # extremes, before the task sees part of it.
+            _check_unit(u[0], model._infinite_ends)
+            _check_unit(u[-1], model._infinite_ends)
             results.append(task(u))
         except RobustLMomentsError as exc:
             causes.append(exc)

@@ -1,7 +1,7 @@
-"""Array forms of the quantile, the transform and the composite H against
-their scalar twins; the quantile density, the transform derivative and
-the composite H', which have array forms only, against central
-differences and closed forms."""
+"""The quantile, the transform and the composite H on an array against
+the same expressions on each float; the quantile density, the transform
+derivative and the composite H', which have array forms only, against
+central differences and closed forms."""
 
 import math
 
@@ -63,7 +63,7 @@ def _error_class(fn, *args):
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_quantiles_match_scalar(model):
     u = _grid(model)
-    expected = np.array([model.quantile(float(p)) for p in u])
+    expected = np.array([model.quantiles(float(p)) for p in u])
     np.testing.assert_allclose(model.quantiles(u), expected, rtol=1e-14, atol=0)
 
 
@@ -73,37 +73,37 @@ def test_values_match_scalar_or_raise_alike(model, transform):
     x = model.quantiles(_grid(model))
     scalar_error = None
     for point in x:
-        scalar_error = scalar_error or _error_class(transform.value, float(point))
+        scalar_error = scalar_error or _error_class(transform.values, float(point))
     if scalar_error is not None:
         assert _error_class(transform.values, x) is scalar_error
         return
-    expected = np.array([transform.value(float(p)) for p in x])
+    expected = np.array([transform.values(float(p)) for p in x])
     np.testing.assert_allclose(transform.values(x), expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize(
-    "scalar, array, bad",
+    "fn, bad",
     [
-        (Log().value, Log().values, -0.5),
-        (Power(2.5).value, Power(2.5).values, -0.5),
-        (Normal(0.0, 1.0).quantile, Normal(0.0, 1.0).quantiles, 1.0),
-        (Exponential(1.0).quantile, Exponential(1.0).quantiles, 1.0),
-        (Uniform(0.0, 1.0).quantile, Uniform(0.0, 1.0).quantiles, 1.5),
-        (Normal(0.0, 1.0).quantile, Normal(0.0, 1.0).quantiles, math.nan),
+        (Log().values, -0.5),
+        (Power(2.5).values, -0.5),
+        (Normal(0.0, 1.0).quantiles, 1.0),
+        (Exponential(1.0).quantiles, 1.0),
+        (Uniform(0.0, 1.0).quantiles, 1.5),
+        (Normal(0.0, 1.0).quantiles, math.nan),
     ],
     ids=["log-negative", "power-negative", "normal-u1", "exponential-u1",
          "uniform-u-out-of-range", "nan-probability"],
 )
-def test_same_error_class_on_invalid_input(scalar, array, bad):
-    expected = _error_class(scalar, bad)
+def test_same_error_class_on_invalid_input(fn, bad):
+    expected = _error_class(fn, bad)
     assert expected is not None and issubclass(expected, DomainError)
     if bad == 1.0:  # both families are unbounded above
         assert expected is UnboundedQuantileError
-    assert _error_class(array, np.array([0.5, bad, 0.25])) is expected
+    assert _error_class(fn, np.array([0.5, bad, 0.25])) is expected
 
 
 def test_log_of_zero_is_minus_infinity_in_both_forms():
-    assert Log().value(0.0) == -math.inf
+    assert Log().values(0.0) == -math.inf
     assert Log().values(np.array([0.0, 1.0])).tolist() == [-math.inf, 0.0]
 
 
@@ -114,6 +114,23 @@ def test_empty_arrays():
 
 
 INTERIOR = np.linspace(0.001, 0.999, 201)
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=str)
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_a_float_and_a_one_element_array_give_the_same_h(model, transform):
+    # The float path runs through math and the array path through numpy,
+    # which may differ by an ulp; a float comes back as a Python float.
+    ch = CompositeH(model, transform)
+    for p in (0.0, *np.linspace(0.0005, 0.9995, 401).tolist(), 1.0):
+        scalar_error = _error_class(ch.value, p)
+        if scalar_error is not None:
+            assert _error_class(ch.value, np.array([p])) is scalar_error
+            continue
+        got = ch.value(p)
+        assert type(got) is float
+        np.testing.assert_allclose(ch.value(np.array([p])), [got], rtol=1e-15, atol=1e-15)
+
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -250,6 +267,11 @@ def test_a_family_or_transform_without_an_array_derivative_refuses():
         Bare().quantile_densities(np.array([0.5]))
     with pytest.raises(NotImplementedError):
         BareTransform().derivs(np.array([0.5]))
+    for value in (0.5, np.array([0.5])):  # no fallback for the values either
+        with pytest.raises(NotImplementedError):
+            Bare().quantiles(value)
+        with pytest.raises(NotImplementedError):
+            BareTransform().values(value)
 
 
 def test_empty_derivative_arrays():

@@ -136,6 +136,11 @@ class TestFit:
         with pytest.raises(DomainError, match="non-finite sample values at indices"):
             fit(Exponential(1.0), [1.0, math.nan], [MomentSpec(IDENT)])
 
+    def test_a_column_sample_is_refused(self):
+        # Sorted along its last axis, each row would be its own sample.
+        with pytest.raises(DomainError, match=r"^sample must be one-dimensional, got shape \(500, 1\)$"):
+            fit(parse_model_template("exponential(?)"), np.ones((500, 1)), [MomentSpec(IDENT, 0.1, 0.1)])
+
 
 class TestFailurePropagation:
     """Only package errors count as a failed trial point; any other
@@ -497,6 +502,12 @@ class TestDeltaCov:
         cov_mu = cov_matrix(specs[:1], model)
         with pytest.raises(DomainError, match=r"^cov_mu must be 2 x 2 for 2 specs"):
             delta_cov(model, specs, cov_mu)
+
+
+    def test_a_cov_mu_that_is_not_a_cov_matrix_is_refused(self):
+        # An ndarray has no .entries: an AttributeError, not a DomainError.
+        with pytest.raises(DomainError, match="^cov_mu must be a CovMatrix, got ndarray$"):
+            delta_cov(Exponential(1.0), [MomentSpec(IDENT, 0.1, 0.1)], np.eye(1))
 
 
 class TestUnitEquivariance:

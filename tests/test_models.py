@@ -28,7 +28,7 @@ from robust_lmoments import (
     parse_transform,
     register_transform,
 )
-from robust_lmoments.models import central_difference
+from robust_lmoments.models import _check_unit, central_difference
 
 ALL_MODELS = [
     Uniform(0.0, 1.0),
@@ -58,7 +58,7 @@ def scipy_frozen(model):
 
 def transforms_for(model):
     ts = [Identity(), Shifted(1.0)]
-    if model.quantile(1e-6) > 0:
+    if model.quantiles(1e-6) > 0:
         ts += [Power(2.0), Log()]
     elif isinstance(model, Normal):
         ts += [Power(2.0)]
@@ -67,46 +67,46 @@ def transforms_for(model):
 
 class TestQuantiles:
     def test_uniform_identity_quantile(self):
-        assert Uniform(0, 1).quantile(0.3) == 0.3
+        assert Uniform(0, 1).quantiles(0.3) == 0.3
 
     def test_exponential_median(self):
-        assert Exponential(1.0).quantile(0.5) == pytest.approx(math.log(2), rel=1e-12)
+        assert Exponential(1.0).quantiles(0.5) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_exponential_scale_quantile(self):
-        assert Exponential(2.0).quantile(0.75) == pytest.approx(
+        assert Exponential(2.0).quantiles(0.75) == pytest.approx(
             2.0 * math.log(4), rel=1e-12
         )
 
     def test_pareto_quantile(self):
         m = Pareto(2.0, 3.0)
-        assert m.quantile(0.75) == pytest.approx(3.0 * 4 ** 0.5, rel=1e-12)
+        assert m.quantiles(0.75) == pytest.approx(3.0 * 4 ** 0.5, rel=1e-12)
 
     def test_normal_median(self):
-        assert Normal(1.0, 2.0).quantile(0.5) == pytest.approx(1.0, abs=1e-12)
+        assert Normal(1.0, 2.0).quantiles(0.5) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_monotone(self, model):
         us = np.linspace(0.001, 0.999, 200)
-        qs = [model.quantile(u) for u in us]
+        qs = [model.quantiles(u) for u in us]
         assert all(x <= y + 1e-12 for x, y in zip(qs, qs[1:]))
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_matches_scipy_ppf(self, model):
         ppf = scipy_frozen(model).ppf
         for u in np.linspace(0.001, 0.999, 97):
-            assert model.quantile(u) == pytest.approx(ppf(u), rel=1e-10)
+            assert model.quantiles(u) == pytest.approx(ppf(u), rel=1e-10)
 
     def test_unbounded_endpoints_raise(self):
         with pytest.raises(UnboundedQuantileError):
-            Normal(0, 1).quantile(0.0)
+            Normal(0, 1).quantiles(0.0)
         with pytest.raises(UnboundedQuantileError):
-            Exponential(1.0).quantile(1.0)
-        assert Exponential(1.0).quantile(0.0) == 0.0
-        assert Uniform(0, 1).quantile(1.0) == 1.0
+            Exponential(1.0).quantiles(1.0)
+        assert Exponential(1.0).quantiles(0.0) == 0.0
+        assert Uniform(0, 1).quantiles(1.0) == 1.0
 
     def test_out_of_range_u(self):
         with pytest.raises(DomainError):
-            Uniform(0, 1).quantile(1.5)
+            Uniform(0, 1).quantiles(1.5)
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
@@ -157,7 +157,7 @@ class TestCompositeH:
     def test_value_monotone_for_nondecreasing_h(self, model):
         us = np.linspace(0.01, 0.99, 150)
         for transform in transforms_for(model):
-            if isinstance(transform, Power) and model.quantile(0.01) < 0:
+            if isinstance(transform, Power) and model.quantiles(0.01) < 0:
                 continue  # x^2 is not monotone across a sign change
             ch = CompositeH(model, transform)
             vals = [ch.value(u) for u in us]
@@ -180,10 +180,9 @@ def differenced_grads(model, u, step=1e-6):
 
 
 @dataclass(frozen=True)
-class ScalarGumbel(DistributionModel):
-    """A user family with a scalar quantile only, so ``quantile_grads``
-    takes the base-class difference; d Q / d mu = 1 and
-    d Q / d beta = -log(-log u)."""
+class UserGumbel(DistributionModel):
+    """A user family with a quantile only, so ``quantile_grads`` takes the
+    base-class difference; d Q / d mu = 1 and d Q / d beta = -log(-log u)."""
 
     mu: float = 0.0
     beta: float = 1.0
@@ -191,27 +190,27 @@ class ScalarGumbel(DistributionModel):
     family = "scalar-gumbel"
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return self.mu - self.beta * math.log(-math.log(u))
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
+        return self.mu - self.beta * np.log(-np.log(u))
 
 
 @dataclass(frozen=True)
-class BoundedGumbel(ScalarGumbel):
+class BoundedGumbel(UserGumbel):
     """A beta domain with an upper end."""
 
     param_bounds = ((-math.inf, math.inf), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class SteepGumbel(ScalarGumbel):
+class SteepGumbel(UserGumbel):
     """A beta domain with a lower end away from 0."""
 
     param_bounds = ((-math.inf, math.inf), (1.0, math.inf))
 
 
 @dataclass(frozen=True)
-class NarrowGumbel(ScalarGumbel):
+class NarrowGumbel(UserGumbel):
     """A beta domain narrower than any difference step at beta = 1."""
 
     param_bounds = ((-math.inf, math.inf), (1.0 - 1e-7, 1.0 + 1e-7))
@@ -235,7 +234,7 @@ class TestQuantileGrads:
 
     def test_fallback_on_a_user_family(self):
         u = np.array([0.01, 0.3, 0.5, 0.99])
-        got = ScalarGumbel(0.5, 2.0).quantile_grads(u)
+        got = UserGumbel(0.5, 2.0).quantile_grads(u)
         exact = np.stack([np.ones_like(u), -np.log(-np.log(u))])
         np.testing.assert_allclose(got, exact, rtol=1e-7, atol=1e-7)
 
@@ -254,13 +253,13 @@ class TestQuantileGrads:
     def test_a_location_steps_with_the_model_scale(self, mu):
         # A step of 1e-6 |mu| would not move Q at mu = 1e-17, nor exist at 0.
         u = np.array([0.01, 0.3, 0.99])
-        got = ScalarGumbel(mu, 2.0).quantile_grads(u)
+        got = UserGumbel(mu, 2.0).quantile_grads(u)
         np.testing.assert_allclose(got[0], np.ones_like(u), rtol=1e-7)
 
     def test_a_positive_parameter_steps_relative_to_itself(self):
         # d beta^2 / d beta at beta = 1e-7: a step of 1e-6 (1 + beta) leaves
         # beta > 0, and its forward difference reads 1.2e-6; 1e-6 beta stays inside.
-        template = ModelTemplate.all_free(ScalarGumbel())
+        template = ModelTemplate.all_free(UserGumbel())
         got = central_difference(lambda q: q[1] ** 2, template, [0.5, 1e-7])
         np.testing.assert_allclose(got, [0.0, 2e-7], rtol=1e-8, atol=1e-15)
 
@@ -382,7 +381,7 @@ class TestParsing:
         t = register_transform("expm1", math.expm1, math.exp)
         assert isinstance(t, CustomTransform)
         back = parse_transform("expm1")
-        assert back.value(0.0) == 0.0
+        assert back.values(0.0) == 0.0
         assert back.derivs(np.array([0.0, 1.0])).tolist() == [1.0, math.e]
         ch = CompositeH(Uniform(0, 1), back)
         step = 1e-6

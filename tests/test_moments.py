@@ -1,6 +1,7 @@
 """Sample and population trimmed/winsorized moments."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from robust_lmoments import (
     Power,
     SampleFormatError,
     Uniform,
+    cov_matrix,
     floor_count,
     load_sample,
     population_moment,
@@ -96,7 +98,7 @@ def _loop_moment(values, spec):
     n = len(x)
     lo = floor_count(n, spec.a)
     hi = n - floor_count(n, spec.b)
-    h = spec.transform.value
+    h = spec.transform.values
     core = math.fsum(h(v) for v in x[lo:hi])
     if spec.mode is Mode.MTM:
         return core / (hi - lo)
@@ -124,6 +126,19 @@ class TestSampleKernel:
             fn([1.0, 2.0, bad, 4.0, 5.0], MomentSpec(IDENT, 0.2, 0.2))
 
 
+    @pytest.mark.parametrize("shape", [(10, 1), (2, 5), (1, 10), ()], ids=str)
+    @pytest.mark.parametrize(
+        "fn", [sample_moment, sample_trimmed_moment, sample_winsorized_moment]
+    )
+    def test_a_sample_that_is_not_one_dimensional_is_refused(self, fn, shape):
+        # Sorting runs along the last axis and the window slices rows, so
+        # for MTM (0.2, 0.2) a 10 x 1 column of 0..9 would read 19.42 and a
+        # 2 x 5 array 0.0, where the sample's moment is 4.5.
+        data = np.arange(float(max(1, math.prod(shape)))).reshape(shape)
+        with pytest.raises(DomainError, match=rf"^sample must be one-dimensional, got shape {re.escape(str(shape))}$"):
+            fn(data, MomentSpec(IDENT, 0.2, 0.2))
+
+
 class TestSpecValidation:
     def test_negative_proportion(self):
         with pytest.raises(Exception):
@@ -142,6 +157,31 @@ class TestSpecValidation:
             MomentSpec(IDENT, a, b)
         with pytest.raises(DomainError, match="^proportions must be numbers"):
             replace(MomentSpec(IDENT, 0.1, 0.1), a=a, b=b)
+
+    def test_a_mode_given_by_name_is_that_mode(self):
+        # A mode left as a string compares unequal to Mode.MTM, so "mtm"
+        # read as winsorizing (0.8231 for 0.7610) and "mwm" found no
+        # covariance route (a bare StopIteration).
+        ch = CompositeH(Exponential(1.0), IDENT)
+        named = MomentSpec(IDENT, 0.2, 0.2, "mtm")
+        assert named.mode is Mode.MTM
+        assert population_moment(ch, named) == population_moment(
+            ch, MomentSpec(IDENT, 0.2, 0.2, Mode.MTM)
+        )
+        winsorized = MomentSpec(IDENT, 0.2, 0.2, "mwm")
+        assert winsorized.mode is Mode.MWM
+        assert cov_matrix([winsorized], Exponential(1.0)).entries.tolist() == cov_matrix(
+            [MomentSpec(IDENT, 0.2, 0.2, Mode.MWM)], Exponential(1.0)
+        ).entries.tolist()
+
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(DomainError, match=r"^mode must be one of \['mtm', 'mwm'\], got 'trim'$"):
+            MomentSpec(IDENT, 0.1, 0.1, "trim")
+
+    def test_a_transform_that_is_not_an_htransform_is_refused(self):
+        # Accepted, it fails later with an AttributeError.
+        with pytest.raises(DomainError, match="^transform must be an HTransform, got 'identity'$"):
+            MomentSpec("identity")
 
     def test_derived_quantities(self):
         s = MomentSpec(IDENT, 0.1, 0.3)

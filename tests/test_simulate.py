@@ -32,7 +32,7 @@ from robust_lmoments import (
     run_mc,
 )
 from robust_lmoments import simulate
-from robust_lmoments.models import CustomTransform, ModelTemplate
+from robust_lmoments.models import CustomTransform, ModelTemplate, _check_unit
 from robust_lmoments.moments import sorted_sample_moment
 from robust_lmoments.simulate import _DEV_FLOOR, splitmix64
 
@@ -41,9 +41,8 @@ IDENT = Identity()
 
 @dataclass(frozen=True)
 class Gumbel(DistributionModel):
-    """A user family with a scalar quantile only, so ``quantiles`` takes
-    the ``np.vectorize`` fallback of the base class, and the array
-    quantile density every family codes."""
+    """A user family with one numpy quantile expression for a float or
+    an array, and the array quantile density every family codes."""
 
     mu: float = 0.0
     beta: float = 1.0
@@ -51,9 +50,9 @@ class Gumbel(DistributionModel):
     family = "gumbel"
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
 
-    def quantile(self, u: float) -> float:
-        self._check_endpoint(u)
-        return self.mu - self.beta * math.log(-math.log(u))
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
+        return self.mu - self.beta * np.log(-np.log(u))
 
     def quantile_densities(self, u: np.ndarray) -> np.ndarray:
         return self.beta / (u * -np.log(u))
@@ -63,10 +62,10 @@ class Gumbel(DistributionModel):
 class LeftCutGumbel(Gumbel):
     """A Gumbel whose quantile refuses the lowest 2% of probabilities."""
 
-    def quantile(self, u: float) -> float:
-        if u < 0.02:
-            raise DomainError(f"quantile undefined below 0.02, got {u}")
-        return super().quantile(u)
+    def quantiles(self, u):
+        if np.min(u) < 0.02:
+            raise DomainError(f"quantile undefined below 0.02, got {np.min(u)}")
+        return super().quantiles(u)
 
 
 RATIO = CustomTransform(
@@ -143,9 +142,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 100.5), ("n", 100.0), ("replications", 150.5), ("replications", "200")],
+        [("n", 100.5), ("n", 100.0), ("replications", 150.5), ("replications", "200"),
+         ("master_seed", 1.5), ("master_seed", "1")],
     )
     def test_non_integer_size_rejected(self, field, value):
+        # A non-integer master_seed reached replication_seed as a bare TypeError.
         sizes = {"n": 100, "replications": 100, field: value}
         with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
             SimulationConfig(Uniform(0, 1), (MomentSpec(IDENT),), **sizes)
