@@ -54,11 +54,7 @@ from .moments import (
     floor_count,
     load_sample,
     population_moment,
-    population_trimmed_moment,
-    population_winsorized_moment,
     sample_moment,
-    sample_trimmed_moment,
-    sample_winsorized_moment,
 )
 from .simulate import (
     SimulationConfig,
@@ -117,11 +113,7 @@ __all__ = [
     "floor_count",
     "load_sample",
     "population_moment",
-    "population_trimmed_moment",
-    "population_winsorized_moment",
     "sample_moment",
-    "sample_trimmed_moment",
-    "sample_winsorized_moment",
     "SimulationConfig",
     "SimulationReport",
     "coverage_check",

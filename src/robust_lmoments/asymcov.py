@@ -9,25 +9,30 @@ influence functions.  The evaluation routes, named by ``CovMethod``:
   min(v,w) - vw against H'_j(v) H'_i(w).  Trimmed mode.
 * ``closed`` -- the paper's formula for left-nested windows
   (a_i <= a_j < 1-b_i <= 1-b_j, or the same after swapping the pair),
-  over int_I and int_Ibar.  Trimmed mode.
+  over the paper's I and Ibar.  Trimmed mode.
 * ``mwm-decomposition`` and trimmed ``equal-props`` -- the influence
   functions directly: H clipped to the window less its winsorized mean,
   over the retained mass if trimmed, plus a step at each winsorized edge.
 * winsorized ``equal-props`` -- the step-free integral plus the paper's
-  edge-atom terms over int_I and int_Ibar.
+  edge-atom terms over I and Ibar.
 
-``_ROUTES`` owns which route applies to a pair; ``auto`` takes the first
-valid route of equal-props, closed, mwm-decomposition, kernel.  The
-closed routes are algebra over one table per entry, built on the scalar
-``integrate``: [0, 1] cut at the four window ends, each side's H less
-its value at its window's midpoint, so a location shift cancels,
-integrated once over each piece inside its window, and the product of
-both sides once over each piece inside both windows.  H is never
-evaluated at an untrimmed endpoint; divergent integrals raise
-DivergenceError.  The alpha and kernel routes run on the batched engine
-``integrate_batch`` and use H and H' alone: they share no code with the
-closed routes they check.  Each of their outer rounds pays for a whole
-inner sweep over its nodes, so each outer piece starts as two panels.
+``sigma_pair(spec_i, spec_j, model, method)`` builds each coordinate's
+H = h(F^-1(u)) from the model and its spec's transform: the specs alone
+set the transforms and the mode.  ``_ROUTES`` owns which route applies
+to a pair; ``auto`` takes the first valid route of equal-props, closed,
+mwm-decomposition, kernel.  The closed routes are algebra over one
+table per entry, built on the scalar ``integrate``: [0, 1] cut at the
+four window ends, each side's H less its value at its window's
+midpoint, so a location shift cancels, integrated once over each piece
+inside its window, and the product of both sides once over each piece
+inside both windows.  The paper's I(lo, hi), the integral of v H'(v),
+and Ibar(lo, hi), that of (1-v) H'(v), follow from a side's integral by
+parts.  H is never evaluated at an untrimmed endpoint; divergent
+integrals raise DivergenceError.  The alpha and kernel routes run on the
+batched engine ``integrate_batch`` and use H and H' alone: they share no
+code with the closed routes they check.  Each of their outer rounds pays
+for a whole inner sweep over its nodes, so each outer piece starts as
+two panels.
 """
 
 from __future__ import annotations
@@ -42,14 +47,12 @@ import numpy as np
 
 from .errors import DomainError, OrderingError
 from .models import CompositeH, DistributionModel
-from .moments import Mode, MomentSpec, _check_one_mode
+from .moments import Mode, MomentSpec, _check_one_mode, _composite
 from .quadrature import REL_TOL, integrate, integrate_batch
 
 __all__ = [
     "CovMethod",
     "CovMatrix",
-    "int_I",
-    "int_Ibar",
     "gamma_factor",
     "sigma_pair",
     "cov_matrix",
@@ -84,16 +87,6 @@ def _by_parts(value, a: float, b: float, integral: float, bar: bool) -> float:
         if w != 0.0:
             total += sign * w * value(t)
     return total
-
-
-def int_I(a: float, b: float, ch: CompositeH) -> float:
-    """bH(b) - aH(a) - int_a^b H; equals int_a^b v H'(v) dv."""
-    return _by_parts(ch.value, a, b, integrate(ch.value, a, b), bar=False)
-
-
-def int_Ibar(a: float, b: float, ch: CompositeH) -> float:
-    """(1-b)H(b) - (1-a)H(a) + int_a^b H; equals int_a^b (1-v) H'(v) dv."""
-    return _by_parts(ch.value, a, b, integrate(ch.value, a, b), bar=True)
 
 
 def gamma_factor(spec_i: MomentSpec, spec_j: MomentSpec) -> float:
@@ -302,7 +295,7 @@ class _Side:
         return sum((s for (p, q), s in self.inside.items() if lo <= p and q <= hi), 0.0)
 
     def by_parts(self, lo: float, hi: float, bar: bool = False) -> float:
-        """int_I(lo, hi), or int_Ibar if ``bar``; the same for G as for H."""
+        """I(lo, hi), or Ibar if ``bar``; the same for G as for H."""
         return _by_parts(self.value, lo, hi, self.integral(lo, hi), bar)
 
     @functools.cached_property
@@ -523,12 +516,13 @@ def _as_method(method: CovMethod | str) -> CovMethod:
 def sigma_pair(
     spec_i: MomentSpec,
     spec_j: MomentSpec,
-    ch_i: CompositeH,
-    ch_j: CompositeH,
+    model: DistributionModel,
     method: CovMethod | str = CovMethod.AUTO,
 ) -> tuple[float, str]:
-    """One covariance entry plus the label of the route actually used;
-    ``method`` is a ``CovMethod`` or its name, such as ``"auto"``."""
+    """One covariance entry of ``model`` plus the label of the route
+    actually used; ``method`` is a ``CovMethod`` or its name, such as
+    ``"auto"``."""
+    ch_i, ch_j = _composite(model, spec_i), _composite(model, spec_j)
     method = _as_method(method)
     if spec_i.mode is not spec_j.mode:
         raise DomainError("covariance entries require a single estimation mode")
@@ -553,13 +547,12 @@ def cov_matrix(
     method = _as_method(method)
     _check_one_mode(specs)
     k = len(specs)
-    chs = [CompositeH(model, s.transform) for s in specs]
     entries = np.zeros((k, k))
     labels = [["" for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             try:
-                value, used = sigma_pair(specs[i], specs[j], chs[i], chs[j], method)
+                value, used = sigma_pair(specs[i], specs[j], model, method=method)
             except Exception as exc:
                 # Same object, so its type and attributes survive.
                 exc.args = (f"entry ({i}, {j}): {exc}",)

@@ -26,7 +26,6 @@ from .errors import DomainError, RobustLMomentsError
 from .estimate import fit as fit_model
 from .models import Identity, parse_model, parse_model_template, parse_transform
 from .moments import (
-    CompositeH,
     Mode,
     MomentSpec,
     load_sample,
@@ -342,7 +341,7 @@ def _run_moments(config: RunConfig) -> tuple[str, bool]:
                 f"{j},sample,{_num(v)}" if csv else f"[{j}] sample    {v:.12g}"
             )
         if model is not None:
-            v = population_moment(CompositeH(model, spec.transform), spec)
+            v = population_moment(model, spec)
             lines.append(
                 f"{j},population,{_num(v)}" if csv else f"[{j}] population {v:.12g}"
             )

@@ -32,7 +32,7 @@ from .errors import (
     RobustLMomentsError,
     SingularJacobianError,
 )
-from .models import CompositeH, DistributionModel, ModelTemplate, central_difference
+from .models import DistributionModel, ModelTemplate, central_difference
 from .moments import (
     Mode,
     MomentSpec,
@@ -119,7 +119,7 @@ def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, 
 
     def moments(t) -> np.ndarray:
         model = template.bind(t)
-        return np.array([population_moment(CompositeH(model, s.transform), s) for s in specs])
+        return np.array([population_moment(model, s) for s in specs])
 
     jac = central_difference(moments, template, theta)
     return moments(theta), jac.T

@@ -610,7 +610,10 @@ def register_transform(
     value: Callable[[float], float],
     deriv: Callable[[float], float],
 ) -> CustomTransform:
-    """Register a custom h-transform addressable by name in parse_transform."""
+    """Register a custom h-transform addressable by name in parse_transform;
+    the name of a built-in transform, in any case, is refused."""
+    if name.lower() in _TRANSFORMS:
+        raise DomainError(f"transform name {name!r} is built in")
     t = CustomTransform(name.lower(), value, deriv)
     _CUSTOM_TRANSFORMS[t.name] = t
     return t

@@ -10,15 +10,16 @@ from __future__ import annotations
 import enum
 import io
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, EmptyWindowError, SampleFormatError
-from .models import CompositeH, HTransform
+from .models import CompositeH, DistributionModel, HTransform
 from .quadrature import integrate
 
 __all__ = [
@@ -27,11 +28,7 @@ __all__ = [
     "floor_count",
     "sorted_sample_moment",
     "sample_moment",
-    "sample_trimmed_moment",
-    "sample_winsorized_moment",
     "population_moment",
-    "population_trimmed_moment",
-    "population_winsorized_moment",
     "load_sample",
 ]
 
@@ -62,9 +59,10 @@ class MomentSpec:
             raise DomainError(
                 f"mode must be one of {[m.value for m in Mode]}, got {self.mode!r}"
             ) from None
-        if math.isnan(self.a) or math.isnan(self.b):
+        proportions = (self.a, self.b)
+        if not all(isinstance(p, numbers.Real) and not math.isnan(p) for p in proportions):
             raise DomainError(
-                f"proportions must be numbers, got a={self.a}, b={self.b}"
+                f"proportions must be numbers, got a={self.a!r}, b={self.b!r}"
             )
         if self.a < 0 or self.b < 0:
             raise DomainError(f"proportions must be >= 0, got a={self.a}, b={self.b}")
@@ -139,34 +137,29 @@ def _ascending(values: Sequence[float]) -> np.ndarray:
     return np.sort(x)
 
 
-def sample_trimmed_moment(values: Sequence[float], spec: MomentSpec) -> float:
-    return sorted_sample_moment(_ascending(values), replace(spec, mode=Mode.MTM))
-
-
-def sample_winsorized_moment(values: Sequence[float], spec: MomentSpec) -> float:
-    return sorted_sample_moment(_ascending(values), replace(spec, mode=Mode.MWM))
-
-
 def sample_moment(values: Sequence[float], spec: MomentSpec) -> float:
     return sorted_sample_moment(_ascending(values), spec)
 
 
-def population_moment(ch: CompositeH, spec: MomentSpec) -> float:
+def _composite(model: DistributionModel, spec: MomentSpec) -> CompositeH:
+    """H = h(F^-1(u)) of the spec's transform under ``model``, which must
+    be a ``DistributionModel``."""
+    if not isinstance(model, DistributionModel):
+        raise DomainError(
+            f"model must be a DistributionModel, got {type(model).__name__}"
+        )
+    return CompositeH(model, spec.transform)
+
+
+def population_moment(model: DistributionModel, spec: MomentSpec) -> float:
     """H's window integral, over the retained mass if trimmed, else plus the edge atoms."""
+    ch = _composite(model, spec)
     total = integrate(ch.value, spec.a, spec.b_bar)
     if spec.mode is Mode.MTM:
         return total / spec.retained
     for u, mass in spec.edge_atoms:
         total += mass * ch.value(u)
     return total
-
-
-def population_trimmed_moment(ch: CompositeH, spec: MomentSpec) -> float:
-    return population_moment(ch, replace(spec, mode=Mode.MTM))
-
-
-def population_winsorized_moment(ch: CompositeH, spec: MomentSpec) -> float:
-    return population_moment(ch, replace(spec, mode=Mode.MWM))
 
 
 def load_sample(path: str | Path) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.special import ndtri
 from .asymcov import CovMatrix, CovMethod, cov_matrix
 from .errors import DomainError, RobustLMomentsError
 from .estimate import _check_spec_count, fit
-from .models import CompositeH, DistributionModel, ModelTemplate, _check_unit
+from .models import DistributionModel, ModelTemplate, _check_unit
 from .moments import (
     _FLOOR_SLACK,
     MomentSpec,
@@ -183,12 +183,7 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
     specs = list(config.specs)
     # First, so that a divergent covariance fails before any draw.
     theoretical = cov_matrix(specs, config.model, CovMethod.AUTO)
-    mu_pop = np.array(
-        [
-            population_moment(CompositeH(config.model, s.transform), s)
-            for s in specs
-        ]
-    )
+    mu_pop = np.array([population_moment(config.model, s) for s in specs])
     n = config.n
     root_n = math.sqrt(n)
     windows = [_window(n, s) for s in specs]

@@ -25,8 +25,7 @@ from robust_lmoments import (
     run_mtm_audit,
     run_mwm_audit,
     run_mwm_equal_props_audit,
-    sample_trimmed_moment,
-    sample_winsorized_moment,
+    sample_moment,
     sigma_pair,
 )
 from robust_lmoments.asymcov import gamma_factor
@@ -82,7 +81,7 @@ def test_criterion_2_winsorized_decomposition():
 
 
 def test_criterion_3_analytic_goldens():
-    ch = CompositeH(Uniform(0.0, 1.0), IDENT)
+    model = Uniform(0.0, 1.0)
     untrimmed = MomentSpec(IDENT)
     worst = 0.0
     for method in (
@@ -91,10 +90,10 @@ def test_criterion_3_analytic_goldens():
         CovMethod.CLOSED,
         CovMethod.EQUAL_PROPS,
     ):
-        v, _ = sigma_pair(untrimmed, untrimmed, ch, ch, method)
+        v, _ = sigma_pair(untrimmed, untrimmed, model, method)
         worst = max(worst, abs(v - 1.0 / 12.0))
     trimmed = MomentSpec(IDENT, 0.25, 0.25)
-    v, _ = sigma_pair(trimmed, trimmed, ch, ch, CovMethod.EQUAL_PROPS)
+    v, _ = sigma_pair(trimmed, trimmed, model, CovMethod.EQUAL_PROPS)
     worst_trim = abs(v - 1.0 / 6.0)
     ok = worst <= 1e-9 and worst_trim <= 1e-9
     report(
@@ -178,8 +177,8 @@ def test_criterion_6_transcription_fix_regression():
         ch_i = CompositeH(model, ti)
         ch_j = CompositeH(model, tj)
 
-        shipped, _ = sigma_pair(si, sj, ch_i, ch_j, CovMethod.CLOSED)
-        kernel, _ = sigma_pair(si, sj, ch_i, ch_j, CovMethod.KERNEL)
+        shipped, _ = sigma_pair(si, sj, model, CovMethod.CLOSED)
+        kernel, _ = sigma_pair(si, sj, model, CovMethod.KERNEL)
         worst_shipped = max(worst_shipped, abs(shipped - kernel) / abs(kernel))
 
         # literal variant: same closed form, except the tail bracket
@@ -203,11 +202,11 @@ def test_criterion_6_transcription_fix_regression():
 
 
 def test_criterion_7_sample_estimator_exactness():
-    trimmed = sample_trimmed_moment([1, 2, 3, 4], MomentSpec(IDENT, 0.25, 0.25))
-    winsorized_sym = sample_winsorized_moment(
+    trimmed = sample_moment([1, 2, 3, 4], MomentSpec(IDENT, 0.25, 0.25))
+    winsorized_sym = sample_moment(
         [1, 2, 3, 4], MomentSpec(IDENT, 0.25, 0.25, Mode.MWM)
     )
-    winsorized_top = sample_winsorized_moment(
+    winsorized_top = sample_moment(
         [1, 2, 3, 10], MomentSpec(IDENT, 0.0, 0.25, Mode.MWM)
     )
     ok = trimmed == 2.5 and winsorized_sym == 2.5 and winsorized_top == 2.25

@@ -31,11 +31,10 @@ import robust_lmoments.asymcov as asymcov_module
 import robust_lmoments.moments as moments_module
 from robust_lmoments import quadrature
 from robust_lmoments.asymcov import (
+    _by_parts,
     _equal_props,
     _nested_pair,
     gamma_factor,
-    int_I,
-    int_Ibar,
 )
 from robust_lmoments.audit import (
     build_equal_props_corpus,
@@ -46,8 +45,20 @@ from robust_lmoments.models import CustomTransform
 
 IDENT = Identity()
 UNIF = Uniform(0.0, 1.0)
+EXP = Exponential(1.0)
 CH_UNIF = CompositeH(UNIF, IDENT)
-CH_EXP = CompositeH(Exponential(1.0), IDENT)
+CH_EXP = CompositeH(EXP, IDENT)
+
+
+def int_I(a, b, ch, bar=False):
+    """The paper's I(a, b) = int_a^b v H'(v) dv, or Ibar with (1-v) for v
+    if ``bar``, by the by-parts step of the routes' table."""
+    return _by_parts(ch.value, a, b, quadrature.integrate(ch.value, a, b), bar)
+
+
+def int_Ibar(a, b, ch):
+    return int_I(a, b, ch, bar=True)
+
 
 MTM_METHODS = [
     CovMethod.ALPHA,
@@ -89,13 +100,13 @@ class TestGoldens:
     @pytest.mark.parametrize("method", MTM_METHODS)
     def test_uniform_untrimmed_one_twelfth(self, method):
         spec = MomentSpec(IDENT)
-        v, _ = sigma_pair(spec, spec, CH_UNIF, CH_UNIF, method)
+        v, _ = sigma_pair(spec, spec, UNIF, method)
         assert v == pytest.approx(1.0 / 12.0, abs=1e-9)
 
     @pytest.mark.parametrize("method", MTM_METHODS)
     def test_uniform_symmetric_trim_one_sixth(self, method):
         spec = MomentSpec(IDENT, 0.25, 0.25)
-        v, _ = sigma_pair(spec, spec, CH_UNIF, CH_UNIF, method)
+        v, _ = sigma_pair(spec, spec, UNIF, method)
         assert v == pytest.approx(1.0 / 6.0, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -103,14 +114,14 @@ class TestGoldens:
     )
     def test_uniform_winsorized_thirteen_ninety_sixths(self, method):
         spec = MomentSpec(IDENT, 0.25, 0.25, Mode.MWM)
-        v, _ = sigma_pair(spec, spec, CH_UNIF, CH_UNIF, method)
+        v, _ = sigma_pair(spec, spec, UNIF, method)
         assert v == pytest.approx(13.0 / 96.0, abs=1e-9)
 
     @pytest.mark.parametrize("method", MTM_METHODS)
     def test_exponential_symmetric_trim(self, method):
         # frozen from the agreeing kernel/alpha/closed evaluations
         spec = MomentSpec(IDENT, 0.25, 0.25)
-        v, _ = sigma_pair(spec, spec, CH_EXP, CH_EXP, method)
+        v, _ = sigma_pair(spec, spec, EXP, method)
         assert v == pytest.approx(0.8027754226637804, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -118,13 +129,12 @@ class TestGoldens:
     )
     def test_exponential_winsorized_five_sixths(self, method):
         spec = MomentSpec(IDENT, 0.25, 0.25, Mode.MWM)
-        v, _ = sigma_pair(spec, spec, CH_EXP, CH_EXP, method)
+        v, _ = sigma_pair(spec, spec, EXP, method)
         assert v == pytest.approx(5.0 / 6.0, abs=1e-9)
 
     def test_lognormal_power_regression(self):
-        ch = CompositeH(Lognormal(0.0, 0.5), Power(2.0))
         spec = MomentSpec(Power(2.0), 0.05, 0.1)
-        v, _ = sigma_pair(spec, spec, ch, ch, CovMethod.EQUAL_PROPS)
+        v, _ = sigma_pair(spec, spec, Lognormal(0.0, 0.5), CovMethod.EQUAL_PROPS)
         assert v == pytest.approx(1.6144404505107566, rel=1e-8)
 
 
@@ -133,7 +143,7 @@ class TestRouteAgreement:
         si = MomentSpec(IDENT, 0.05, 0.25)
         sj = MomentSpec(Power(2.0), 0.10, 0.10)
         values = [
-            sigma_pair(si, sj, CH_UNIF, CompositeH(UNIF, Power(2.0)), m)[0]
+            sigma_pair(si, sj, UNIF, m)[0]
             for m in (CovMethod.ALPHA, CovMethod.KERNEL, CovMethod.CLOSED)
         ]
         for v in values[1:]:
@@ -142,32 +152,29 @@ class TestRouteAgreement:
     def test_closed_symmetric_in_pair(self):
         si = MomentSpec(IDENT, 0.05, 0.25)
         sj = MomentSpec(Log(), 0.10, 0.10)
-        ch_i = CompositeH(Exponential(1.0), IDENT)
-        ch_j = CompositeH(Exponential(1.0), Log())
-        a, _ = sigma_pair(si, sj, ch_i, ch_j, CovMethod.CLOSED)
-        b, _ = sigma_pair(sj, si, ch_j, ch_i, CovMethod.CLOSED)
+        a, _ = sigma_pair(si, sj, EXP, CovMethod.CLOSED)
+        b, _ = sigma_pair(sj, si, EXP, CovMethod.CLOSED)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_equal_props_matches_closed(self):
         for a, b in [(0.05, 0.05), (0.1, 0.25), (0.25, 0.1)]:
             si = MomentSpec(IDENT, a, b)
             sj = MomentSpec(Power(2.0), a, b)
-            ch_j = CompositeH(UNIF, Power(2.0))
-            x, _ = sigma_pair(si, sj, CH_UNIF, ch_j, CovMethod.EQUAL_PROPS)
-            y, _ = sigma_pair(si, sj, CH_UNIF, ch_j, CovMethod.CLOSED)
+            x, _ = sigma_pair(si, sj, UNIF, CovMethod.EQUAL_PROPS)
+            y, _ = sigma_pair(si, sj, UNIF, CovMethod.CLOSED)
             assert x == pytest.approx(y, rel=1e-10)
 
     def test_ordering_error_when_windows_staggered(self):
         si = MomentSpec(IDENT, 0.05, 0.05)
         sj = MomentSpec(IDENT, 0.10, 0.25)
         with pytest.raises(OrderingError):
-            sigma_pair(si, sj, CH_EXP, CH_EXP, CovMethod.CLOSED)
+            sigma_pair(si, sj, EXP, CovMethod.CLOSED)
 
     def test_auto_falls_back_to_kernel(self):
         si = MomentSpec(IDENT, 0.05, 0.05)
         sj = MomentSpec(IDENT, 0.10, 0.25)
-        v, label = sigma_pair(si, sj, CH_EXP, CH_EXP, CovMethod.AUTO)
-        ref, _ = sigma_pair(si, sj, CH_EXP, CH_EXP, CovMethod.ALPHA)
+        v, label = sigma_pair(si, sj, EXP, CovMethod.AUTO)
+        ref, _ = sigma_pair(si, sj, EXP, CovMethod.ALPHA)
         assert label == "kernel"
         assert v == pytest.approx(ref, rel=1e-7)
 
@@ -175,17 +182,15 @@ class TestRouteAgreement:
 class TestScaling:
     def test_variance_scales_quadratically(self):
         spec = MomentSpec(IDENT, 0.1, 0.1)
-        base, _ = sigma_pair(spec, spec, CH_EXP, CH_EXP, CovMethod.EQUAL_PROPS)
-        ch3 = CompositeH(Exponential(3.0), IDENT)
-        scaled, _ = sigma_pair(spec, spec, ch3, ch3, CovMethod.EQUAL_PROPS)
+        base, _ = sigma_pair(spec, spec, EXP, CovMethod.EQUAL_PROPS)
+        scaled, _ = sigma_pair(spec, spec, Exponential(3.0), CovMethod.EQUAL_PROPS)
         assert scaled == pytest.approx(9.0 * base, rel=1e-9)
 
     def test_shift_invariance(self):
         spec_a = MomentSpec(IDENT, 0.1, 0.1)
         spec_b = MomentSpec(Shifted(5.0), 0.1, 0.1)
-        ch_b = CompositeH(Exponential(1.0), Shifted(5.0))
-        a, _ = sigma_pair(spec_a, spec_a, CH_EXP, CH_EXP, CovMethod.EQUAL_PROPS)
-        b, _ = sigma_pair(spec_b, spec_b, ch_b, ch_b, CovMethod.EQUAL_PROPS)
+        a, _ = sigma_pair(spec_a, spec_a, EXP, CovMethod.EQUAL_PROPS)
+        b, _ = sigma_pair(spec_b, spec_b, EXP, CovMethod.EQUAL_PROPS)
         assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -268,13 +273,7 @@ class TestCovMatrix:
     def test_normal_two_sided(self):
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.05, 0.05)]
         cov = cov_matrix(specs, Normal(0.0, 1.0))
-        ref, _ = sigma_pair(
-            specs[0],
-            specs[1],
-            CompositeH(Normal(0.0, 1.0), IDENT),
-            CompositeH(Normal(0.0, 1.0), Power(2.0)),
-            CovMethod.ALPHA,
-        )
+        ref, _ = sigma_pair(specs[0], specs[1], Normal(0.0, 1.0), CovMethod.ALPHA)
         assert cov[0, 1] == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
@@ -310,16 +309,15 @@ class TestRouteTable:
         # Equal proportions, so every route of the mode is valid for the pair.
         si = MomentSpec(IDENT, 0.1, 0.2, mode)
         sj = MomentSpec(Power(2.0), 0.1, 0.2, mode)
-        ch_j = CompositeH(UNIF, Power(2.0))
         if method is CovMethod.AUTO:
-            assert sigma_pair(si, sj, CH_UNIF, ch_j, method)[1] == "equal-props"
+            assert sigma_pair(si, sj, UNIF, method)[1] == "equal-props"
         elif method in APPLICABLE[mode]:
-            assert sigma_pair(si, sj, CH_UNIF, ch_j, method)[1] == method.value
+            assert sigma_pair(si, sj, UNIF, method)[1] == method.value
         else:
             name = "trimmed" if mode is Mode.MTM else "winsorized"
             message = f"method {method.value} not applicable to {name} mode"
             with pytest.raises(DomainError, match=f"^{message}$"):
-                sigma_pair(si, sj, CH_UNIF, ch_j, method)
+                sigma_pair(si, sj, UNIF, method)
 
     @staticmethod
     def expected_auto(si, sj):
@@ -334,8 +332,7 @@ class TestRouteTable:
     @OVER_AUDIT_CORPORA
     def test_auto_label_over_audit_corpora(self, corpus):
         for case in corpus:
-            ch_i, ch_j = case.composites()
-            _, label = sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j)
+            _, label = sigma_pair(case.spec_i, case.spec_j, case.model)
             assert label == self.expected_auto(case.spec_i, case.spec_j), case
 
     @pytest.mark.parametrize("method", list(CovMethod), ids=lambda m: m.value)
@@ -345,7 +342,7 @@ class TestRouteTable:
         with pytest.raises(
             DomainError, match="^covariance entries require a single estimation mode$"
         ):
-            sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+            sigma_pair(si, sj, UNIF, method)
 
     @pytest.mark.parametrize(
         "mode, method, message",
@@ -361,7 +358,7 @@ class TestRouteTable:
         si = MomentSpec(IDENT, 0.05, 0.05, mode)
         sj = MomentSpec(IDENT, 0.10, 0.25, mode)
         with pytest.raises(OrderingError) as info:
-            sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+            sigma_pair(si, sj, UNIF, method)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -378,10 +375,10 @@ class TestRouteTable:
             assert set(valid) <= APPLICABLE[mode]
             for method in APPLICABLE[mode]:
                 if method in valid:
-                    sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+                    sigma_pair(si, sj, UNIF, method)
                 else:
                     with pytest.raises(OrderingError):
-                        sigma_pair(si, sj, CH_UNIF, CH_UNIF, method)
+                        sigma_pair(si, sj, UNIF, method)
 
 
 CLOSED_ROUTES = {
@@ -403,10 +400,9 @@ def test_closed_routes_never_reach_the_batched_engine(corpus, monkeypatch):
     monkeypatch.setattr(asymcov_module, "integrate_batch", forbidden)
     evaluated = 0
     for case in corpus:
-        ch_i, ch_j = case.composites()
         for method, applies in CLOSED_ROUTES.items():
             if applies(case.spec_i, case.spec_j):
-                sigma_pair(case.spec_i, case.spec_j, ch_i, ch_j, method)
+                sigma_pair(case.spec_i, case.spec_j, case.model, method)
                 evaluated += 1
     assert evaluated >= len(corpus)
 
@@ -434,8 +430,7 @@ def test_mwm_decomposition_takes_h_prime_once_per_trimmed_edge(windows, monkeypa
     (ai, bi), (aj, bj) = windows
     si = MomentSpec(IDENT, ai, bi, Mode.MWM)
     sj = MomentSpec(Log(), aj, bj, Mode.MWM)
-    ch_i, ch_j = CompositeH(CH_EXP.model, IDENT), CompositeH(CH_EXP.model, Log())
-    sigma_pair(si, sj, ch_i, ch_j, CovMethod.MWM_DECOMP)
+    sigma_pair(si, sj, EXP, CovMethod.MWM_DECOMP)
     for spec in (si, sj):
         edges = {u for u, share in ((spec.a, spec.a), (spec.b_bar, spec.b)) if share}
         mine = [u for transform, u in calls if transform == spec.transform]
@@ -457,9 +452,8 @@ def test_a_diagonal_entry_takes_h_prime_once_per_trimmed_edge(method, monkeypatc
 
     monkeypatch.setattr(CompositeH, "deriv", counted)
     spec = MomentSpec(IDENT, 0.1, 0.2, Mode.MWM)
-    # equal composites, not the same object
-    ch_i, ch_j = CompositeH(Exponential(1.0), IDENT), CompositeH(Exponential(1.0), IDENT)
-    sigma_pair(spec, spec, ch_i, ch_j, method)
+    # sigma_pair builds two equal composites, not one object
+    sigma_pair(spec, spec, EXP, method)
     assert sorted(points) == [0.1, 0.8]
 
 
@@ -478,9 +472,9 @@ def _quadpack_calls(monkeypatch, *entry) -> int:
 
 
 def _entry(model, transforms, windows, mode, method):
-    """``sigma_pair`` arguments: one spec and composite per transform."""
+    """``sigma_pair`` arguments: one spec per transform."""
     specs = [MomentSpec(t, a, b, mode) for t, (a, b) in zip(transforms, windows)]
-    return (*specs, *(CompositeH(model, t) for t in transforms), method)
+    return (*specs, model, method)
 
 
 LOGNORMAL = Lognormal(0.0, 0.5)
@@ -533,8 +527,8 @@ def test_alpha_sweeps_identical_coordinates_once(mode, monkeypatch):
 
     monkeypatch.setattr(asymcov_module, "_alphas", recorded)
     spec = MomentSpec(Log(), 0.10, 0.25, mode)
-    # equal composites, not the same object
-    entry = (spec, spec, CompositeH(LOGNORMAL, Log()), CompositeH(LOGNORMAL, Log()))
+    # sigma_pair builds two equal composites, not one object
+    entry = (spec, spec, LOGNORMAL)
     alpha, _ = sigma_pair(*entry, CovMethod.ALPHA)
     assert set(widths) == {1}
     influence, _ = sigma_pair(*entry, CovMethod.EQUAL_PROPS)
@@ -678,7 +672,7 @@ class TestMethodNames:
     @pytest.mark.parametrize("method", [m.value for m in MTM_METHODS])
     def test_sigma_pair_takes_a_method_name(self, method):
         spec = MomentSpec(IDENT, 0.25, 0.25)
-        value, used = sigma_pair(spec, spec, CH_UNIF, CH_UNIF, method)
+        value, used = sigma_pair(spec, spec, UNIF, method)
         assert used == method
         assert value == pytest.approx(1.0 / 6.0, abs=1e-9)
 
@@ -686,6 +680,24 @@ class TestMethodNames:
         spec = MomentSpec(IDENT, 0.25, 0.25)
         valid = "alpha, kernel, closed, equal-props, mwm-decomposition, auto"
         with pytest.raises(DomainError, match=f"'fast'; valid: {valid}$"):
-            sigma_pair(spec, spec, CH_UNIF, CH_UNIF, "fast")
+            sigma_pair(spec, spec, UNIF, "fast")
         with pytest.raises(DomainError, match="^unknown covariance method 'fast'"):
             cov_matrix([spec], UNIF, "fast")
+
+
+class TestModelArgument:
+    @pytest.mark.parametrize(
+        "model",
+        [CH_UNIF, "uniform(0,1)", None],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_a_model_that_is_not_a_distribution_model_is_refused(self, model):
+        # The old call sigma_pair(spec_i, spec_j, ch_i, ch_j) passes a
+        # composite where the model goes; it used to fail deep in a route
+        # with an AttributeError.
+        spec = MomentSpec(IDENT, 0.25, 0.25)
+        message = f"model must be a DistributionModel, got {type(model).__name__}"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sigma_pair(spec, spec, model)
+        with pytest.raises(DomainError, match=rf"^entry \(0, 0\): {message}$"):
+            cov_matrix([spec], model)

@@ -12,7 +12,7 @@ import pytest
 
 from robust_lmoments import Mode, MomentSpec, sigma_pair
 from robust_lmoments.audit import relative_deviation
-from robust_lmoments.models import CompositeH, parse_model, parse_transform
+from robust_lmoments.models import parse_model, parse_transform
 
 # (family, transform_i, transform_j, (a_i, b_i), (a_j, b_j), mode, route,
 #  value)
@@ -111,8 +111,6 @@ def test_closed_routes_reproduce_frozen_values(row):
     model, mode = parse_model(family), Mode(mode)
     ti, tj = parse_transform(ti), parse_transform(tj)
     spec_i, spec_j = MomentSpec(ti, *pi, mode), MomentSpec(tj, *pj, mode)
-    value, used = sigma_pair(
-        spec_i, spec_j, CompositeH(model, ti), CompositeH(model, tj), route
-    )
+    value, used = sigma_pair(spec_i, spec_j, model, route)
     assert used == route
     assert relative_deviation(value, frozen) <= 1e-12

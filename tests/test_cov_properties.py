@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_lmoments import (
-    CompositeH,
     CovMethod,
     Exponential,
     Identity,
@@ -73,9 +72,8 @@ def test_cov_matrix_is_symmetric_and_psd(drawn):
 @given(spec_lists(Mode.MWM, min_size=2, max_size=2))
 def test_mwm_decomposition_matches_alpha(drawn):
     model, (si, sj) = drawn
-    chs = CompositeH(model, si.transform), CompositeH(model, sj.transform)
-    decomposition, _ = sigma_pair(si, sj, *chs, CovMethod.MWM_DECOMP)
-    alpha, _ = sigma_pair(si, sj, *chs, CovMethod.ALPHA)
+    decomposition, _ = sigma_pair(si, sj, model, CovMethod.MWM_DECOMP)
+    alpha, _ = sigma_pair(si, sj, model, CovMethod.ALPHA)
     assert relative_deviation(decomposition, alpha) <= 1e-8
 
 
@@ -166,8 +164,7 @@ def route_pairs(draw, method, families=FAMILIES):
 
 
 def _entry(model, specs, method) -> float:
-    chs = [CompositeH(model, spec.transform) for spec in specs]
-    return sigma_pair(*specs, *chs, method)[0]
+    return sigma_pair(*specs, model, method)[0]
 
 
 def _assert_within_bound(got, expected, model, specs, method, factor):

@@ -9,7 +9,6 @@ import pytest
 import robust_lmoments.estimate as estimate_module
 import robust_lmoments.moments as moments_module
 from robust_lmoments import (
-    CompositeH,
     ConvergenceError,
     DivergenceError,
     DomainError,
@@ -29,7 +28,6 @@ from robust_lmoments import (
     moment_jacobian,
     parse_model_template,
     population_moment,
-    population_trimmed_moment,
     sample_moment,
 )
 from robust_lmoments.models import ModelTemplate
@@ -51,9 +49,7 @@ class TestFit:
             [1, 2, 3, 4],
             [MomentSpec(IDENT, 0.25, 0.25)],
         )
-        factor = population_trimmed_moment(
-            CompositeH(Exponential(1.0), IDENT), MomentSpec(IDENT, 0.25, 0.25)
-        )
+        factor = population_moment(Exponential(1.0), MomentSpec(IDENT, 0.25, 0.25))
         assert result.theta_hat[0] == pytest.approx(2.5 / factor, rel=1e-8)
 
     def test_uniform_two_moments(self):
@@ -83,7 +79,7 @@ class TestFit:
         # the generating parameter to solver tolerance
         theta = 1.7
         spec = MomentSpec(IDENT, 0.1, 0.2)
-        mu = population_trimmed_moment(CompositeH(Exponential(theta), IDENT), spec)
+        mu = population_moment(Exponential(theta), spec)
         # a two-point sample whose trimmed mean equals mu exactly
         sample = [mu, mu]
         result = fit(parse_model_template("exponential(?)"), sample, [spec])
@@ -334,7 +330,7 @@ class TestJacobian:
         template = parse_model_template("exponential(?)")
         spec = MomentSpec(IDENT, 0.1, 0.1)
         jac = moment_jacobian(template, [2.0], [spec])
-        unit = population_trimmed_moment(CompositeH(Exponential(1.0), IDENT), spec)
+        unit = population_moment(Exponential(1.0), spec)
         assert jac[0, 0] == pytest.approx(unit, rel=1e-6)
 
     def test_square_shape(self):
@@ -350,7 +346,7 @@ def differenced_moment_jacobian(template, theta, specs, step=1e-6):
 
     def moments(t):
         model = template.bind(t)
-        return np.array([population_moment(CompositeH(model, s.transform), s) for s in specs])
+        return np.array([population_moment(model, s) for s in specs])
 
     columns = []
     for j, value in enumerate(theta):

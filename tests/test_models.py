@@ -388,6 +388,14 @@ class TestParsing:
         num = (ch.value(0.5 + step) - ch.value(0.5 - step)) / (2 * step)
         assert num == pytest.approx(ch.deriv(0.5), rel=1e-6)
 
+    @pytest.mark.parametrize("name", ["identity", "Identity", "POWER", "log", "Shifted"])
+    def test_a_built_in_transform_name_is_refused(self, name):
+        # Registered, "Identity" made every later parse_transform("identity")
+        # return the custom transform.
+        with pytest.raises(DomainError, match=rf"^transform name '{name}' is built in$"):
+            register_transform(name, math.expm1, math.exp)
+        assert parse_transform("identity") == Identity()
+
     def test_model_str_round_trip(self):
         m = Pareto(2.5, 1.0)
         assert parse_model(str(m)) == m

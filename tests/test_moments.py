@@ -26,11 +26,7 @@ from robust_lmoments import (
     floor_count,
     load_sample,
     population_moment,
-    population_trimmed_moment,
-    population_winsorized_moment,
     sample_moment,
-    sample_trimmed_moment,
-    sample_winsorized_moment,
 )
 
 IDENT = Identity()
@@ -39,29 +35,29 @@ IDENT = Identity()
 class TestSampleTrimmed:
     def test_hand_example(self):
         spec = MomentSpec(IDENT, 0.25, 0.25)
-        assert sample_trimmed_moment([1, 2, 3, 4], spec) == 2.5
+        assert sample_moment([1, 2, 3, 4], spec) == 2.5
 
     def test_singleton_untrimmed(self):
-        assert sample_trimmed_moment([5], MomentSpec(IDENT)) == 5.0
+        assert sample_moment([5], MomentSpec(IDENT)) == 5.0
 
     def test_top_trim_only(self):
         spec = MomentSpec(IDENT, 0.0, 0.2)
-        assert sample_trimmed_moment([1, 2, 3, 4, 100], spec) == 2.5
+        assert sample_moment([1, 2, 3, 4, 100], spec) == 2.5
 
     def test_unsorted_input(self):
         spec = MomentSpec(IDENT, 0.25, 0.25)
-        assert sample_trimmed_moment([4, 1, 3, 2], spec) == 2.5
+        assert sample_moment([4, 1, 3, 2], spec) == 2.5
 
     def test_empty_sample(self):
         with pytest.raises(EmptyWindowError):
-            sample_trimmed_moment([], MomentSpec(IDENT, 0.25, 0.25))
+            sample_moment([], MomentSpec(IDENT, 0.25, 0.25))
 
     def test_window_never_empty_for_valid_spec(self):
         # floor(n a) + floor(n b) <= n - 1 whenever a + b < 1, so one
         # observation always survives
         spec = MomentSpec(IDENT, 0.49, 0.49)
         for n in range(1, 30):
-            sample_trimmed_moment(list(range(n)), spec)
+            sample_moment(list(range(n)), spec)
 
     def test_floor_semantics(self):
         # floor(10 * 0.1) must be exactly 1 despite 10*0.1 != 1 in floats
@@ -74,17 +70,17 @@ class TestSampleTrimmed:
 class TestSampleWinsorized:
     def test_hand_example_symmetric(self):
         spec = MomentSpec(IDENT, 0.25, 0.25, Mode.MWM)
-        assert sample_winsorized_moment([1, 2, 3, 4], spec) == 2.5
+        assert sample_moment([1, 2, 3, 4], spec) == 2.5
 
     def test_hand_example_top(self):
         spec = MomentSpec(IDENT, 0.0, 0.25, Mode.MWM)
-        assert sample_winsorized_moment([1, 2, 3, 10], spec) == 2.25
+        assert sample_moment([1, 2, 3, 10], spec) == 2.25
 
     def test_reduces_to_trimmed_at_zero(self):
         data = [3.1, 0.2, 7.7, 1.4, 2.2]
-        assert sample_winsorized_moment(
+        assert sample_moment(
             data, MomentSpec(IDENT, mode=Mode.MWM)
-        ) == sample_trimmed_moment(data, MomentSpec(IDENT))
+        ) == sample_moment(data, MomentSpec(IDENT))
 
     def test_dispatch(self):
         data = [1, 2, 3, 10]
@@ -117,26 +113,22 @@ class TestSampleKernel:
         )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "fn", [sample_moment, sample_trimmed_moment, sample_winsorized_moment]
-    )
-    def test_non_finite_rejected(self, fn, bad):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_non_finite_rejected(self, mode, bad):
         # NaN sorts last and would be trimmed away silently
         with pytest.raises(DomainError, match=r"indices \[2\]"):
-            fn([1.0, 2.0, bad, 4.0, 5.0], MomentSpec(IDENT, 0.2, 0.2))
+            sample_moment([1.0, 2.0, bad, 4.0, 5.0], MomentSpec(IDENT, 0.2, 0.2, mode))
 
 
     @pytest.mark.parametrize("shape", [(10, 1), (2, 5), (1, 10), ()], ids=str)
-    @pytest.mark.parametrize(
-        "fn", [sample_moment, sample_trimmed_moment, sample_winsorized_moment]
-    )
-    def test_a_sample_that_is_not_one_dimensional_is_refused(self, fn, shape):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_sample_that_is_not_one_dimensional_is_refused(self, mode, shape):
         # Sorting runs along the last axis and the window slices rows, so
         # for MTM (0.2, 0.2) a 10 x 1 column of 0..9 would read 19.42 and a
         # 2 x 5 array 0.0, where the sample's moment is 4.5.
         data = np.arange(float(max(1, math.prod(shape)))).reshape(shape)
         with pytest.raises(DomainError, match=rf"^sample must be one-dimensional, got shape {re.escape(str(shape))}$"):
-            fn(data, MomentSpec(IDENT, 0.2, 0.2))
+            sample_moment(data, MomentSpec(IDENT, 0.2, 0.2, mode))
 
 
 class TestSpecValidation:
@@ -162,11 +154,10 @@ class TestSpecValidation:
         # A mode left as a string compares unequal to Mode.MTM, so "mtm"
         # read as winsorizing (0.8231 for 0.7610) and "mwm" found no
         # covariance route (a bare StopIteration).
-        ch = CompositeH(Exponential(1.0), IDENT)
         named = MomentSpec(IDENT, 0.2, 0.2, "mtm")
         assert named.mode is Mode.MTM
-        assert population_moment(ch, named) == population_moment(
-            ch, MomentSpec(IDENT, 0.2, 0.2, Mode.MTM)
+        assert population_moment(Exponential(1.0), named) == population_moment(
+            Exponential(1.0), MomentSpec(IDENT, 0.2, 0.2, Mode.MTM)
         )
         winsorized = MomentSpec(IDENT, 0.2, 0.2, "mwm")
         assert winsorized.mode is Mode.MWM
@@ -183,6 +174,18 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="^transform must be an HTransform, got 'identity'$"):
             MomentSpec("identity")
 
+    @pytest.mark.parametrize(
+        "a, b, shown",
+        [("0.1", 0.1, "a='0.1', b=0.1"), (0.1, None, "a=0.1, b=None")],
+        ids=["str", "none"],
+    )
+    def test_a_proportion_that_is_not_a_real_number_is_refused(self, a, b, shown):
+        # Before this refusal math.isnan raised a bare TypeError.
+        with pytest.raises(
+            DomainError, match=rf"^proportions must be numbers, got {re.escape(shown)}$"
+        ):
+            MomentSpec(IDENT, a, b)
+
     def test_derived_quantities(self):
         s = MomentSpec(IDENT, 0.1, 0.3)
         assert s.b_bar == pytest.approx(0.7)
@@ -191,44 +194,64 @@ class TestSpecValidation:
 
 class TestPopulation:
     def test_exponential_untrimmed_mean(self):
-        ch = CompositeH(Exponential(1.0), IDENT)
-        assert population_trimmed_moment(ch, MomentSpec(IDENT)) == pytest.approx(
+        assert population_moment(Exponential(1.0), MomentSpec(IDENT)) == pytest.approx(
             1.0, rel=1e-9
         )
 
     def test_uniform_untrimmed_mean(self):
-        ch = CompositeH(Uniform(0, 1), IDENT)
-        assert population_trimmed_moment(ch, MomentSpec(IDENT)) == pytest.approx(
+        assert population_moment(Uniform(0, 1), MomentSpec(IDENT)) == pytest.approx(
             0.5, rel=1e-12
         )
 
     def test_exponential_symmetric_trim(self):
         # integral of -log(1-u) over [1/4, 3/4] has an elementary value
-        ch = CompositeH(Exponential(1.0), IDENT)
         spec = MomentSpec(IDENT, 0.25, 0.25)
         exact = (-0.25 * math.log(4) + 0.75 * math.log(4.0 / 3.0) + 0.5) / 0.5
-        assert population_trimmed_moment(ch, spec) == pytest.approx(exact, rel=1e-10)
+        assert population_moment(Exponential(1.0), spec) == pytest.approx(exact, rel=1e-10)
 
     def test_exponential_winsorized(self):
-        ch = CompositeH(Exponential(1.0), IDENT)
         spec = MomentSpec(IDENT, 0.25, 0.25, Mode.MWM)
         core = -0.25 * math.log(4) + 0.75 * math.log(4.0 / 3.0) + 0.5
         exact = core + 0.25 * math.log(4.0 / 3.0) + 0.25 * math.log(4.0)
-        assert population_winsorized_moment(ch, spec) == pytest.approx(
+        assert population_moment(Exponential(1.0), spec) == pytest.approx(
             exact, rel=1e-10
         )
 
     def test_winsorized_equals_trimmed_untrimmed(self):
-        ch = CompositeH(Uniform(0, 2), Power(2.0))
-        a = population_moment(ch, MomentSpec(Power(2.0), mode=Mode.MWM))
-        b = population_moment(ch, MomentSpec(Power(2.0)))
+        a = population_moment(Uniform(0, 2), MomentSpec(Power(2.0), mode=Mode.MWM))
+        b = population_moment(Uniform(0, 2), MomentSpec(Power(2.0)))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_scale_equivariance(self):
         spec = MomentSpec(IDENT, 0.1, 0.2)
-        base = population_trimmed_moment(CompositeH(Exponential(1.0), IDENT), spec)
-        scaled = population_trimmed_moment(CompositeH(Exponential(3.0), IDENT), spec)
+        base = population_moment(Exponential(1.0), spec)
+        scaled = population_moment(Exponential(3.0), spec)
         assert scaled == pytest.approx(3.0 * base, rel=1e-10)
+
+    def test_the_spec_sets_the_transform_and_the_mode(self):
+        # With a composite and a spec, the composite's log transform won:
+        # -0.4567 where the identity moment is 0.8307; the removed
+        # sample_trimmed_moment read 5.0 for this winsorized spec.
+        spec = MomentSpec(IDENT, 0.1, 0.1)
+        assert population_moment(Exponential(1.0), spec) == pytest.approx(
+            0.8307074434907991, rel=1e-12
+        )
+        winsorized = MomentSpec(IDENT, 0.25, 0.0, Mode.MWM)
+        assert sample_moment([1, 2, 3, 10], winsorized) == 4.25
+
+    @pytest.mark.parametrize(
+        "model",
+        [CompositeH(Exponential(1.0), Log()), "exponential(1)", None],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_a_model_that_is_not_a_distribution_model_is_refused(self, model):
+        # The old call population_moment(ch, spec) took the composite's
+        # transform over the spec's; a string failed with AttributeError.
+        name = type(model).__name__
+        with pytest.raises(
+            DomainError, match=rf"^model must be a DistributionModel, got {name}$"
+        ):
+            population_moment(model, MomentSpec(IDENT, 0.1, 0.1))
 
 
 @st.composite
@@ -253,7 +276,7 @@ class TestSampleProperties:
         spec = MomentSpec(IDENT, a, b)
         rng = np.random.default_rng(0)
         shuffled = list(rng.permutation(values))
-        assert sample_trimmed_moment(values, spec) == sample_trimmed_moment(
+        assert sample_moment(values, spec) == sample_moment(
             shuffled, spec
         )
 
@@ -262,8 +285,8 @@ class TestSampleProperties:
     def test_translation_equivariance(self, case, shift):
         values, a, b = case
         spec = MomentSpec(IDENT, a, b)
-        base = sample_trimmed_moment(values, spec)
-        moved = sample_trimmed_moment([v + shift for v in values], spec)
+        base = sample_moment(values, spec)
+        moved = sample_moment([v + shift for v in values], spec)
         assert moved == pytest.approx(base + shift, rel=1e-9, abs=1e-6)
 
     @settings(max_examples=60, deadline=None)
@@ -271,7 +294,7 @@ class TestSampleProperties:
     def test_winsorized_within_range(self, case):
         values, a, b = case
         spec = MomentSpec(IDENT, a, b, Mode.MWM)
-        m = sample_winsorized_moment(values, spec)
+        m = sample_moment(values, spec)
         assert min(values) - 1e-9 <= m <= max(values) + 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -279,7 +302,7 @@ class TestSampleProperties:
     def test_trimmed_within_window(self, case):
         values, a, b = case
         spec = MomentSpec(IDENT, a, b)
-        m = sample_trimmed_moment(values, spec)
+        m = sample_moment(values, spec)
         assert min(values) - 1e-9 <= m <= max(values) + 1e-9
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from robust_lmoments import CovMethod, Mode, MomentSpec, sigma_pair
 from robust_lmoments.audit import relative_deviation
-from robust_lmoments.models import CompositeH, parse_model, parse_transform
+from robust_lmoments.models import parse_model, parse_transform
 
 # (family, transform_i, transform_j, (a_i, b_i), (a_j, b_j), mode,
 #  alpha, kernel or mwm-decomposition)
@@ -73,8 +73,7 @@ def test_oracle_routes_reproduce_frozen_values(row):
     model, mode = parse_model(family), Mode(mode)
     ti, tj = parse_transform(ti), parse_transform(tj)
     spec_i, spec_j = MomentSpec(ti, *pi, mode), MomentSpec(tj, *pj, mode)
-    ch_i, ch_j = CompositeH(model, ti), CompositeH(model, tj)
     second = CovMethod.KERNEL if mode is Mode.MTM else CovMethod.MWM_DECOMP
     for method, frozen in ((CovMethod.ALPHA, alpha_value), (second, second_value)):
-        value, _ = sigma_pair(spec_i, spec_j, ch_i, ch_j, method)
+        value, _ = sigma_pair(spec_i, spec_j, model, method)
         assert relative_deviation(value, frozen) <= 1e-8, method
