@@ -28,11 +28,17 @@ inside its window, and the product of both sides once over each piece
 inside both windows.  The paper's I(lo, hi), the integral of v H'(v),
 and Ibar(lo, hi), that of (1-v) H'(v), follow from a side's integral by
 parts.  H is never evaluated at an untrimmed endpoint; divergent
-integrals raise DivergenceError.  The alpha and kernel routes run on the
-batched engine ``integrate_batch`` and use H and H' alone: they share no
-code with the closed routes they check.  Each of their outer rounds pays
-for a whole inner sweep over its nodes, so each outer piece starts as
-two panels.
+integrals raise DivergenceError.  The last entry's table is kept in one
+slot, so routes evaluated back to back on one entry, as the audits do,
+share its integrals.  One slot is enough: ``cov_matrix`` visits each
+entry once, and when it repeats a spec those entries are one table.  The
+slot matches an entry by equality of its specs and composites, so it
+takes families and transforms to be immutable values, as
+``DistributionModel`` and ``HTransform`` ask.  The alpha and kernel
+routes run on the batched engine ``integrate_batch`` and use H and H'
+alone: they share no code with the closed routes they check.  Each of
+their outer rounds pays for a whole inner sweep over its nodes, so each
+outer piece starts as two panels.
 """
 
 from __future__ import annotations
@@ -349,6 +355,27 @@ class _Table:
         }
 
 
+# The last table built, with the entry it belongs to, as one tuple
+# ((spec_i, spec_j, ch_i, ch_j), table).
+_last_table = None
+
+
+def _table(spec_i, spec_j, ch_i, ch_j) -> _Table:
+    """The entry's table: the one kept from the previous call if that call
+    asked for an equal entry, else a new one, which replaces it.  Keys are
+    compared by equality, so a family need not be hashable; a build that
+    raises keeps nothing.  The slot is replaced as one tuple, so threads
+    that race on it can only build a table twice, never mix two entries."""
+    global _last_table
+    key = (spec_i, spec_j, ch_i, ch_j)
+    last = _last_table
+    if last is not None and last[0] == key:
+        return last[1]
+    table = _Table(*key)
+    _last_table = key, table
+    return table
+
+
 def _sigma_closed(spec_i, spec_j, ch_i, ch_j) -> float:
     """Closed form under the left-nested ordering, in whichever orientation
     of the pair it holds, over the entry's table: the form subtracts
@@ -363,7 +390,7 @@ def _sigma_closed(spec_i, spec_j, ch_i, ch_j) -> float:
     """
     if not _scenario_i_holds(spec_i, spec_j):
         spec_i, spec_j, ch_i, ch_j = spec_j, spec_i, ch_j, ch_i
-    table = _Table(spec_i, spec_j, ch_i, ch_j)
+    table = _table(spec_i, spec_j, ch_i, ch_j)
     i, j = table.i, table.j
     ai, aj = spec_i.a, spec_j.a
     bbi, bbj = spec_i.b_bar, spec_j.b_bar
@@ -408,7 +435,7 @@ def _psi_integral(table: _Table, steps: bool = False) -> float:
 def _sigma_influence(spec_i, spec_j, ch_i, ch_j) -> float:
     """The influence-function integral: trimmed, times the retained-mass
     factor; winsorized, with the edge steps."""
-    table = _Table(spec_i, spec_j, ch_i, ch_j)
+    table = _table(spec_i, spec_j, ch_i, ch_j)
     if spec_i.mode is Mode.MTM:
         return gamma_factor(spec_i, spec_j) * _psi_integral(table)
     return _psi_integral(table, steps=True)
@@ -418,7 +445,7 @@ def _sigma_mwm_equal_props(spec_i, spec_j, ch_i, ch_j) -> float:
     """Winsorized covariance for equal proportions across the pair: the
     step-free V11 plus the paper's edge-atom terms."""
     a, b, bb = spec_i.a, spec_i.b, spec_i.b_bar
-    table = _Table(spec_i, spec_j, ch_i, ch_j)
+    table = _table(spec_i, spec_j, ch_i, ch_j)
     i, j = table.i, table.j
     total = _psi_integral(table)
     dh_a_i, dh_b_i = i.edge_dh

@@ -611,8 +611,10 @@ def register_transform(
     deriv: Callable[[float], float],
 ) -> CustomTransform:
     """Register a custom h-transform addressable by name in parse_transform;
-    the name of a built-in transform, in any case, is refused."""
-    if name.lower() in _TRANSFORMS:
+    the name of a built-in transform, in any case, is refused, and so is a
+    call of one such as ``power(2)``, which parse_transform would otherwise
+    read as the custom transform while ``power(2.0)`` stayed built in."""
+    if name.split("(", 1)[0].strip().lower() in _TRANSFORMS:
         raise DomainError(f"transform name {name!r} is built in")
     t = CustomTransform(name.lower(), value, deriv)
     _CUSTOM_TRANSFORMS[t.name] = t

@@ -1,6 +1,9 @@
 """Asymptotic covariance routes: goldens, identities, and cross-checks."""
 
 import math
+import sys
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from robust_lmoments import (
     CompositeH,
     CovMethod,
+    DistributionModel,
     DivergenceError,
     DomainError,
     Exponential,
@@ -37,9 +41,12 @@ from robust_lmoments.asymcov import (
     gamma_factor,
 )
 from robust_lmoments.audit import (
+    AuditCase,
     build_equal_props_corpus,
     build_mtm_corpus,
     build_mwm_corpus,
+    run_mtm_audit,
+    run_mwm_equal_props_audit,
 )
 from robust_lmoments.models import CustomTransform
 
@@ -457,8 +464,8 @@ def test_a_diagonal_entry_takes_h_prime_once_per_trimmed_edge(method, monkeypatc
     assert sorted(points) == [0.1, 0.8]
 
 
-def _quadpack_calls(monkeypatch, *entry) -> int:
-    """The scalar QUADPACK calls that ``sigma_pair(*entry)`` makes."""
+def _quadpack_calls(monkeypatch, run) -> int:
+    """The scalar QUADPACK calls that ``run()`` makes."""
     calls = []
 
     def counted(f, lo, hi):
@@ -467,7 +474,7 @@ def _quadpack_calls(monkeypatch, *entry) -> int:
 
     for module in (asymcov_module, moments_module):
         monkeypatch.setattr(module, "integrate", counted)
-    sigma_pair(*entry)
+    run()
     return len(calls)
 
 
@@ -513,7 +520,139 @@ class TestWindowIntegralsOncePerEntry:
         "entry, calls", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
     )
     def test_quadpack_calls_per_entry(self, entry, calls, monkeypatch):
-        assert _quadpack_calls(monkeypatch, *_entry(*entry)) == calls
+        assert _quadpack_calls(monkeypatch, lambda: sigma_pair(*_entry(*entry))) == calls
+
+
+@dataclass
+class PlainExponential(DistributionModel):
+    """A user family written as a plain dataclass: mutable, so unhashable."""
+
+    scale: float = 1.0
+
+    family = "plain-exponential"
+    param_bounds = ((0.0, math.inf),)
+    bounded_below = True
+
+    def quantiles(self, u):
+        return -self.scale * np.log1p(-np.asarray(u, dtype=float))
+
+    def quantile_densities(self, u):
+        return self.scale / (1.0 - np.asarray(u, dtype=float))
+
+
+def _evaluated_cold(*entry) -> float:
+    """``sigma_pair(*entry)``'s value with no table kept from before."""
+    asymcov_module._last_table = None
+    return sigma_pair(*entry)[0]
+
+
+class TestLastTable:
+    """The last entry's table is kept, so the closed routes that the audits
+    evaluate back to back on one entry integrate its windows once; an entry
+    that differs in anything builds its own."""
+
+    @pytest.mark.parametrize(
+        "audit, mode",
+        [(run_mtm_audit, Mode.MTM), (run_mwm_equal_props_audit, Mode.MWM)],
+        ids=["mtm", "mwm-equal-props"],
+    )
+    @pytest.mark.parametrize(
+        "transforms, calls",
+        [([Power(2.0), Log()], 3), ([Log(), Log()], 2)],
+        ids=["two-transforms", "shared-side"],
+    )
+    def test_an_audit_case_integrates_one_table(
+        self, audit, mode, transforms, calls, monkeypatch
+    ):
+        # mtm runs closed and equal-props; mwm-equal-props runs
+        # mwm-decomposition and equal-props: two closed routes each.
+        specs = [MomentSpec(t, 0.10, 0.25, mode) for t in transforms]
+        case = AuditCase(LOGNORMAL, *specs)
+        assert _quadpack_calls(monkeypatch, lambda: audit([case])) == calls
+
+    def test_a_repeated_spec_shares_one_table_across_its_entries(self, monkeypatch):
+        spec = MomentSpec(Log(), 0.10, 0.25, Mode.MWM)
+        assert _quadpack_calls(monkeypatch, lambda: cov_matrix([spec, spec], LOGNORMAL)) == 2
+
+    ENTRY_A = (
+        MomentSpec(IDENT, 0.10, 0.25), MomentSpec(Power(2.0), 0.10, 0.25), LOGNORMAL
+    )
+    # Each differs from ENTRY_A in one input only; auto takes a closed route.
+    ENTRIES_B = {
+        "parameter": (*ENTRY_A[:2], Lognormal(0.0, 0.6)),
+        "class": (*ENTRY_A[:2], Normal(0.0, 0.5)),
+        "proportion": (ENTRY_A[0], MomentSpec(Power(2.0), 0.10, 0.20), LOGNORMAL),
+        "mode": (
+            MomentSpec(IDENT, 0.10, 0.25, Mode.MWM),
+            MomentSpec(Power(2.0), 0.10, 0.25, Mode.MWM),
+            LOGNORMAL,
+        ),
+        "transform": (ENTRY_A[0], MomentSpec(Power(3.0), 0.10, 0.25), LOGNORMAL),
+    }
+
+    @pytest.mark.parametrize("entry_b", ENTRIES_B.values(), ids=ENTRIES_B.keys())
+    def test_an_entry_after_another_is_its_own(self, entry_b):
+        cold = _evaluated_cold(*entry_b)
+        a = _evaluated_cold(*self.ENTRY_A)
+        b, used = sigma_pair(*entry_b)
+        assert used in ("closed", "equal-props")
+        assert b.hex() == cold.hex()
+        assert b != a
+
+    def test_a_divergent_table_diverges_again_on_the_next_route(self):
+        # H = 1/u on uniform(0, 1) is not integrable at the untrimmed end 0.
+        reciprocal = CustomTransform("reciprocal", lambda x: 1.0 / x, lambda x: -1.0 / x**2)
+        spec = MomentSpec(reciprocal, 0.0, 0.1)
+        with pytest.raises(DivergenceError) as first:
+            sigma_pair(spec, spec, UNIF, CovMethod.EQUAL_PROPS)
+        with pytest.raises(DivergenceError) as second:
+            sigma_pair(spec, spec, UNIF, CovMethod.CLOSED)
+        assert type(second.value) is type(first.value)
+        assert str(second.value) == str(first.value)
+
+    def test_threads_racing_on_the_slot_each_get_their_own_entry(self):
+        # Four threads, one entry each, switching often: a slot whose entry
+        # and table were stored apart could hand a thread another's table.
+        entries = [
+            (MomentSpec(Log(), 0.10, b), MomentSpec(Power(2.0), 0.10, b), LOGNORMAL)
+            for b in (0.15, 0.20, 0.25, 0.30)
+        ]
+        methods = (CovMethod.CLOSED, CovMethod.EQUAL_PROPS)
+        cold = {(k, m): _evaluated_cold(*e, m) for k, e in enumerate(entries) for m in methods}
+        wrong = []
+
+        def evaluate(k):
+            for _ in range(1000):
+                for m in methods:
+                    try:
+                        value, _ = sigma_pair(*entries[k], m)
+                    except Exception as exc:  # a torn table fails to index
+                        value = exc
+                    if value != cold[k, m]:
+                        wrong.append((k, m, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_an_unhashable_family_runs_the_closed_routes(self):
+        assert PlainExponential.__hash__ is None
+        spec = MomentSpec(Log(), 0.10, 0.25)
+        values = [
+            sigma_pair(spec, spec, model, method)[0]
+            for model in (PlainExponential(2.0), Exponential(2.0))
+            for method in (CovMethod.CLOSED, CovMethod.EQUAL_PROPS)
+        ]
+        assert values[:2] == pytest.approx(values[2:], rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)

@@ -1,6 +1,7 @@
 """Distribution families, transforms, and the composite H function."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +396,19 @@ class TestParsing:
         with pytest.raises(DomainError, match=rf"^transform name '{name}' is built in$"):
             register_transform(name, math.expm1, math.exp)
         assert parse_transform("identity") == Identity()
+
+    @pytest.mark.parametrize(
+        "name, built_in",
+        [("power(2)", Power(2.0)), ("Shifted(1)", Shifted(1.0)), ("IDENTITY()", Identity())],
+        ids=["power", "shifted", "identity"],
+    )
+    def test_a_call_of_a_built_in_transform_is_refused(self, name, built_in):
+        # Registered, "power(2)" made parse_transform("power(2)") return the
+        # custom transform while "power(2.0)" still parsed as Power(2.0).
+        message = rf"^transform name {re.escape(repr(name))} is built in$"
+        with pytest.raises(DomainError, match=message):
+            register_transform(name, abs, abs)
+        assert parse_transform(name) == built_in
 
     def test_model_str_round_trip(self):
         m = Pareto(2.5, 1.0)
