@@ -33,8 +33,10 @@ slot, so routes evaluated back to back on one entry, as the audits do,
 share its integrals.  One slot is enough: ``cov_matrix`` visits each
 entry once, and when it repeats a spec those entries are one table.  The
 slot matches an entry by equality of its specs and composites, so it
-takes families and transforms to be immutable values, as
-``DistributionModel`` and ``HTransform`` ask.  The alpha and kernel
+keeps only entries whose families and transforms are frozen dataclasses,
+as ``DistributionModel`` and ``HTransform`` ask: an entry of a mutable
+family, which may change in place between two calls, builds its table
+per call.  The alpha and kernel
 routes run on the batched engine ``integrate_batch`` and use H and H'
 alone: they share no code with the closed routes they check.  Each of
 their outer rounds pays for a whole inner sweep over its nodes, so each
@@ -362,7 +364,8 @@ _last_table = None
 
 def _table(spec_i, spec_j, ch_i, ch_j) -> _Table:
     """The entry's table: the one kept from the previous call if that call
-    asked for an equal entry, else a new one, which replaces it.  Keys are
+    asked for an equal entry, else a new one, which replaces it when every
+    family and transform of the entry is a frozen dataclass.  Keys are
     compared by equality, so a family need not be hashable; a build that
     raises keeps nothing.  The slot is replaced as one tuple, so threads
     that race on it can only build a table twice, never mix two entries."""
@@ -372,8 +375,15 @@ def _table(spec_i, spec_j, ch_i, ch_j) -> _Table:
     if last is not None and last[0] == key:
         return last[1]
     table = _Table(*key)
-    _last_table = key, table
+    if all(_frozen(x) for ch in (ch_i, ch_j) for x in (ch.model, ch.transform)):
+        _last_table = key, table
     return table
+
+
+def _frozen(value) -> bool:
+    """``value`` is an instance of a frozen dataclass."""
+    params = getattr(type(value), "__dataclass_params__", None)
+    return params is not None and params.frozen
 
 
 def _sigma_closed(spec_i, spec_j, ch_i, ch_j) -> float:

@@ -28,9 +28,10 @@ from .models import Identity, parse_model, parse_model_template, parse_transform
 from .moments import (
     Mode,
     MomentSpec,
+    _ascending,
     load_sample,
     population_moment,
-    sample_moment,
+    sorted_sample_moment,
 )
 from .simulate import SimulationConfig, run_mc
 
@@ -334,9 +335,11 @@ def _run_moments(config: RunConfig) -> tuple[str, bool]:
     model = parse_model(config.model) if config.model else None
     if sample is None and model is None:
         raise RobustLMomentsError("need --data and/or --family")
+    if sample is not None:
+        sample = _ascending(sample)  # validated and sorted once for every spec
     for j, spec in enumerate(specs):
         if sample is not None:
-            v = sample_moment(sample, spec)
+            v = sorted_sample_moment(sample, spec)
             lines.append(
                 f"{j},sample,{_num(v)}" if csv else f"[{j}] sample    {v:.12g}"
             )

@@ -172,9 +172,14 @@ def load_sample(path: str | Path) -> np.ndarray:
 
     The file is read once.  A plain file (one number per line, nothing
     but ASCII digits, '.', 'e'/'E', '+'/'-' and '\\n', no empty line) is
-    parsed in one numpy pass; every other file, and any plain file that
-    pass does not read as one finite value per line, goes through the
-    line scan, which alone reports format errors.
+    parsed in numpy passes.  When every line is a plain decimal,
+    ``[+-]digits[.digits]`` or ``[+-][digits].digits`` with 1 to 27 digits
+    that fit an int64 (any 18 significant digits do) and no exponent, its
+    values come from integer mantissas and are bitwise those of
+    ``float()``; any other plain file takes numpy's float parse.  Every
+    other file, and any plain file those passes do not read as one finite
+    value per line, goes through the line scan, which alone reports
+    format errors.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -186,30 +191,136 @@ def load_sample(path: str | Path) -> np.ndarray:
 
 _PLAIN_BYTES = b"0123456789.eE+-\n"
 
+# The decimal path divides a line's digits, read as one integer m, by 10**k,
+# k the digits after its dot.  10**k is an exact double for k <= 22 and an
+# exact long double for k <= 27 when the long double has a 64-bit (x87
+# extended) or 113-bit (IEEE quad) significand, where every int64 is exact
+# too.
+_MAX_DIGITS = 27
+_EXACT_POW10 = 22
+_POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+_POW10_LONG = np.cumprod(np.array([1] + [10] * _MAX_DIGITS, dtype=np.longdouble))
+_EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
+_INT64 = np.iinfo(np.int64)
+# The bytes of a file the decimal path reads at once.  Its temporaries are a
+# few times a block, and a block of about 13,000 lines reads faster than
+# one pass over a whole 100,000-line file.
+_BLOCK = 1 << 18
+
 
 def _parse_plain(data: bytes) -> np.ndarray | None:
     """The values of a plain file, or None when it is not plain or does
-    not parse as exactly one finite number per line."""
+    not parse as exactly one finite number per line.  A file of plain
+    decimals takes ``_parse_decimal``; any other plain file, and one
+    that path declines, is read by numpy's float parser."""
+    if not data or data.translate(None, _PLAIN_BYTES):
+        return None
+    values = _parse_decimal(data)
+    if values is not None:
+        return values
     # Empty lines are refused up front: numpy reads a buffer of nothing
     # but newlines as [-1.0], which the count check alone would accept.
-    if (
-        not data
-        or data.translate(None, _PLAIN_BYTES)
-        or data.startswith(b"\n")
-        or b"\n\n" in data
-    ):
+    if data.startswith(b"\n") or b"\n\n" in data:
         return None
     lines = data.count(b"\n") + (not data.endswith(b"\n"))
-    # Older numpy reports a partial read as a DeprecationWarning, newer as
-    # a ValueError; either way the line scan takes over.
+    values = _fromstring(data, float)
+    if values is None or values.size != lines or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _fromstring(data: bytes, dtype) -> np.ndarray | None:
+    """numpy's parse of newline-separated numbers, or None where it stops
+    early: older numpy reports a partial read as a DeprecationWarning,
+    newer as a ValueError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(data, dtype=float, sep="\n")
+            return np.fromstring(data, dtype=dtype, sep="\n")
         except (ValueError, DeprecationWarning):
             return None
-    if values.size != lines or not np.isfinite(values).all():
+
+
+def _parse_decimal(data: bytes) -> np.ndarray | None:
+    """The values of a file of plain decimals, bitwise those of ``float()``
+    on each line, or None for any other file of the plain characters.  The
+    file is read in blocks of whole lines, each the first line end past
+    ``_BLOCK`` bytes, so that the temporaries of ``_decimal_block`` stay a
+    few times one block's size however long the file is."""
+    if b"e" in data or b"E" in data:
         return None
+    blocks = []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        block = _decimal_block(data[start:stop])
+        if block is None:
+            return None
+        blocks.append(block)
+        start = stop
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _decimal_block(data: bytes) -> np.ndarray | None:
+    """The values of whole lines of plain decimals without an exponent,
+    bitwise those of ``float()`` on each line, or None for any other lines.
+
+    Every line must be ``[+-]digits[.digits]`` or ``[+-][digits].digits``
+    with 1 to 27 digits, and its digits without the dot, m, must fit an
+    int64 (at most 18 significant digits always do).  The value is
+    m / 10**k, k the digits after the dot: one correctly rounded double
+    division where |m| <= 2**53 and k <= 22 (Clinger's fast path), else a
+    correctly rounded long-double quotient q rounded to a double.  That
+    second rounding can differ from float()'s only where q lies exactly
+    halfway between two doubles; those rows are read by float().  Without
+    a long double of 64 or 113 significant bits, a file that needs the
+    second form is declined.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, buf.size)
+    first = np.concatenate((buf[:1], buf[ends[:-1] + 1]))
+    signed = (first == ord("-")) | (first == ord("+"))
+    dots = np.flatnonzero(buf == ord("."))
+    dotted = np.searchsorted(ends, dots)
+    if np.any(dotted[1:] == dotted[:-1]):
+        return None  # two dots in one line
+    digits = np.diff(ends, prepend=-1) - 1 - signed
+    digits[dotted] -= 1
+    if digits.min() < 1 or digits.max() > _MAX_DIGITS:
+        return None
+    scale = np.zeros(ends.size, dtype=np.int8)
+    scale[dotted] = ends[dotted] - dots - 1
+    # A sign after a line's start makes numpy read one more number or stop
+    # early, so the count check refuses it.
+    mantissas = _fromstring(data.replace(b".", b""), np.int64)
+    # numpy saturates an integer too long for an int64 (at its maximum;
+    # C's strtoll takes the minimum for a negative one).
+    if (
+        mantissas is None
+        or mantissas.size != ends.size
+        or np.any((mantissas == _INT64.max) | (mantissas == _INT64.min))
+    ):
+        return None
+    values = mantissas / _POW10[scale]
+    wide = np.flatnonzero((scale > _EXACT_POW10) | (np.abs(mantissas) > 2**53))
+    if wide.size:
+        if not _EXTENDED:
+            return None
+        q = mantissas[wide].astype(np.longdouble) / _POW10_LONG[scale[wide]]
+        d = q.astype(float)
+        # q is a tie when it lies halfway between d and the next double n on
+        # its side, that is when d + 2 (q - d) is n.  q - d is exact, and so
+        # is a tie's off; d + 2 off is then exact, and otherwise rounds to d
+        # or n, so that (d + 2 off) - d is not 2 off.
+        off = (q - d).astype(float)
+        for i in np.flatnonzero((off != 0) & ((d + 2 * off) - d == 2 * off)):
+            row = wide[i]
+            d[i] = float(data[ends[row - 1] + 1 if row else 0 : ends[row]])
+        values[wide] = d
+    zeros = np.flatnonzero(mantissas == 0)
+    values[zeros[first[zeros] == ord("-")]] = -0.0
     return values
 
 

@@ -654,6 +654,17 @@ class TestLastTable:
         ]
         assert values[:2] == pytest.approx(values[2:], rel=1e-12)
 
+    def test_a_mutable_family_changed_in_place_gets_a_fresh_table(self):
+        spec = MomentSpec(Log(), 0.10, 0.25)
+        model = PlainExponential(1.0)
+        closed, _ = sigma_pair(spec, spec, model, CovMethod.CLOSED)
+        model.scale = 2.0
+        changed, _ = sigma_pair(spec, spec, model, CovMethod.EQUAL_PROPS)
+        assert changed == _evaluated_cold(spec, spec, model, CovMethod.EQUAL_PROPS)
+        # a scale moves log H by a constant, which the covariance ignores
+        assert closed == pytest.approx(1.87295, abs=5e-6)
+        assert changed == pytest.approx(closed, rel=1e-8)
+
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_alpha_sweeps_identical_coordinates_once(mode, monkeypatch):

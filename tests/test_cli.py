@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from robust_lmoments import AuditCase, AuditResult, Identity, MomentSpec, Uniform, cli
+from robust_lmoments import (
+    AuditCase,
+    AuditResult,
+    Identity,
+    MomentSpec,
+    Uniform,
+    cli,
+    parse_transform,
+    sample_moment,
+)
 from robust_lmoments.cli import RunConfig, _build_parser, main, parse_args, run
 
 
@@ -141,6 +150,26 @@ class TestRun:
         assert code == 0
         assert "sample" in out and "2.5" in out
         assert "population" in out
+
+    def test_moments_sorts_the_sample_once_for_every_spec(self, tmp_path, monkeypatch, capsys):
+        values = [3.5, 1.25, 9.0, 2.0, 7.75, 4.5, 0.5, 6.0, 8.25, 5.0]
+        p = tmp_path / "x.txt"
+        p.write_text("\n".join(map(repr, values)) + "\n")
+        coordinates = [("identity", 0.1, 0.1), ("log", 0.2, 0.0), ("power(2)", 0.0, 0.3)]
+        argv = ["moments", "--data", str(p)]
+        expected = ""
+        for j, (name, a, b) in enumerate(coordinates):
+            argv += ["--transform", name, "--trim", f"{a},{b}"]
+            v = sample_moment(values, MomentSpec(parse_transform(name), a, b))
+            expected += f"[{j}] sample    {v:.12g}\n"
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(
+            np, "sort", lambda *args, **kwargs: sorts.append(1) or sort(*args, **kwargs)
+        )
+        assert main(argv) == 0
+        assert len(sorts) == 1
+        assert capsys.readouterr().out == expected
 
     def test_fit_success(self, sample_file, capsys):
         code = main(

@@ -397,6 +397,128 @@ class TestLoaderPaths:
         assert str(info.value) == f"{p}: non-numeric or non-finite rows at lines {lines}"
 
 
+# Rows whose long-double quotient m / 10**k, in x87 extended precision, lies
+# exactly halfway between two doubles, so that rounding it to a double can
+# differ from float() (found by search, then frozen).  The first three are
+# 17-digit reprs; the last three lie halfway to the next double below a
+# power of two, where the gap is half the one above.
+_TIE_ROWS = [
+    "0.006422192800942706",
+    "3781.418327029897",
+    "50.98866502127375",
+    "0.06249999999999999653",
+    "8589934591.999999523",
+    "0.00000005960464477539062169",
+]
+
+
+def _taken_path(monkeypatch, path) -> tuple[str, np.ndarray]:
+    """Which reader gave ``load_sample(path)``: the decimal path, numpy's
+    float parse or the line scan; and the values."""
+    taken = []
+    decimal, scan = moments_module._parse_decimal, moments_module._scan_lines
+
+    def spy_decimal(data):
+        values = decimal(data)
+        if values is not None:
+            taken.append("decimal")
+        return values
+
+    def spy_scan(path, data):
+        taken.append("line scan")
+        return scan(path, data)
+
+    monkeypatch.setattr(moments_module, "_parse_decimal", spy_decimal)
+    monkeypatch.setattr(moments_module, "_scan_lines", spy_scan)
+    values = load_sample(path)
+    return (taken[0] if taken else "fromstring"), values
+
+
+class TestDecimalPath:
+    """A file of plain decimals is read from integer mantissas, bitwise as
+    float() reads each line; every other file falls back as before."""
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("1.5\n-2\n+.25\n3.\n", "decimal"),
+            ("007\n-0.000\n+0\n-0", "decimal"),
+            ("\n".join(_TIE_ROWS) + "\n", "decimal"),
+            ("1234567890123456789\n-0.1234567890123456789\n", "decimal"),
+            ("00000000000000000000.5\n0.000000000000000000123\n", "decimal"),
+            # 10**23 and 10**27 are not doubles, so these take the long double
+            ("0.00000000000000000000001\n-.000000000000000000000000059\n", "decimal"),
+            ("1e5\n2\n", "fromstring"),
+            ("2\n1.5E3\n", "fromstring"),
+            ("9223372036854775807\n", "fromstring"),
+            ("-9.223372036854775808\n", "fromstring"),
+            ("0.12345678901234567890123\n", "fromstring"),
+            ("0.0000000000000000000000000001\n", "fromstring"),
+            ("1.5\n\n2.5\n", "line scan"),
+            ("\n1.5\n", "line scan"),
+            ("# c\n1.5\n", "line scan"),
+            ("1.5,a\n", "line scan"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "many-blocks"])
+    def test_each_layout_takes_its_path(self, tmp_path, monkeypatch, text, path, block):
+        if block:
+            monkeypatch.setattr(moments_module, "_BLOCK", block)
+        p = tmp_path / "x.txt"
+        p.write_bytes(text.encode())
+        taken, values = _taken_path(monkeypatch, p)
+        assert taken == path
+        expected = moments_module._scan_lines(p, text.encode())
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e5\n", "1.2.3\n", "1-2\n", "+-1\n", "1\n\n2\n", "\n1\n", "+\n", ".\n",
+         "-.\n", "5\n.", "5\n..", "1.5\n2.5\n-3\n4-\n", "1.5\n2.5\n3.5\n\n4\n",
+         "12345678901234567890\n", "-12345678901234567890\n",
+         "1" * 28 + "\n", "." + "0" * 27 + "1\n"],
+    )
+    @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "many-blocks"])
+    def test_other_files_are_declined(self, monkeypatch, text, block):
+        if block:
+            monkeypatch.setattr(moments_module, "_BLOCK", block)
+        assert moments_module._parse_decimal(text.encode()) is None
+
+    def test_halfway_quotients_read_as_float_does(self, tmp_path, monkeypatch):
+        if np.finfo(np.longdouble).nmant == 63:
+            mantissas = np.array([int(r.replace(".", "")) for r in _TIE_ROWS])
+            scales = [len(r) - r.index(".") - 1 for r in _TIE_ROWS]
+            quotients = mantissas.astype(np.longdouble) / moments_module._POW10_LONG[scales]
+            # rounding the quotient to a double disagrees with float() on each
+            assert all(q.astype(float) != float(r) for q, r in zip(quotients, _TIE_ROWS))
+        p = tmp_path / "x.txt"
+        p.write_text("\n".join(_TIE_ROWS))
+        taken, values = _taken_path(monkeypatch, p)
+        assert taken == ("decimal" if moments_module._EXTENDED else "fromstring")
+        assert values.tobytes() == np.array([float(r) for r in _TIE_ROWS]).tobytes()
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        p = tmp_path / "x.txt"
+        p.write_text("-0\n-0.000\n-.0\n0.0\n")
+        values = load_sample(p)
+        assert np.signbit(values).tolist() == [True, True, True, False]
+
+    def test_without_an_extended_long_double_the_same_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        sample = np.concatenate([rng.lognormal(2.0, 1.0, 500), -rng.exponential(1e-3, 500)])
+        text = "\n".join(map(repr, sample.tolist())) + "\n"
+        p = tmp_path / "x.txt"
+        p.write_text(text)
+        extended = _taken_path(monkeypatch, p)
+        monkeypatch.setattr(moments_module, "_EXTENDED", False)
+        plain = _taken_path(monkeypatch, p)
+        assert plain[0] == "fromstring"
+        assert extended[1].tobytes() == plain[1].tobytes() == sample.tobytes()
+        # rows that need no long double still take the decimal path
+        p.write_text("1.5\n-0.25\n12345.678\n")
+        assert _taken_path(monkeypatch, p) == ("decimal", pytest.approx([1.5, -0.25, 12345.678]))
+
+
 # Lines of the parity test: plain numbers, malformed tokens that are still
 # made of the plain characters, and every layout the line scan handles.
 _PLAIN_LINES = st.one_of(
@@ -453,6 +575,42 @@ def test_load_sample_matches_the_line_scan(parity_path, data):
     assert _outcome(lambda: load_sample(parity_path)) == _outcome(
         lambda: moments_module._scan_lines(parity_path, data)
     )
+
+
+@st.composite
+def _decimal_lines(draw, longest):
+    """``[+-]digits[.digits]`` or ``[+-][digits].digits``, leading zeros
+    and all, or a float repr without an exponent."""
+    if draw(st.booleans()):
+        size = draw(st.integers(1, longest))
+        digits = draw(st.text("0123456789", min_size=size, max_size=size))
+        dot = draw(st.none() | st.integers(0, len(digits)))
+        body = digits if dot is None else digits[:dot] + "." + digits[dot:]
+    else:
+        body = repr(draw(st.floats(min_value=1e-4, max_value=1e15)))
+    return draw(st.sampled_from(["", "+", "-"])) + body
+
+
+@st.composite
+def _decimal_files(draw):
+    # Most files keep every line within an int64, so that the decimal path
+    # reads them; the rest reach 30 digits, past its 27.
+    longest = draw(st.sampled_from([18, 18, 30]))
+    lines = draw(st.lists(_decimal_lines(longest), min_size=1, max_size=12))
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_decimal_files())
+@example(data=("\n".join(_TIE_ROWS)).encode())
+@example(data=b"-0.000\n+00012.50\n1234567890123456789\n.5\n7.\n")
+def test_load_sample_reads_decimal_files_as_the_line_scan(parity_path, data):
+    parity_path.write_bytes(data)
+    expected = _outcome(lambda: moments_module._scan_lines(parity_path, data))
+    assert _outcome(lambda: load_sample(parity_path)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments_module, "_BLOCK", 8)  # a block every line or two
+        assert _outcome(lambda: load_sample(parity_path)) == expected
 
 
 @pytest.mark.parametrize("text", ["1.5\n2.5\n", "# header\n1.5\n2.5", "1.5,a\r\n2.5,b\r\n"])
