@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OrderingError
+from .errors import DivergenceError, DomainError, OrderingError, RobustLMomentsError
 from .models import CompositeH, DistributionModel
 from .moments import Mode, MomentSpec, _check_one_mode, _composite
 from .quadrature import REL_TOL, integrate, integrate_batch
@@ -208,8 +208,9 @@ def _sigma_alpha(
     """Reference oracle: integral over (0,1) of alpha_i * alpha_j."""
     upper = min(spec_i.b_bar, spec_j.b_bar)
     cuts = _split_at(0.0, upper, [spec_i.a, spec_j.a, spec_i.b_bar, spec_j.b_bar])
-    # Identical coordinates share one sweep and one alpha.
-    pairs = list(dict.fromkeys([(spec_i, ch_i), (spec_j, ch_j)]))
+    # Identical coordinates, equal as in ``_Table``, share one sweep and one alpha.
+    same = (spec_i, ch_i) == (spec_j, ch_j)
+    pairs = [(spec_i, ch_i)] if same else [(spec_i, ch_i), (spec_j, ch_j)]
     edge_dhs = [
         _edge_derivs(spec, ch) if spec.mode is Mode.MWM else None for spec, ch in pairs
     ]
@@ -572,7 +573,17 @@ def sigma_pair(
         raise DomainError(f"method {method.value} not applicable to {mode} mode")
     if not route.valid(spec_i, spec_j):
         raise OrderingError(route.refusal)
-    return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
+    try:
+        return route.evaluate(spec_i, spec_j, ch_i, ch_j), method.value
+    except RobustLMomentsError:
+        raise
+    except ArithmeticError as exc:
+        # As ``quadrature`` maps an integrand's: the closed routes evaluate
+        # H at window midpoints and cuts outside QUADPACK.
+        pair = " and ".join(f"{s.transform} on [{s.a}, {s.b_bar}]" for s in (spec_i, spec_j))
+        raise DivergenceError(
+            f"{method.value} covariance of {pair} failed at {model}: {exc}"
+        ) from exc
 
 
 def cov_matrix(
@@ -580,7 +591,7 @@ def cov_matrix(
     model: DistributionModel,
     method: CovMethod | str = CovMethod.AUTO,
 ) -> CovMatrix:
-    """Full k x k matrix, symmetrized as (M + M^T)/2 after assembly."""
+    """Full k x k matrix, each entry written to both triangles."""
     method = _as_method(method)
     _check_one_mode(specs)
     k = len(specs)
@@ -596,5 +607,4 @@ def cov_matrix(
                 raise
             entries[i, j] = entries[j, i] = value
             labels[i][j] = labels[j][i] = used
-    entries = 0.5 * (entries + entries.T)
     return CovMatrix(entries, tuple(tuple(row) for row in labels))

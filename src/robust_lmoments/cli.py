@@ -396,8 +396,6 @@ def _run_fit(config: RunConfig) -> tuple[str, bool]:
         raise RobustLMomentsError("fit requires --data")
     template = parse_model_template(config.model)
     sample = load_sample(config.data)
-    if sample.size == 0:
-        raise RobustLMomentsError("empty sample")
     specs = _specs(config)
     result = fit_model(template, sample, specs)
     se = np.sqrt(np.diag(result.cov_theta.entries) / sample.size)

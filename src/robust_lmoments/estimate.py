@@ -6,8 +6,8 @@ matrix to parameter space via the inverse Jacobian sandwich.
 
 Each evaluation of the moment map gives the moments and their analytic
 Jacobian D = d mu / d theta together: mu = int h(Q(u; theta)) du and
-D = int h'(Q) dQ/dtheta du over each window, divided by the retained mass
-if trimmed, plus the edge atoms if winsorized, all from one batched
+D = int h'(Q) dQ/dtheta du over each window, closed by the window rule of
+``population_moment`` (``moments._close_window``), all from one batched
 quadrature.  The D of the accepted Newton point drives the next step, and
 the D at the root drives the sandwich.  A spec whose window reaches an
 unbounded tail of the family takes the scalar QUADPACK moment and its
@@ -27,16 +27,15 @@ import numpy as np
 from .asymcov import CovMatrix, cov_matrix
 from .errors import (
     ConvergenceError,
-    DivergenceError,
     DomainError,
     RobustLMomentsError,
     SingularJacobianError,
 )
 from .models import DistributionModel, ModelTemplate, central_difference
 from .moments import (
-    Mode,
     MomentSpec,
     _ascending,
+    _close_window,
     _window,
     _window_moment,
     population_moment,
@@ -91,26 +90,14 @@ def _batched_moments(model: DistributionModel, free, specs) -> tuple[np.ndarray,
     lo = np.repeat([spec.a for spec in specs], width)
     hi = np.repeat([spec.b_bar for spec in specs], width)
     table = integrate_batch(integrand, lo, hi, panels=_MAP_PANELS).reshape(-1, width)
-    mu, jac = table[:, 0], table[:, 1:]
     for s, spec in enumerate(specs):
-        if spec.mode is Mode.MTM:
-            mu[s] /= spec.retained
-            jac[s] /= spec.retained
-            continue
-        # Winsorized: the edge atoms.  An overflow there is refused as the
-        # integrand's is, not warned about.
-        if spec.edge_atoms:
-            t, w = np.array(spec.edge_atoms).T
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                x = model.quantiles(t)
-                mu[s] += spec.transform.values(x) @ w
-                jac[s] += (model.quantile_grads(t)[free] * spec.transform.derivs(x)) @ w
-            if not (np.isfinite(mu[s]) and np.isfinite(jac[s]).all()):
-                raise DivergenceError(
-                    f"winsorized moment of {spec.transform} on [{spec.a}, "
-                    f"{spec.b_bar}] is not finite at {model}"
-                )
-    return mu, jac
+
+        def at(t: np.ndarray) -> np.ndarray:  # spec s's integrand row at each point
+            rows = np.tile(s * width + np.arange(width), t.size)
+            return integrand(np.repeat(t, width), rows).reshape(t.size, width)
+
+        table[s] = _close_window(spec, model, table[s], at)
+    return table[:, 0], table[:, 1:]
 
 
 def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.ndarray]:

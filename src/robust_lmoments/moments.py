@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyWindowError, SampleFormatError
+from .errors import DivergenceError, DomainError, EmptyWindowError, SampleFormatError
 from .models import CompositeH, DistributionModel, HTransform
 from .quadrature import integrate
 
@@ -111,10 +111,20 @@ def _check_one_mode(specs: Sequence[MomentSpec]) -> None:
 
 def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float:
     """The MTM or MWM moment given ``h``, the transformed order statistics
-    lo .. hi-1 (zero-based) of an ascending sample of size n."""
+    lo .. hi-1 (zero-based) of an ascending sample of size n; refused when
+    it is not finite, as where the transform is infinite on the window.  The
+    edge terms take Python floats, so that an edge of no mass at an infinite
+    h (0 * inf) gives NaN without a warning."""
     if mode is Mode.MTM:
-        return float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
-    return float((lo * h[0] + h.sum() + (n - hi) * h[-1]) / n)
+        moment = float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
+    else:
+        moment = float((lo * float(h[0]) + h.sum() + (n - hi) * float(h[-1])) / n)
+    if not math.isfinite(moment):
+        raise DomainError(
+            f"moment over order statistics {lo + 1} .. {hi} of n={n} is not "
+            "finite: the transform is infinite or too large there"
+        )
+    return moment
 
 
 def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
@@ -151,15 +161,28 @@ def _composite(model: DistributionModel, spec: MomentSpec) -> CompositeH:
     return CompositeH(model, spec.transform)
 
 
-def population_moment(model: DistributionModel, spec: MomentSpec) -> float:
-    """H's window integral, over the retained mass if trimmed, else plus the edge atoms."""
-    ch = _composite(model, spec)
-    total = integrate(ch.value, spec.a, spec.b_bar)
+def _close_window(spec: MomentSpec, model: DistributionModel, total, at):
+    """``total``, a window integral or a row of them, over the retained mass
+    if trimmed, else plus each edge atom's mass times its row of ``at``, the
+    integrand on an array of points, refused unless that sum is finite."""
     if spec.mode is Mode.MTM:
         return total / spec.retained
-    for u, mass in spec.edge_atoms:
-        total += mass * ch.value(u)
+    if spec.edge_atoms:
+        t, mass = np.array(spec.edge_atoms).T
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            total = total + mass @ at(t)
+        if not np.isfinite(total).all():
+            raise DivergenceError(
+                f"winsorized moment of {spec.transform} on [{spec.a}, "
+                f"{spec.b_bar}] is not finite at {model}"
+            )
     return total
+
+
+def population_moment(model: DistributionModel, spec: MomentSpec) -> float:
+    """H's window integral closed by ``_close_window``."""
+    ch = _composite(model, spec)
+    return float(_close_window(spec, model, integrate(ch.value, spec.a, spec.b_bar), ch.value))
 
 
 def load_sample(path: str | Path) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from robust_lmoments import (
     CompositeH,
@@ -276,6 +277,15 @@ class TestCovMatrix:
         ]
         with pytest.raises(DomainError):
             cov_matrix(specs, UNIF)
+
+    def test_an_entry_above_half_the_largest_double_stays_finite(self):
+        # Twice such an entry overflows, so no pass may add it to itself.
+        spec = MomentSpec(IDENT, 0.1, 0.1)
+        unit, _ = sigma_pair(spec, spec, UNIF)
+        model = Uniform(0.0, math.sqrt(1.2e308) / math.sqrt(unit))
+        value, _ = sigma_pair(spec, spec, model)
+        assert value > np.finfo(float).max / 2
+        assert cov_matrix([spec], model).entries.tolist() == [[value]]
 
     def test_normal_two_sided(self):
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.05, 0.05)]
@@ -654,6 +664,18 @@ class TestLastTable:
         ]
         assert values[:2] == pytest.approx(values[2:], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mode, reference",
+        [(Mode.MTM, CovMethod.KERNEL), (Mode.MWM, CovMethod.MWM_DECOMP)],
+        ids=["mtm", "mwm"],
+    )
+    def test_an_unhashable_family_runs_the_alpha_route(self, mode, reference):
+        # alpha's identical-coordinate test hashed the family.
+        spec = MomentSpec(Log(), 0.10, 0.25, mode)
+        model = PlainExponential(2.0)
+        alpha, _ = sigma_pair(spec, spec, model, CovMethod.ALPHA)
+        assert alpha == pytest.approx(sigma_pair(spec, spec, model, reference)[0], rel=1e-6)
+
     def test_a_mutable_family_changed_in_place_gets_a_fresh_table(self):
         spec = MomentSpec(Log(), 0.10, 0.25)
         model = PlainExponential(1.0)
@@ -809,6 +831,44 @@ class TestCovMatrixErrors:
         with pytest.raises(CodedError, match=r"^entry \(0, 0\): ") as info:
             cov_matrix(specs, UNIF)
         assert info.value.code == 7
+
+
+class TestOverflowingRoutes:
+    """H = x^2 on uniform(0, 1e200) overflows at the window's midpoint, which
+    the closed routes evaluate outside QUADPACK; every route refuses it as
+    divergence, not as a bare OverflowError."""
+
+    SPEC = MomentSpec(Power(2.0), 0.1, 0.1)
+    MODEL = Uniform(0.0, 1e200)
+
+    @pytest.mark.parametrize("method", [*MTM_METHODS, CovMethod.AUTO], ids=lambda m: m.value)
+    def test_sigma_pair_refuses_it_as_divergence(self, method):
+        with pytest.raises(DivergenceError):
+            sigma_pair(self.SPEC, self.SPEC, self.MODEL, method)
+
+    def test_a_closed_route_names_the_pair_and_the_model(self):
+        message = (
+            r"^entry \(0, 0\): equal-props covariance of power\(2\) on \[0.1, 0.9\] "
+            r"and power\(2\) on \[0.1, 0.9\] failed at uniform\(0,1e\+200\): "
+        )
+        with pytest.raises(DivergenceError, match=message) as info:
+            cov_matrix([self.SPEC], self.MODEL)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+
+def _normal_trimmed_mean_variance(a: float) -> float:
+    """The asymptotic variance of the (a, a) trimmed mean of normal(0, 1)."""
+    z = float(ndtri(1.0 - a))
+    phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return ((1.0 - 2.0 * a) - 2.0 * z * phi + 2.0 * a * z * z) / (1.0 - 2.0 * a) ** 2
+
+
+@pytest.mark.parametrize("a", [0.05, 0.1, 0.25])
+@pytest.mark.parametrize("method", [*MTM_METHODS, CovMethod.AUTO], ids=lambda m: m.value)
+def test_trimmed_routes_match_the_normal_closed_form(a, method):
+    spec = MomentSpec(IDENT, a, a)
+    value, _ = sigma_pair(spec, spec, Normal(0.0, 1.0), method)
+    assert value == pytest.approx(_normal_trimmed_mean_variance(a), rel=1e-14, abs=0)
 
 
 class TestMethodNames:

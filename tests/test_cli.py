@@ -454,6 +454,39 @@ class TestRefusals:
         assert captured.err == "error: 2 transforms but 3 trim pairs\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--transform", "log", "--trim", "0,0.1"],
+            ["fit", "--family", "exponential(?)", "--transform", "log", "--trim", "0,0.1"],
+        ],
+        ids=["moments", "fit"],
+    )
+    def test_a_zero_claim_under_log_is_refused(self, argv, tmp_path, capsys):
+        # moments used to print -inf; fit failed in the solver.
+        p = tmp_path / "losses.txt"
+        p.write_text("0\n0.5\n1.2\n2.0\n3.1\n4.7\n6.0\n8.2\n9.9\n12.5\n")
+        code = main([*argv, "--data", str(p)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: moment over order statistics 1 .. 9 of n=10 is not finite: "
+            "the transform is infinite or too large there\n"
+        )
+
+    def test_an_overflowing_covariance_is_an_error_line(self, capsys):
+        # It used to end in an OverflowError traceback.
+        code = main(
+            ["asymcov", "--family", "uniform(0,1e200)", "--transform", "power(2)",
+             "--trim", "0.1,0.1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: entry (0, 0): equal-props covariance of ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["fit", "--family", "exponential(?)"], "fit requires --data"),

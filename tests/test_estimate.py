@@ -245,6 +245,43 @@ def test_an_overflowing_winsorized_edge_atom_is_divergence_not_a_warning():
             moment_jacobian(ModelTemplate.all_free(model), model.params, [spec])
 
 
+def test_population_moment_refuses_the_overflowing_edge_atom_as_the_map_does():
+    model = Uniform(0.0, 1.00001 * math.sqrt(np.finfo(float).max) / 0.55)
+    spec = MomentSpec(Power(2.0), 0.45, 0.45, Mode.MWM)
+    messages = []
+    for evaluate in (
+        lambda: population_moment(model, spec),
+        lambda: moment_jacobian(ModelTemplate.all_free(model), model.params, [spec]),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                evaluate()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("winsorized moment of power(2) on [0.45, 0.55] is not finite at ")
+
+
+@pytest.mark.parametrize(
+    "family, specs",
+    [
+        ("lognormal(?,?)", [MomentSpec(Log(), 0.0, 0.1), MomentSpec(Log(), 0.1, 0.1)]),
+        ("exponential(?)", [MomentSpec(Log(), 0.0, 0.1)]),
+    ],
+    ids=["lognormal", "exponential"],
+)
+def test_a_zero_claim_under_log_is_refused_before_the_solver(family, specs):
+    # Payment-per-loss data: log(0) is -inf at the untrimmed lower end.  The
+    # fit used to fail in the solver, as a singular Jacobian or no bracket.
+    sample = np.random.default_rng(1).lognormal(0.0, 1.0, 500)
+    sample[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^moment over order statistics 1 \.\. 450 of n=500 is not finite"
+        with pytest.raises(DomainError, match=message):
+            fit(parse_model_template(family), sample, specs)
+
+
 def test_a_diverging_start_leaves_the_fit_to_the_other():
     # From the method-of-moments start (0.138, 0.00095) the untrimmed
     # upper tail of the identity moment diverges along the way; the

@@ -131,6 +131,22 @@ class TestSampleKernel:
             sample_moment(data, MomentSpec(IDENT, 0.2, 0.2, mode))
 
 
+class TestNonFiniteMoments:
+    """A transform that is infinite on the retained window, as log on a zero
+    claim, refuses the moment; it used to come back as -inf."""
+
+    CLAIMS = [0.0, 0.5, 1.2, 2.0, 3.1, 4.7, 6.0, 8.2, 9.9, 12.5]
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_a_zero_claim_under_log_is_refused(self, mode):
+        with pytest.raises(
+            DomainError,
+            match=r"^moment over order statistics 1 \.\. 9 of n=10 is not finite: "
+            "the transform is infinite or too large there$",
+        ):
+            sample_moment(self.CLAIMS, MomentSpec(Log(), 0.0, 0.1, mode))
+
+
 class TestSpecValidation:
     def test_negative_proportion(self):
         with pytest.raises(Exception):
