@@ -15,6 +15,16 @@ central difference instead: the batched engine does not extrapolate
 towards an endpoint singularity.  Both quadratures are purely relative, so
 moments, D and covariances scale with the data; so does the residual's
 floor, the least power of two above the mean |h(X)| over a spec's window.
+
+The fit runs Newton from two starts in lockstep: the family's
+method-of-moments start, and that start with each positive parameter
+doubled and each location moved up by its scale, so that both, and the
+one-parameter bisection after them, take the same steps in any unit of the
+data.  Each round evaluates the next point of every live start in one call
+of the moment map, whose batched specs share one ``integrate_batch`` call
+and one integrand call for their edge atoms; each start keeps its own
+damping and stops on its own, and a start whose point raises fails alone.
+A second root, where the starts land apart, sets ``non_unique``.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .errors import (
 )
 from .models import DistributionModel, ModelTemplate, central_difference
 from .moments import (
+    Mode,
     MomentSpec,
     _ascending,
     _close_window,
@@ -65,39 +76,63 @@ class FitResult:
     alt_theta: np.ndarray | None = field(default=None)
 
 
-def _batched_moments(model: DistributionModel, free, specs) -> tuple[np.ndarray, np.ndarray]:
-    """Moments and Jacobian columns of specs whose windows the quantile is
-    finite on, from one ``integrate_batch`` call: per spec, one problem for
-    h(Q) and one for h'(Q) dQ/dtheta_j per free parameter j."""
-    free = np.asarray(free)
+def _batched_moments(template: ModelTemplate, thetas, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Moments and Jacobian columns, at each row of ``thetas``, of specs
+    whose windows the quantile is finite on, from one ``integrate_batch``
+    call: per theta and spec (a cell), one problem for h(Q) and one for
+    h'(Q) dQ/dtheta_j per free parameter j.  One more integrand call gives
+    the rows of every winsorized cell's edge atoms, and each cell's slice of
+    them closes its window."""
+    free = np.asarray(template.free_indices)
     width = 1 + free.size
+    models = [template.bind(theta) for theta in thetas]
+    cells = [(model, spec) for model in models for spec in specs]
 
     def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # With the panels in problem order, each theta's, each cell's and
+        # each problem's panels are one slice.
+        order = np.argsort(rows, kind="stable")
+        bounds = np.searchsorted(rows[order], np.arange(len(cells) * width + 1))
         out = np.empty_like(u)
-        spec_of, column = np.divmod(rows, width)
-        for s, spec in enumerate(specs):
-            mine = np.flatnonzero(spec_of == s)
-            x = model.quantiles(u[mine])
-            moment = column[mine] == 0
-            out[mine[moment]] = spec.transform.values(x[moment])
-            grad = mine[~moment]
-            if grad.size:
-                dq = model.quantile_grads(u[grad])
-                pick = free[column[grad] - 1], np.arange(grad.size)
-                out[grad] = spec.transform.derivs(x[~moment]) * dq[pick]
+        for i, model in enumerate(models):
+            start, stop = bounds[[i * len(specs) * width, (i + 1) * len(specs) * width]]
+            if start == stop:
+                continue
+            mine = order[start:stop]
+            nodes = u[mine]
+            x = model.quantiles(nodes)
+            # dQ at the h(Q) nodes too: a few more points cost less than
+            # gathering the others apart.
+            dq = model.quantile_grads(nodes)
+            h = np.empty_like(x)
+            for s, spec in enumerate(specs):
+                c = i * len(specs) + s
+                cut = bounds[c * width : (c + 1) * width + 1] - start
+                h[cut[0] : cut[1]] = spec.transform.values(x[cut[0] : cut[1]])
+                h[cut[1] : cut[-1]] = spec.transform.derivs(x[cut[1] : cut[-1]])
+                for j, (lo, hi) in enumerate(zip(cut[1:-1], cut[2:])):
+                    h[lo:hi] *= dq[free[j], lo:hi]
+            out[mine] = h
         return out
 
-    lo = np.repeat([spec.a for spec in specs], width)
-    hi = np.repeat([spec.b_bar for spec in specs], width)
+    lo = np.repeat([spec.a for _, spec in cells], width)
+    hi = np.repeat([spec.b_bar for _, spec in cells], width)
     table = integrate_batch(integrand, lo, hi, panels=_MAP_PANELS).reshape(-1, width)
-    for s, spec in enumerate(specs):
-
-        def at(t: np.ndarray) -> np.ndarray:  # spec s's integrand row at each point
-            rows = np.tile(s * width + np.arange(width), t.size)
-            return integrand(np.repeat(t, width), rows).reshape(t.size, width)
-
-        table[s] = _close_window(spec, model, table[s], at)
-    return table[:, 0], table[:, 1:]
+    # Each edge atom's cell and point; their rows come from one integrand
+    # call, with the overflow that _close_window refuses left unwarned, as
+    # there.
+    atoms = [
+        (c, u) for c, (_, spec) in enumerate(cells) if spec.mode is Mode.MWM for u, _ in spec.edge_atoms
+    ]
+    if atoms:
+        owner = np.array([c for c, _ in atoms])
+        points = np.repeat([u for _, u in atoms], width)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            edges = integrand(points, (owner[:, None] * width + np.arange(width)).ravel())
+        edges = edges.reshape(-1, width)
+    for c, (model, spec) in enumerate(cells):
+        table[c] = _close_window(spec, model, table[c], lambda t, c=c: edges[owner == c])
+    return table[:, 0].reshape(len(models), -1), table[:, 1:].reshape(len(models), len(specs), -1)
 
 
 def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.ndarray]:
@@ -114,43 +149,76 @@ def _scalar_moments(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, 
 
 def _moment_map(template: ModelTemplate, theta, specs) -> tuple[np.ndarray, np.ndarray]:
     """Population moments mu(theta) of ``specs`` and their Jacobian
-    d mu_i / d theta_j in the free parameters."""
+    d mu_i / d theta_j in the free parameters, at one theta or at each row
+    of a stack of them (shapes (..., k) and (..., k, free)).  The batched
+    specs of every theta take one ``integrate_batch`` call; the scalar
+    specs run once per theta."""
     theta = np.asarray(theta, dtype=float)
-    mu = np.empty(len(specs))
-    jac = np.empty((len(specs), theta.size))
+    thetas = theta.reshape(-1, theta.shape[-1])
+    mu = np.empty((len(thetas), len(specs)))
+    jac = np.empty((len(thetas), len(specs), thetas.shape[1]))
     finite = np.array([template.cls.bounded_on(s.a, s.b) for s in specs])
     batched, scalar = np.flatnonzero(finite), np.flatnonzero(~finite)
     if batched.size:
-        mu[batched], jac[batched] = _batched_moments(
-            template.bind(theta), template.free_indices, [specs[i] for i in batched]
+        mu[:, batched], jac[:, batched] = _batched_moments(
+            template, thetas, [specs[i] for i in batched]
         )
     if scalar.size:
-        mu[scalar], jac[scalar] = _scalar_moments(template, theta, [specs[i] for i in scalar])
-    return mu, jac
+        for k, t in enumerate(thetas):
+            mu[k, scalar], jac[k, scalar] = _scalar_moments(template, t, [specs[i] for i in scalar])
+    shape = theta.shape[:-1] + (len(specs),)
+    return mu.reshape(shape), jac.reshape(shape + (thetas.shape[1],))
 
 
 def _evaluate(template, theta, specs, target):
-    """At theta: the residual (mu - mu_hat) / s, as mu / s - mu_hat / s so that
-    it is bitwise mu / mu_hat - 1 where s = mu_hat, and the moment Jacobian;
-    ``target`` is (mu_hat, s)."""
+    """At theta, or at each row of a stack of them: the residual
+    (mu - mu_hat) / s, as mu / s - mu_hat / s so that it is bitwise
+    mu / mu_hat - 1 where s = mu_hat, and the moment Jacobian; ``target``
+    is (mu_hat, s)."""
     mu_hat, s = target
     mu, jac = _moment_map(template, theta, specs)
     return mu / s - mu_hat / s, jac
 
 
-def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
-    """The family's method-of-moments start, plus its default member."""
-    cls = template.cls
-    full = cls.moment_start(np.asarray(sample, dtype=float))
+def _evaluate_each(template, points, specs, target) -> list:
+    """The residual and Jacobian at each of ``points``, from one call of the
+    moment map for all; where that call raises a package error, from one
+    call per point, and a point whose own call raises gets its error in
+    place of the pair."""
     try:
-        default = cls().params
-    except TypeError:  # a family whose parameters have no defaults
-        default = full
-    free = template.free_indices
-    starts = [np.array([full[i] for i in free], dtype=float)]
-    alt = np.array([default[i] for i in free], dtype=float)
-    if not np.allclose(alt, starts[0]):
-        starts.append(alt)
+        return list(zip(*_evaluate(template, points, specs, target)))
+    except RobustLMomentsError as exc:
+        if len(points) == 1:
+            return [exc]
+    values = []
+    for point in points:
+        try:
+            values.append(_evaluate(template, point, specs, target))
+        except RobustLMomentsError as exc:
+            values.append(exc)
+    return values
+
+
+def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
+    """The family's method-of-moments start, and a second start in the
+    data's units: the first with each positive parameter (a scale, or a
+    shape) times 2 and each unbounded one (a location) moved up by the
+    first's scale, its first positive parameter, or without one the spread
+    of its locations.  Fixed values of ``template`` count as the start's."""
+    cls = template.cls
+    moment = cls.moment_start(np.asarray(sample, dtype=float))
+    first = np.array([m if v is None else v for v, m in zip(template.values, moment)], dtype=float)
+    positive = np.array([bounds == (0.0, math.inf) for bounds in cls.param_bounds])
+    location = np.array([bounds == (-math.inf, math.inf) for bounds in cls.param_bounds])
+    if positive.any():
+        scale = first[positive][0]
+    else:
+        scale = np.ptp(first[location]) if location.any() else 0.0
+    second = np.where(positive, 2.0 * first, np.where(location, first + scale, first))
+    free = list(template.free_indices)
+    starts = [first[free]]
+    if not np.array_equal(second[free], starts[0]):
+        starts.append(second[free])
     return [s for s in starts if template.admits(s)] or [starts[0]]
 
 
@@ -159,11 +227,14 @@ def moment_jacobian(template: ModelTemplate, theta, specs) -> np.ndarray:
     return _moment_map(template, theta, specs)[1]
 
 
-def _newton(template, specs, target, theta0):
-    """Damped Newton from theta0 toward ``target`` = (mu_hat, residual
-    scales): (root, iterations, residual, Jacobian at the root)."""
-    theta = np.asarray(theta0, dtype=float)
-    r, jac = _evaluate(template, theta, specs, target)
+def _descent(template, target, theta):
+    """One start's damped Newton toward ``target`` = (mu_hat, residual
+    scales), as a generator: it yields each point it needs the residual and
+    Jacobian at, is sent that pair or thrown the package error the moment
+    map raised there, and returns (root, iterations, residual, Jacobian at
+    the root)."""
+    theta = np.asarray(theta, dtype=float)
+    r, jac = yield theta
     for iteration in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) <= RESIDUAL_TOL:
             return theta, iteration - 1, float(np.max(np.abs(r))), jac
@@ -180,7 +251,7 @@ def _newton(template, specs, target, theta0):
             cand = theta + lam * step
             if template.admits(cand):
                 try:
-                    r_cand, jac_cand = _evaluate(template, cand, specs, target)
+                    r_cand, jac_cand = yield cand
                 except RobustLMomentsError:
                     r_cand = None
                 if r_cand is not None and float(np.linalg.norm(r_cand)) < norm0:
@@ -194,20 +265,56 @@ def _newton(template, specs, target, theta0):
     raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
 
 
+def _newton(template, specs, target, starts) -> list[tuple]:
+    """Damped Newton from every one of ``starts`` in lockstep: each round
+    evaluates the next point of every live start in one call of the moment
+    map, and each start keeps its own iterate, damping and line search and
+    stops on its own.  The (root, iterations, residual, Jacobian at the
+    root) of each start that converged, in start order; a start that fails
+    for a package reason (a domain, divergence or convergence error) is one
+    failed start, and if every start fails, the last one's failure is
+    raised."""
+    runs = [_descent(template, target, start) for start in starts]
+    points = [next(run) for run in runs]
+    outcomes: list = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        values = _evaluate_each(template, [points[i] for i in live], specs, target)
+        for i, value in zip(live, values):
+            try:
+                if isinstance(value, RobustLMomentsError):
+                    points[i] = runs[i].throw(value)
+                else:
+                    points[i] = runs[i].send(value)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except RobustLMomentsError as exc:
+                outcomes[i] = exc
+        live = [i for i in live if outcomes[i] is None]
+    solutions = [o for o in outcomes if not isinstance(o, RobustLMomentsError)]
+    if not solutions:
+        raise outcomes[-1]
+    return solutions
+
+
 def _bisect_1d(template, specs, target, theta0):
-    """Fallback for one free parameter: bracket then bisect the residual."""
+    """Fallback for one free parameter: bracket then bisect the residual.
+    The bracket's step, its distance from an open bound and the narrowest
+    bracket are relative to the start, so that the search is the same in
+    any unit of the data."""
 
     def f(t):
         return _evaluate(template, [t], specs, target)[0][0]
 
-    lo_bound, hi_bound = template.free_bounds()[0]
     t0 = float(theta0[0])
+    scale = abs(t0) or 1.0
+    lo_bound, hi_bound = template.free_bounds()[0]
+    lo_bound, hi_bound = lo_bound + 1e-12 * scale, hi_bound - 1e-12 * scale
     lo = hi = t0
     f0 = f(t0)
-    step = max(abs(t0), 1.0)
+    step = scale
     for _ in range(80):
-        lo = max(lo - step, lo_bound + 1e-12) if math.isfinite(lo_bound) else lo - step
-        hi = min(hi + step, hi_bound - 1e-12) if math.isfinite(hi_bound) else hi + step
+        lo, hi = max(lo - step, lo_bound), min(hi + step, hi_bound)
         try:
             flo, fhi = f(lo), f(hi)
         except RobustLMomentsError:
@@ -227,7 +334,7 @@ def _bisect_1d(template, specs, target, theta0):
         fm = f(mid)
         if abs(fm) <= RESIDUAL_TOL:
             return np.array([mid]), iterations, abs(fm)
-        if hi - lo < 1e-14 * (1 + abs(mid)):
+        if hi - lo < 1e-14 * (scale + abs(mid)):
             break
         if flo * fm <= 0:
             hi, fhi = mid, fm
@@ -264,30 +371,24 @@ def fit(
     _check_spec_count(template, specs)
     xs = _ascending(sample)  # validated and sorted once for every spec
     mu_hat, units = np.empty(len(specs)), np.empty(len(specs))
-    for j, s in enumerate(specs):
-        lo, hi = _window(xs.size, s)
-        h = s.transform.values(xs[lo:hi])  # once, for the moment and its unit
-        mu_hat[j] = _window_moment(h, lo, hi, xs.size, s.mode)
-        units[j] = math.ldexp(1.0, math.frexp(np.abs(h).mean())[1])
+    with np.errstate(over="ignore"):  # an overflowing moment is refused
+        for j, s in enumerate(specs):
+            lo, hi = _window(xs.size, s)
+            h = s.transform.values(xs[lo:hi])  # once, for the moment and its unit
+            mu_hat[j] = _window_moment(h, lo, hi, xs.size, s.mode)
+            units[j] = math.ldexp(1.0, math.frexp(np.abs(h).mean())[1])
     # each residual relative to mu_hat, or absolute in its unit where mu_hat ~ 0
     target = mu_hat, np.where(np.abs(mu_hat) > 1e-12 * units, mu_hat, units)
 
     starts = _initial_guesses(template, sample)
-    solutions = []
-    failure: RobustLMomentsError | None = None
-    # A start that fails for a package reason (a domain, divergence or
-    # convergence error) is one failed start; the others still run.
-    for start in starts:
-        try:
-            solutions.append(_newton(template, specs, target, start))
-        except RobustLMomentsError as exc:
-            failure = exc
-    if not solutions and template.free_count == 1:
+    try:
+        solutions = _newton(template, specs, target, starts)
+    except RobustLMomentsError:
+        if template.free_count != 1:
+            raise
         theta, iterations, residual = _bisect_1d(template, specs, target, starts[0])
         jac = _moment_map(template, theta, specs)[1]
-        solutions.append((theta, iterations, residual, jac))
-    if not solutions:
-        raise failure
+        solutions = [(theta, iterations, residual, jac)]
 
     theta, iterations, residual, jac = solutions[0]
     others = [t for t, *_ in solutions[1:] if not np.allclose(t, theta, rtol=1e-4, atol=1e-8)]

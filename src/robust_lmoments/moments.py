@@ -114,7 +114,9 @@ def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float
     lo .. hi-1 (zero-based) of an ascending sample of size n; refused when
     it is not finite, as where the transform is infinite on the window.  The
     edge terms take Python floats, so that an edge of no mass at an infinite
-    h (0 * inf) gives NaN without a warning."""
+    h (0 * inf) gives NaN without a warning.  A sum that overflows is
+    refused the same way; the caller ignores numpy's overflow warning, once
+    around all the moments it takes, so that the refusal alone reports it."""
     if mode is Mode.MTM:
         moment = float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
     else:
@@ -132,7 +134,8 @@ def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
     caller validates and sorts."""
     n = xs.size
     lo, hi = _window(n, spec)
-    return _window_moment(spec.transform.values(xs[lo:hi]), lo, hi, n, spec.mode)
+    with np.errstate(over="ignore"):
+        return _window_moment(spec.transform.values(xs[lo:hi]), lo, hi, n, spec.mode)
 
 
 def _ascending(values: Sequence[float]) -> np.ndarray:

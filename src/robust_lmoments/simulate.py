@@ -203,7 +203,10 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
         )
         return root_n * (moments - mu_pop)
 
-    rows, failures = _run_replications(config, deviations)
+    # A moment whose sum overflows fails its replication without a warning,
+    # as sample_moment refuses it; one errstate for all the replications.
+    with np.errstate(over="ignore"):
+        rows, failures = _run_replications(config, deviations)
     devs = np.vstack(rows)
     if devs.shape[0] < 2:
         raise DomainError("need at least 2 successful replications for a covariance")

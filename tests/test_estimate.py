@@ -1,6 +1,7 @@
 """Moment-matching fits and delta-method covariance propagation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -197,31 +198,73 @@ class TestFailurePropagation:
         np.testing.assert_allclose(got, expected, rtol=1e-6)
 
     def test_a_start_that_raises_a_package_error_is_one_failed_start(self, monkeypatch):
-        newton = estimate_module._newton
-        starts = []
-
-        def first_start_diverges(template, specs, target, theta0):
-            starts.append(theta0)
-            if len(starts) == 1:
-                raise DivergenceError("integral over [0.1, 1.0] did not converge")
-            return newton(template, specs, target, theta0)
-
-        monkeypatch.setattr(estimate_module, "_newton", first_start_diverges)
+        # The starts' points are evaluated in one call; when it raises, each
+        # point is evaluated alone, the first start's point raises again and
+        # the second start goes on alone, to the root it reaches by itself.
+        template = parse_model_template("normal(?,?)")
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
-        result = fit(parse_model_template("normal(?,?)"), sample, specs)
-        assert len(starts) == 2
+        first, second = estimate_module._initial_guesses(template, sample)
+        moment_map = estimate_module._moment_map
+        calls = []
+
+        def first_start_diverges(template, theta, specs):
+            calls.append(np.shape(theta))
+            if any(np.array_equal(t, first) for t in np.atleast_2d(theta)):
+                raise DivergenceError("integral over [0.1, 1.0] did not converge")
+            return moment_map(template, theta, specs)
+
+        monkeypatch.setattr(estimate_module, "_moment_map", first_start_diverges)
+        result = fit(template, sample, specs)
+        assert calls[:3] == [(2, 2), (2,), (2,)]
         assert result.residual_norm <= 1e-9
+        monkeypatch.setattr(estimate_module, "_moment_map", moment_map)
+        monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: [second])
+        alone = fit(template, sample, specs)
+        np.testing.assert_array_equal(result.theta_hat, alone.theta_hat)
+        assert result.iterations == alone.iterations
+
+    def test_a_candidate_that_raises_halves_only_its_own_step(self, monkeypatch):
+        # The first start's first full step raises wherever it is evaluated.
+        # After the joint call raises, that candidate raises alone and the
+        # second start's candidate is evaluated alone; the next joint call
+        # holds the first start's half step beside the second start's point.
+        template = parse_model_template("normal(?,?)")
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        expected = fit(template, sample, specs).theta_hat
+        first, second = estimate_module._initial_guesses(template, sample)
+        moment_map = estimate_module._moment_map
+        calls = []
+
+        def first_candidate_raises(template, theta, specs):
+            rows = np.atleast_2d(theta)
+            calls.append(rows)
+            if len(calls) > 1 and any(np.array_equal(t, calls[1][0]) for t in rows):
+                raise DivergenceError("integral over [0.1, 0.9] did not converge")
+            return moment_map(template, theta, specs)
+
+        monkeypatch.setattr(estimate_module, "_moment_map", first_candidate_raises)
+        got = fit(template, sample, specs).theta_hat
+        bad, other = calls[1]
+        assert [c.shape for c in calls[:5]] == [(2, 2), (2, 2), (1, 2), (1, 2), (2, 2)]
+        np.testing.assert_array_equal(calls[2][0], bad)
+        np.testing.assert_array_equal(calls[3][0], other)
+        np.testing.assert_allclose(calls[4][0], first + 0.5 * (bad - first), rtol=1e-12)
+        assert not np.allclose(calls[4][1], second + 0.5 * (other - second))
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
 
     def test_every_start_failing_raises_the_last_failure(self, monkeypatch):
-        def diverging(template, specs, target, theta0):
-            raise DivergenceError(f"diverged from {theta0.tolist()}")
+        def diverging(template, theta, specs):
+            raise DivergenceError(f"diverged from {np.asarray(theta).tolist()}")
 
-        monkeypatch.setattr(estimate_module, "_newton", diverging)
+        monkeypatch.setattr(estimate_module, "_moment_map", diverging)
+        template = parse_model_template("normal(?,?)")
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
-        with pytest.raises(DivergenceError, match=r"diverged from \[0.0, 1.0\]"):
-            fit(parse_model_template("normal(?,?)"), sample, specs)
+        last = estimate_module._initial_guesses(template, sample)[-1]
+        with pytest.raises(DivergenceError, match=re.escape(f"diverged from {last.tolist()}") + "$"):
+            fit(template, sample, specs)
 
 
 def test_an_overflowing_moment_map_fails_the_fit_without_a_warning():
@@ -282,16 +325,21 @@ def test_a_zero_claim_under_log_is_refused_before_the_solver(family, specs):
             fit(parse_model_template(family), sample, specs)
 
 
+def test_a_sample_moment_that_overflows_is_refused_without_a_warning():
+    with pytest.raises(DomainError, match=r"^moment over order statistics 1 \.\. 2 of n=2 is not finite"):
+        fit(parse_model_template("exponential(?)"), [1e308, 1e308], [MomentSpec(IDENT)])
+
+
 def test_a_diverging_start_leaves_the_fit_to_the_other():
-    # From the method-of-moments start (0.138, 0.00095) the untrimmed
-    # upper tail of the identity moment diverges along the way; the
-    # default start (2, 1) converges.
+    # The method-of-moments start (0.698, 0.332) has a shape below 1, where
+    # the untrimmed upper tail of the identity moment diverges; the second
+    # start (1.397, 0.665) converges.
     sample = Pareto(3.0, 1.0).quantiles(np.random.default_rng(4).random(4000))
-    sample[:20] = 1e-3
+    sample[:20] = 0.35
     specs = [MomentSpec(Log(), 0.1, 0.1), MomentSpec(IDENT, 0.1, 0.0)]
     result = fit(parse_model_template("pareto(?,?)"), sample, specs)
     np.testing.assert_allclose(result.theta_hat, [3.0657125831414, 1.0097329324774382], rtol=1e-8)
-    assert result.iterations == 6
+    assert result.iterations == 7
 
 
 class TestBisection:
@@ -359,6 +407,67 @@ class TestBisection:
         assert len(calls) == 1
         assert result.theta_hat[0] == pytest.approx(15.6635, abs=1e-4)
         assert result.residual_norm <= 1e-9
+
+    def test_the_path_is_the_same_in_every_unit(self, monkeypatch):
+        # Both starts and the bracket scale with the data, so the Newton
+        # iterations fail alike and bisection takes the same steps in any
+        # unit c.  From a start fixed in absolute units, the family's
+        # default member (sigma = 1), Newton converges where c is not 1,
+        # after 39, 16 and 8 iterations for c = 1e-7, 1e-3 and 1e3.
+        calls = self._count_bisections(monkeypatch)
+        paths = []
+        for c in (1e-7, 1e-3, 1.0, 1e3):
+            result = fit(
+                parse_model_template(f"normal({3.0 * c!r},?)"),
+                c * self.SAMPLE,
+                [MomentSpec(Power(3.0), 0.1, 0.25, Mode.MWM)],
+            )
+            paths.append((result.iterations, len(calls), result.non_unique))
+            assert result.theta_hat[0] / c == pytest.approx(15.6635, abs=1e-4)
+            calls.clear()
+        assert paths == [(37, 1, False)] * 4
+
+
+class TestLockstep:
+    """Every start's next point is evaluated in one call of the moment map."""
+
+    TEMPLATE = parse_model_template("lognormal(?,?)")
+    SAMPLE = np.random.default_rng(3).lognormal(2.5, 0.4, 3000)
+    SPECS = [MomentSpec(Log(), 0.05, 0.25), MomentSpec(Log(), 0.1, 0.1)]
+
+    def test_both_starts_take_as_many_calls_as_the_longer_one(self, monkeypatch):
+        batch = estimate_module.integrate_batch
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "integrate_batch", counted)
+        starts = estimate_module._initial_guesses(self.TEMPLATE, self.SAMPLE)
+        alone = []
+        for start in starts:
+            monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: [start])
+            calls.clear()
+            fit(self.TEMPLATE, self.SAMPLE, self.SPECS)
+            alone.append(len(calls))
+        monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: starts)
+        calls.clear()
+        result = fit(self.TEMPLATE, self.SAMPLE, self.SPECS)
+        assert len(starts) == 2 and min(alone) > 0
+        assert len(calls) == max(alone) < sum(alone)
+        assert not result.non_unique
+
+    def test_the_map_at_a_stack_of_thetas_is_the_map_at_each(self):
+        thetas = np.array([[2.5, 0.4], [3.0, 0.8], [2.0, 0.3]])
+        for mode in Mode:
+            specs = [MomentSpec(t, a, b, mode) for t, a, b in ((Log(), 0.05, 0.25), (IDENT, 0.1, 0.0))]
+            mu, jac = estimate_module._moment_map(self.TEMPLATE, thetas, specs)
+            assert mu.shape == (3, 2) and jac.shape == (3, 2, 2)
+            for k, theta in enumerate(thetas):
+                one_mu, one_jac = estimate_module._moment_map(self.TEMPLATE, theta, specs)
+                np.testing.assert_allclose(mu[k], one_mu, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(jac[k], one_jac, rtol=1e-14, atol=0)
 
 
 class TestJacobian:

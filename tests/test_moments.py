@@ -146,6 +146,16 @@ class TestNonFiniteMoments:
         ):
             sample_moment(self.CLAIMS, MomentSpec(Log(), 0.0, 0.1, mode))
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_a_sum_that_overflows_is_refused_without_a_warning(self, mode):
+        # Each value is finite and their sum is not.  Under the suite's
+        # error::RuntimeWarning filter, numpy's "overflow encountered in
+        # reduce" used to come out in place of the refusal.
+        with pytest.raises(
+            DomainError, match=r"^moment over order statistics 1 \.\. 2 of n=2 is not finite"
+        ):
+            sample_moment([1e308, 1e308], MomentSpec(IDENT, mode=mode))
+
 
 class TestSpecValidation:
     def test_negative_proportion(self):

@@ -251,6 +251,18 @@ class TestRunMc:
             run_mc(cfg)
         assert isinstance(exc.value.__cause__, DomainError)
 
+    def test_an_overflowing_sample_sum_fails_its_replication_without_a_warning(self):
+        # A constant h = 1e308 has a finite moment and a zero variance, but
+        # eight retained values sum past the largest double.  Under the
+        # suite's error::RuntimeWarning filter numpy's overflow warning used
+        # to escape the replication instead of failing it.
+        big = CustomTransform("big", lambda x: 1e308 + 0.0 * x, lambda x: 0.0 * x)
+        cfg = SimulationConfig(Uniform(0.0, 1.0), (MomentSpec(big, 0.1, 0.1),), n=10, replications=100)
+        message = r"^100/100 replications failed; first cause: moment over order statistics 2 \.\. 9 of n=10"
+        with pytest.raises(RobustLMomentsError, match=message) as exc:
+            run_mc(cfg)
+        assert isinstance(exc.value.__cause__, DomainError)
+
     def test_divergent_covariance_refused_before_drawing(self, monkeypatch):
         def no_draws(config, task):
             raise AssertionError("drew replications")
