@@ -17,14 +17,15 @@ moments, D and covariances scale with the data; so does the residual's
 floor, the least power of two above the mean |h(X)| over a spec's window.
 
 The fit runs Newton from two starts in lockstep: the family's
-method-of-moments start, and that start with each positive parameter
-doubled and each location moved up by its scale, so that both, and the
-one-parameter bisection after them, take the same steps in any unit of the
-data.  Each round evaluates the next point of every live start in one call
-of the moment map, whose batched specs share one ``integrate_batch`` call
-and one integrand call for their edge atoms; each start keeps its own
-damping and stops on its own, and a start whose point raises fails alone.
-A second root, where the starts land apart, sets ``non_unique``.
+method-of-moments start, and its default member carried into the data's
+units (``_initial_guesses``), so that both, and the one-parameter
+bisection after them, take the same steps in any unit of the data.  Each
+round evaluates the next point of every live start in one call of the
+moment map, whose batched specs share one ``integrate_batch`` call and one
+integrand call for their edge atoms.  Each start keeps its own damping and
+stops on its own, a start whose point raises fails alone, and once the
+first start has converged, a start that reaches its root stops there.  A
+second root, where the starts land apart, sets ``non_unique``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .moments import (
     MomentSpec,
     _ascending,
     _close_window,
+    _moment_errstate,
     _window,
     _window_moment,
     population_moment,
@@ -81,8 +83,8 @@ def _batched_moments(template: ModelTemplate, thetas, specs) -> tuple[np.ndarray
     whose windows the quantile is finite on, from one ``integrate_batch``
     call: per theta and spec (a cell), one problem for h(Q) and one for
     h'(Q) dQ/dtheta_j per free parameter j.  One more integrand call gives
-    the rows of every winsorized cell's edge atoms, and each cell's slice of
-    them closes its window."""
+    the rows of every winsorized cell's edge atoms, and each cell's rows
+    close its window."""
     free = np.asarray(template.free_indices)
     width = 1 + free.size
     models = [template.bind(theta) for theta in thetas]
@@ -99,39 +101,39 @@ def _batched_moments(template: ModelTemplate, thetas, specs) -> tuple[np.ndarray
             if start == stop:
                 continue
             mine = order[start:stop]
-            nodes = u[mine]
-            x = model.quantiles(nodes)
-            # dQ at the h(Q) nodes too: a few more points cost less than
-            # gathering the others apart.
-            dq = model.quantile_grads(nodes)
+            x = model.quantiles(u[mine])
             h = np.empty_like(x)
             for s, spec in enumerate(specs):
                 c = i * len(specs) + s
                 cut = bounds[c * width : (c + 1) * width + 1] - start
                 h[cut[0] : cut[1]] = spec.transform.values(x[cut[0] : cut[1]])
                 h[cut[1] : cut[-1]] = spec.transform.derivs(x[cut[1] : cut[-1]])
-                for j, (lo, hi) in enumerate(zip(cut[1:-1], cut[2:])):
-                    h[lo:hi] *= dq[free[j], lo:hi]
+            column = rows[mine] % width
+            grad = np.flatnonzero(column)
+            if grad.size:
+                dq = model.quantile_grads(u[mine[grad]])
+                h[grad] *= dq[free[column[grad] - 1], np.arange(grad.size)]
             out[mine] = h
         return out
 
     lo = np.repeat([spec.a for _, spec in cells], width)
     hi = np.repeat([spec.b_bar for _, spec in cells], width)
     table = integrate_batch(integrand, lo, hi, panels=_MAP_PANELS).reshape(-1, width)
-    # Each edge atom's cell and point; their rows come from one integrand
-    # call, with the overflow that _close_window refuses left unwarned, as
-    # there.
-    atoms = [
-        (c, u) for c, (_, spec) in enumerate(cells) if spec.mode is Mode.MWM for u, _ in spec.edge_atoms
-    ]
-    if atoms:
-        owner = np.array([c for c, _ in atoms])
-        points = np.repeat([u for _, u in atoms], width)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            edges = integrand(points, (owner[:, None] * width + np.arange(width)).ravel())
-        edges = edges.reshape(-1, width)
+    # The rows of every winsorized cell at its edge atoms, from one integrand
+    # call when _close_window first asks for a cell's.
+    atoms = [(c, u) for c, (_, spec) in enumerate(cells) if spec.mode is Mode.MWM for u, _ in spec.edge_atoms]
+    at_atom: dict = {}
+
+    def at(c: int, t: np.ndarray) -> np.ndarray:
+        if not at_atom:
+            owner = np.array([cell for cell, _ in atoms])
+            rows = (owner[:, None] * width + np.arange(width)).ravel()
+            edges = integrand(np.repeat([u for _, u in atoms], width), rows)
+            at_atom.update(zip(atoms, edges.reshape(-1, width)))
+        return np.array([at_atom[c, v] for v in t])
+
     for c, (model, spec) in enumerate(cells):
-        table[c] = _close_window(spec, model, table[c], lambda t, c=c: edges[owner == c])
+        table[c] = _close_window(spec, model, table[c], lambda t, c=c: at(c, t))
     return table[:, 0].reshape(len(models), -1), table[:, 1:].reshape(len(models), len(specs), -1)
 
 
@@ -190,35 +192,35 @@ def _evaluate_each(template, points, specs, target) -> list:
     except RobustLMomentsError as exc:
         if len(points) == 1:
             return [exc]
-    values = []
-    for point in points:
-        try:
-            values.append(_evaluate(template, point, specs, target))
-        except RobustLMomentsError as exc:
-            values.append(exc)
-    return values
+    return [_evaluate_each(template, [point], specs, target)[0] for point in points]
 
 
-def _initial_guesses(template: ModelTemplate, sample) -> list[np.ndarray]:
-    """The family's method-of-moments start, and a second start in the
-    data's units: the first with each positive parameter (a scale, or a
-    shape) times 2 and each unbounded one (a location) moved up by the
-    first's scale, its first positive parameter, or without one the spread
-    of its locations.  Fixed values of ``template`` count as the start's."""
+def _initial_guesses(template: ModelTemplate, sample, xs) -> list[np.ndarray]:
+    """The family's method-of-moments start, and its default member carried
+    into the data's units (``xs``, the sample sorted): c is the distance
+    between the sample's quartiles over the default member's, and each
+    parameter in the data's unit (``DistributionModel.param_units``) is
+    multiplied by c, each in its logarithm moved by log c, each shape kept."""
     cls = template.cls
-    moment = cls.moment_start(np.asarray(sample, dtype=float))
-    first = np.array([m if v is None else v for v, m in zip(template.values, moment)], dtype=float)
-    positive = np.array([bounds == (0.0, math.inf) for bounds in cls.param_bounds])
-    location = np.array([bounds == (-math.inf, math.inf) for bounds in cls.param_bounds])
-    if positive.any():
-        scale = first[positive][0]
-    else:
-        scale = np.ptp(first[location]) if location.any() else 0.0
-    second = np.where(positive, 2.0 * first, np.where(location, first + scale, first))
-    free = list(template.free_indices)
-    starts = [first[free]]
-    if not np.array_equal(second[free], starts[0]):
-        starts.append(second[free])
+    full = cls.moment_start(np.asarray(sample, dtype=float))
+    free = template.free_indices
+    starts = [np.array([full[i] for i in free], dtype=float)]
+    try:
+        default = cls()
+    except TypeError:  # a family whose parameters have no defaults
+        return starts
+    c = 1.0
+    if cls.param_units:  # else every parameter is kept, as a shape
+        n = xs.size
+        spread = float(xs[round(0.75 * (n - 1))] - xs[round(0.25 * (n - 1))])
+        c = spread / float(np.ptp(default.quantiles(np.array([0.25, 0.75]))))
+        if not c > 0:  # a sample of ties has no unit
+            return starts
+    carry = {"x": lambda p: p * c, "log x": lambda p: p + math.log(c), "1": lambda p: p}
+    units = cls.param_units or ("1",) * len(default.params)
+    alt = np.array([carry[units[i]](default.params[i]) for i in free], dtype=float)
+    if not _same_root(alt, starts[0]):
+        starts.append(alt)
     return [s for s in starts if template.admits(s)] or [starts[0]]
 
 
@@ -269,11 +271,12 @@ def _newton(template, specs, target, starts) -> list[tuple]:
     """Damped Newton from every one of ``starts`` in lockstep: each round
     evaluates the next point of every live start in one call of the moment
     map, and each start keeps its own iterate, damping and line search and
-    stops on its own.  The (root, iterations, residual, Jacobian at the
-    root) of each start that converged, in start order; a start that fails
-    for a package reason (a domain, divergence or convergence error) is one
-    failed start, and if every start fails, the last one's failure is
-    raised."""
+    stops on its own.  Once the first start has converged, a start whose
+    next point is its root, to the tolerance that tells roots apart, stops
+    there.  The (root, iterations, residual, Jacobian at the root) of each
+    start that converged, in start order; a start that fails for a package
+    reason (a domain, divergence or convergence error) is one failed start,
+    and if every start fails, the last one's failure is raised."""
     runs = [_descent(template, target, start) for start in starts]
     points = [next(run) for run in runs]
     outcomes: list = [None] * len(runs)
@@ -290,11 +293,23 @@ def _newton(template, specs, target, starts) -> list[tuple]:
                 outcomes[i] = stop.value
             except RobustLMomentsError as exc:
                 outcomes[i] = exc
+        first = outcomes[0]
+        if first is not None and not isinstance(first, RobustLMomentsError):
+            for i in live:
+                if outcomes[i] is None and _same_root(points[i], first[0]):
+                    outcomes[i] = first
         live = [i for i in live if outcomes[i] is None]
     solutions = [o for o in outcomes if not isinstance(o, RobustLMomentsError)]
     if not solutions:
         raise outcomes[-1]
     return solutions
+
+
+def _same_root(a, b) -> bool:
+    """Whether ``a`` is at ``b``, to the tolerance that tells two roots apart
+    for ``non_unique``: 1e-4 relative, or 1e-8 of b's largest |parameter|
+    for a parameter near 0, so that it holds in any unit of the data."""
+    return np.allclose(a, b, rtol=1e-4, atol=1e-8 * np.abs(b).max())
 
 
 def _bisect_1d(template, specs, target, theta0):
@@ -371,7 +386,7 @@ def fit(
     _check_spec_count(template, specs)
     xs = _ascending(sample)  # validated and sorted once for every spec
     mu_hat, units = np.empty(len(specs)), np.empty(len(specs))
-    with np.errstate(over="ignore"):  # an overflowing moment is refused
+    with _moment_errstate():
         for j, s in enumerate(specs):
             lo, hi = _window(xs.size, s)
             h = s.transform.values(xs[lo:hi])  # once, for the moment and its unit
@@ -380,7 +395,7 @@ def fit(
     # each residual relative to mu_hat, or absolute in its unit where mu_hat ~ 0
     target = mu_hat, np.where(np.abs(mu_hat) > 1e-12 * units, mu_hat, units)
 
-    starts = _initial_guesses(template, sample)
+    starts = _initial_guesses(template, sample, xs)
     try:
         solutions = _newton(template, specs, target, starts)
     except RobustLMomentsError:
@@ -391,7 +406,7 @@ def fit(
         solutions = [(theta, iterations, residual, jac)]
 
     theta, iterations, residual, jac = solutions[0]
-    others = [t for t, *_ in solutions[1:] if not np.allclose(t, theta, rtol=1e-4, atol=1e-8)]
+    others = [t for t, *_ in solutions[1:] if not _same_root(t, theta)]
     model = template.bind(theta)
     cov_mu = cov_matrix(specs, model)
     cov_theta = _sandwich(jac, cov_mu)

@@ -135,10 +135,15 @@ class DistributionModel:
     finite: ``params`` is the field values in declaration order and the
     field defaults are the family's default member.  ``param_bounds``
     gives open-domain limits per parameter used by the fitting line search.
+    ``param_units`` gives each parameter's unit: the data's (``"x"``, as a
+    location or a scale, multiplied by c when the data are), that of the
+    data's logarithm (``"log x"``, moved by log c) or none (``"1"``, a
+    shape); a family that declares none is taken as all shapes.
     """
 
     family: str = "abstract"
     param_bounds: tuple[tuple[float, float], ...]
+    param_units: tuple[str, ...] = ()
     __post_init__ = _check_finite
 
     def __init_subclass__(cls, **kwargs):
@@ -211,6 +216,7 @@ class Uniform(DistributionModel):
 
     family = "uniform"
     param_bounds = ((-math.inf, math.inf), (-math.inf, math.inf))
+    param_units = ("x", "x")
     bounded_below = True
     bounded_above = True
 
@@ -242,6 +248,7 @@ class Exponential(DistributionModel):
 
     family = "exponential"
     param_bounds = ((0.0, math.inf),)
+    param_units = ("x",)
     bounded_below = True
 
     def __post_init__(self):
@@ -275,6 +282,7 @@ class Pareto(DistributionModel):
 
     family = "pareto"
     param_bounds = ((0.0, math.inf), (0.0, math.inf))
+    param_units = ("1", "x")
     bounded_below = True
 
     def __post_init__(self):
@@ -314,6 +322,7 @@ class Lognormal(DistributionModel):
 
     family = "lognormal"
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
+    param_units = ("log x", "1")
     bounded_below = True
 
     def __post_init__(self):
@@ -355,6 +364,7 @@ class Normal(DistributionModel):
 
     family = "normal"
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
+    param_units = ("x", "x")
 
     def __post_init__(self):
         super().__post_init__()

@@ -115,8 +115,8 @@ def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float
     it is not finite, as where the transform is infinite on the window.  The
     edge terms take Python floats, so that an edge of no mass at an infinite
     h (0 * inf) gives NaN without a warning.  A sum that overflows is
-    refused the same way; the caller ignores numpy's overflow warning, once
-    around all the moments it takes, so that the refusal alone reports it."""
+    refused the same way; callers take their moments inside one
+    ``_moment_errstate``, so that the refusal alone reports it."""
     if mode is Mode.MTM:
         moment = float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
     else:
@@ -129,12 +129,19 @@ def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float
     return moment
 
 
+def _moment_errstate():
+    """The numpy error state to call ``_window_moment`` in, entered once
+    around all of a caller's moments: numpy's overflow warning off, so that
+    a sum that overflows is reported by the moment's refusal alone."""
+    return np.errstate(over="ignore")
+
+
 def sorted_sample_moment(xs: np.ndarray, spec: MomentSpec) -> float:
     """The spec's MTM or MWM moment of an ascending, finite sample; the
     caller validates and sorts."""
     n = xs.size
     lo, hi = _window(n, spec)
-    with np.errstate(over="ignore"):
+    with _moment_errstate():
         return _window_moment(spec.transform.values(xs[lo:hi]), lo, hi, n, spec.mode)
 
 

@@ -204,7 +204,7 @@ class TestFailurePropagation:
         template = parse_model_template("normal(?,?)")
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
-        first, second = estimate_module._initial_guesses(template, sample)
+        first, second = estimate_module._initial_guesses(template, sample, np.sort(sample))
         moment_map = estimate_module._moment_map
         calls = []
 
@@ -216,7 +216,7 @@ class TestFailurePropagation:
 
         monkeypatch.setattr(estimate_module, "_moment_map", first_start_diverges)
         result = fit(template, sample, specs)
-        assert calls[:3] == [(2, 2), (2,), (2,)]
+        assert calls[:3] == [(2, 2), (1, 2), (1, 2)]
         assert result.residual_norm <= 1e-9
         monkeypatch.setattr(estimate_module, "_moment_map", moment_map)
         monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: [second])
@@ -233,7 +233,7 @@ class TestFailurePropagation:
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
         expected = fit(template, sample, specs).theta_hat
-        first, second = estimate_module._initial_guesses(template, sample)
+        first, second = estimate_module._initial_guesses(template, sample, np.sort(sample))
         moment_map = estimate_module._moment_map
         calls = []
 
@@ -256,13 +256,13 @@ class TestFailurePropagation:
 
     def test_every_start_failing_raises_the_last_failure(self, monkeypatch):
         def diverging(template, theta, specs):
-            raise DivergenceError(f"diverged from {np.asarray(theta).tolist()}")
+            raise DivergenceError(f"diverged from {np.asarray(theta).ravel().tolist()}")
 
         monkeypatch.setattr(estimate_module, "_moment_map", diverging)
         template = parse_model_template("normal(?,?)")
         sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
         specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
-        last = estimate_module._initial_guesses(template, sample)[-1]
+        last = estimate_module._initial_guesses(template, sample, np.sort(sample))[-1]
         with pytest.raises(DivergenceError, match=re.escape(f"diverged from {last.tolist()}") + "$"):
             fit(template, sample, specs)
 
@@ -331,15 +331,15 @@ def test_a_sample_moment_that_overflows_is_refused_without_a_warning():
 
 
 def test_a_diverging_start_leaves_the_fit_to_the_other():
-    # The method-of-moments start (0.698, 0.332) has a shape below 1, where
-    # the untrimmed upper tail of the identity moment diverges; the second
-    # start (1.397, 0.665) converges.
+    # From the method-of-moments start (0.138, 0.00095) the untrimmed
+    # upper tail of the identity moment diverges along the way; the
+    # default start (2, 1) converges.
     sample = Pareto(3.0, 1.0).quantiles(np.random.default_rng(4).random(4000))
-    sample[:20] = 0.35
+    sample[:20] = 1e-3
     specs = [MomentSpec(Log(), 0.1, 0.1), MomentSpec(IDENT, 0.1, 0.0)]
     result = fit(parse_model_template("pareto(?,?)"), sample, specs)
     np.testing.assert_allclose(result.theta_hat, [3.0657125831414, 1.0097329324774382], rtol=1e-8)
-    assert result.iterations == 7
+    assert result.iterations == 6
 
 
 class TestBisection:
@@ -428,6 +428,40 @@ class TestBisection:
         assert paths == [(37, 1, False)] * 4
 
 
+@pytest.mark.parametrize(
+    "family, draw",
+    [
+        ("uniform", lambda g: g.uniform(2.0, 5.0, 1000)),
+        ("exponential", lambda g: g.exponential(3.0, 1000)),
+        ("pareto", lambda g: 2.0 * (1.0 + g.pareto(3.0, 1000))),
+        ("lognormal", lambda g: g.lognormal(1.0, 0.5, 1000)),
+        ("normal", lambda g: g.normal(5.0, 2.0, 1000)),
+    ],
+)
+def test_both_starts_move_with_the_data_by_their_units(family, draw):
+    cls = parse_model_template(f"{family}()").cls
+    template = ModelTemplate(cls, (None,) * len(cls.param_units))
+    x = draw(np.random.default_rng(9))
+    starts = estimate_module._initial_guesses(template, x, np.sort(x))
+    assert len(starts) == 2
+    for c in (1e-3, 1e3):
+        moved = {"x": lambda p: p * c, "log x": lambda p: p + math.log(c), "1": lambda p: p}
+        got = estimate_module._initial_guesses(template, c * x, np.sort(c * x))
+        for start, start_c in zip(starts, got, strict=True):
+            expected = [moved[unit](p) for unit, p in zip(cls.param_units, start)]
+            np.testing.assert_allclose(start_c, expected, rtol=1e-12, atol=0)
+
+
+def test_a_second_root_is_found_in_any_unit():
+    # sigma near 0.604 and 1.640 both solve these winsorized equations.
+    x = np.random.default_rng(500).normal(5.0, 1.0, 500)
+    specs = [MomentSpec(IDENT, 0.1, 0.1, Mode.MWM), MomentSpec(Power(2.0), 0.05, 0.25, Mode.MWM)]
+    for c in (1e-12, 1e-9, 1.0, 1e6):
+        result = fit(parse_model_template("normal(?,?)"), c * x, specs)
+        assert result.non_unique
+        np.testing.assert_allclose(result.alt_theta / c, [4.94405608, 1.64030158], rtol=1e-8)
+
+
 class TestLockstep:
     """Every start's next point is evaluated in one call of the moment map."""
 
@@ -435,7 +469,10 @@ class TestLockstep:
     SAMPLE = np.random.default_rng(3).lognormal(2.5, 0.4, 3000)
     SPECS = [MomentSpec(Log(), 0.05, 0.25), MomentSpec(Log(), 0.1, 0.1)]
 
-    def test_both_starts_take_as_many_calls_as_the_longer_one(self, monkeypatch):
+    @staticmethod
+    def _count_calls(monkeypatch, template, sample, specs):
+        """``integrate_batch`` calls of the fit from each start alone, and of
+        the fit from both, with the fits from the first start and from both."""
         batch = estimate_module.integrate_batch
         calls = []
 
@@ -444,19 +481,34 @@ class TestLockstep:
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(estimate_module, "integrate_batch", counted)
-        starts = estimate_module._initial_guesses(self.TEMPLATE, self.SAMPLE)
-        alone = []
-        for start in starts:
-            monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: [start])
+        starts = estimate_module._initial_guesses(template, sample, np.sort(sample))
+        assert len(starts) == 2
+        alone, fits = [], []
+        for chosen in ([starts[0]], [starts[1]], starts):
+            monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: chosen)
             calls.clear()
-            fit(self.TEMPLATE, self.SAMPLE, self.SPECS)
+            fits.append(fit(template, sample, specs))
             alone.append(len(calls))
-        monkeypatch.setattr(estimate_module, "_initial_guesses", lambda *args: starts)
-        calls.clear()
-        result = fit(self.TEMPLATE, self.SAMPLE, self.SPECS)
-        assert len(starts) == 2 and min(alone) > 0
-        assert len(calls) == max(alone) < sum(alone)
+        both = alone.pop()
+        return alone, both, fits[0], fits[2]
+
+    def test_both_starts_take_as_many_calls_as_the_longer_one(self, monkeypatch):
+        alone, both, _, result = self._count_calls(monkeypatch, self.TEMPLATE, self.SAMPLE, self.SPECS)
+        assert min(alone) > 0
+        assert both == max(alone) < sum(alone)
         assert not result.non_unique
+
+    def test_a_start_that_reaches_the_first_root_stops_there(self, monkeypatch):
+        # The second start, alone, takes two more iterations to the root that
+        # the first start reaches; beside it, it stops when its next point is
+        # that root, and the fit is the first start's.
+        template = parse_model_template("normal(?,?)")
+        sample = np.random.default_rng(5).normal(1.0, 2.0, size=500)
+        specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(Power(2.0), 0.1, 0.1)]
+        alone, both, first, result = self._count_calls(monkeypatch, template, sample, specs)
+        assert both == alone[0] < alone[1]
+        np.testing.assert_array_equal(result.theta_hat, first.theta_hat)
+        assert result.iterations == first.iterations and not result.non_unique
 
     def test_the_map_at_a_stack_of_thetas_is_the_map_at_each(self):
         thetas = np.array([[2.5, 0.4], [3.0, 0.8], [2.0, 0.3]])

@@ -4,13 +4,6 @@ Four families, both modes and two sample sizes: theta-hat and the standard
 errors sqrt(diag(cov_theta) / n) within 1e-12 relative, the iterations of
 the first start that converged, and ``non_unique``.  The lognormal rows
 include an untrimmed upper tail, which takes the scalar moment path.
-
-Two flags differ from the frozen fit.  The normal identity (0.1, 0.1) and
-power(2) (0.05, 0.25) equations have a second root at sigma near 5.75 as
-well as the one near 1.  The MTM fits reached it from the family's default
-member (0, 1), which is no longer a start; the second start, the first with
-sigma doubled and mu moved up by sigma, converges to the first root.  The
-MWM fits still find a second root, from either start.
 """
 
 import numpy as np
@@ -52,8 +45,8 @@ FROZEN = [
     ("lognormal", "mtm", 20000, [2.4948491375139366, 0.40066725315551], [0.0028711822780693773, 0.002234773971318903], 2, False),
     ("lognormal", "mwm", 500, [2.482055205668927, 0.3875709171277016], [0.017635583329299927, 0.01568710189723101], 2, False),
     ("lognormal", "mwm", 20000, [2.4952141281387954, 0.40017904278353533], [0.0028795434849643543, 0.0025499912212913443], 2, False),
-    ("normal", "mtm", 500, [4.948485404112471, 0.9736997398511387], [0.044840913373978754, 0.04050007680798175], 2, False),  # True when frozen; see above
-    ("normal", "mtm", 20000, [4.9870439869078735, 1.0023322894881619], [0.007298458143744194, 0.006614570368888274], 2, False),  # True when frozen; see above
+    ("normal", "mtm", 500, [4.948485404112471, 0.9736997398511387], [0.044840913373978754, 0.04050007680798175], 2, True),
+    ("normal", "mtm", 20000, [4.9870439869078735, 1.0023322894881619], [0.007298458143744194, 0.006614570368888274], 2, True),
     ("normal", "mwm", 500, [4.944056077635227, 0.6042839931889551], [0.027502353144734416, 0.12319514205673643], 4, True),
     ("normal", "mwm", 20000, [4.988172563035062, 1.02015789710501], [0.007341184924148604, 0.1597594340050328], 3, True),
 ]
