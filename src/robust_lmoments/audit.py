@@ -117,21 +117,13 @@ def _transform_pairs(transforms):
 
 
 def build_mtm_corpus(mode: Mode = Mode.MTM) -> list[AuditCase]:
-    """Unequal-proportions corpus spanning all window orderings.
-
-    This corpus and the equal-proportions one keep a zero proportion only
-    on a side where the quantile is bounded (``bounded_on``).  An
-    untrimmed unbounded tail turns the reference integral into a slowly
-    converging nested quadrature whose achievable absolute accuracy
-    (about 1e-7) is worse than the audit tolerance, and heavy tails can
-    make the untrimmed moments diverge outright."""
+    """Unequal-proportions corpus spanning all window orderings; every
+    pair trims both sides."""
     cases = []
     for model, transforms in _family_transforms():
         for (pi, pj), (ti, tj) in itertools.product(
             _ORDERED_PAIRS, _transform_pairs(transforms)
         ):
-            if not (model.bounded_on(*pi) and model.bounded_on(*pj)):
-                continue
             cases.append(
                 AuditCase(
                     model,
@@ -143,6 +135,12 @@ def build_mtm_corpus(mode: Mode = Mode.MTM) -> list[AuditCase]:
 
 
 def build_equal_props_corpus(mode: Mode = Mode.MTM) -> list[AuditCase]:
+    """Equal-proportions corpus, which keeps a zero proportion only on a
+    side where the quantile is bounded (``bounded_on``).  An untrimmed
+    unbounded tail turns the reference integral into a slowly converging
+    nested quadrature whose achievable absolute accuracy (about 1e-7) is
+    worse than the audit tolerance, and heavy tails can make the
+    untrimmed moments diverge outright."""
     cases = []
     for model, transforms in _family_transforms():
         for (a, b), (ti, tj) in itertools.product(

@@ -207,7 +207,7 @@ def _initial_guesses(template: ModelTemplate, sample, xs) -> list[np.ndarray]:
     starts = [np.array([full[i] for i in free], dtype=float)]
     try:
         default = cls()
-    except TypeError:  # a family whose parameters have no defaults
+    except (TypeError, DomainError):  # no defaults, or a default outside the bounds
         return starts
     c = 1.0
     if cls.param_units:  # else every parameter is kept, as a shape

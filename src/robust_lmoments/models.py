@@ -131,10 +131,12 @@ class DistributionModel:
     elementwise.  ``quantiles`` takes a float or an array and answers in
     kind, with one expression whose functions come from ``math`` for a
     float and from numpy for an array (``_FloatFunctions`` or
-    ``_ArrayFunctions``).  Their fields are the parameters, refused unless
-    finite: ``params`` is the field values in declaration order and the
-    field defaults are the family's default member.  ``param_bounds``
-    gives open-domain limits per parameter used by the fitting line search.
+    ``_ArrayFunctions``).  Their fields are the parameters: ``params`` is
+    the field values in declaration order and the field defaults are the
+    family's default member.  ``param_bounds`` gives each parameter's open
+    domain, the family's one statement of it: a member is refused when it
+    is built with a parameter that is not finite or lies outside it, so
+    ``ModelTemplate.admits`` keeps the fit and its differences inside it.
     ``param_units`` gives each parameter's unit: the data's (``"x"``, as a
     location or a scale, multiplied by c when the data are), that of the
     data's logarithm (``"log x"``, moved by log c) or none (``"1"``, a
@@ -144,7 +146,12 @@ class DistributionModel:
     family: str = "abstract"
     param_bounds: tuple[tuple[float, float], ...]
     param_units: tuple[str, ...] = ()
-    __post_init__ = _check_finite
+
+    def __post_init__(self):
+        _check_finite(self)
+        for f, (lo, hi) in zip(fields(self), self.param_bounds):
+            if not lo < (v := getattr(self, f.name)) < hi:
+                raise DomainError(f"{self.family} {f.name} must lie in ({lo:g}, {hi:g}), got {v}")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -251,11 +258,6 @@ class Exponential(DistributionModel):
     param_units = ("x",)
     bounded_below = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.scale > 0:
-            raise DomainError(f"exponential scale must be > 0, got {self.scale}")
-
     @classmethod
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
         return (max(float(np.mean(x)), 1e-8),)
@@ -284,13 +286,6 @@ class Pareto(DistributionModel):
     param_bounds = ((0.0, math.inf), (0.0, math.inf))
     param_units = ("1", "x")
     bounded_below = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.shape > 0 or not self.xm > 0:
-            raise DomainError(
-                f"pareto requires shape > 0 and xm > 0, got ({self.shape}, {self.xm})"
-            )
 
     @classmethod
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
@@ -324,11 +319,6 @@ class Lognormal(DistributionModel):
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
     param_units = ("log x", "1")
     bounded_below = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.sigma > 0:
-            raise DomainError(f"lognormal sigma must be > 0, got {self.sigma}")
 
     @classmethod
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
@@ -365,11 +355,6 @@ class Normal(DistributionModel):
     family = "normal"
     param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
     param_units = ("x", "x")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.sigma > 0:
-            raise DomainError(f"normal sigma must be > 0, got {self.sigma}")
 
     @classmethod
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
@@ -469,9 +454,7 @@ class ModelTemplate:
         return self.cls(*(next(free) if v is None else v for v in self.values))
 
     def admits(self, theta) -> bool:
-        """Each free value inside its open bounds, then the family's own checks."""
-        if not all(lo < v < hi for v, (lo, hi) in zip(theta, self.free_bounds())):
-            return False
+        """``theta`` binds to a member of the family."""
         try:
             self.bind(theta)
         except DomainError:

@@ -8,6 +8,7 @@ probability window, with edge atoms in the winsorized case.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 import numbers
@@ -77,10 +78,11 @@ class MomentSpec:
     def retained(self) -> float:
         return 1.0 - self.a - self.b
 
-    @property
+    @functools.cached_property
     def edge_atoms(self) -> tuple[tuple[float, float], ...]:
         """Winsorizing's atoms (u, mass), mass a at a and b at 1-b, but no
-        zero mass: its end, which may be unbounded, is never evaluated."""
+        zero mass: its end, which may be unbounded, is never evaluated.
+        Built on the first read and kept, as the spec is immutable."""
         return tuple((u, w) for u, w in ((self.a, self.a), (self.b_bar, self.b)) if w > 0)
 
 

@@ -28,9 +28,9 @@ whose value is kept, or at the batched engine's roundoff floor); at most
 2000 subintervals per integral; and integrands evaluated only on the open
 interval.  A package error raised by the integrand passes through
 unchanged; any other failure to converge is surfaced as DivergenceError.
-A NaN limit is refused as DomainError; so are an infinite limit and fewer
-than one starting panel in ``integrate_batch``, whose map needs a finite
-interval (``integrate`` keeps QUADPACK's infinite limits).
+A NaN limit and hi < lo are refused as DomainError; so are an infinite
+limit and fewer than one starting panel in ``integrate_batch``, whose map
+needs a finite interval (``integrate`` keeps QUADPACK's infinite limits).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def integrate(
     lo: float,
     hi: float,
 ) -> float:
-    """Integrate f over [lo, hi].
+    """Integrate f over [lo, hi], lo <= hi.
 
     An interval strictly inside (0, 1) is integrated in s = logit(u), as
     f(u(s)) u'(s) over its length in s, started as one piece per 4 units
@@ -122,12 +122,10 @@ def integrate(
     QUADPACK extrapolates toward an end singularity."""
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError(f"integration limits must not be NaN, got [{lo}, {hi}]")
+    if hi < lo:
+        raise DomainError(f"integration limits must have lo <= hi, got [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    sign = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
 
     # Quadrature nodes are interior in exact arithmetic, but can round to
     # a representable endpoint; nudge those onto the open interval so that
@@ -181,7 +179,7 @@ def integrate(
         raise _not_converged(lo, hi, msg)
     if math.isnan(value) or math.isinf(value):
         raise _not_finite(lo, hi)
-    return sign * value
+    return value
 
 
 # QUADPACK's qk21 on [-1, 1]: the positive Kronrod nodes, their weights
@@ -310,7 +308,8 @@ def integrate_batch(
     rel_tol: float = REL_TOL,
     panels: int = 1,
 ) -> np.ndarray:
-    """Integrate m problems at once: entry k is f over [lo[k], hi[k]].
+    """Integrate m problems at once: entry k is f over [lo[k], hi[k]],
+    lo[k] <= hi[k].
 
     ``f(u, rows)`` receives the nodes of p panels as a (p, 21) array and
     the problem index of each panel as a (p,) integer array, and returns
@@ -347,17 +346,18 @@ def integrate_batch(
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if panels < 1:
         raise DomainError(f"integrate_batch needs panels >= 1, got {panels}")
-    flip = hi < lo
     # Per problem: ends, length, open interval and, if it is interior, its
     # start and length in s = logit(u), gathered once a round.
     limits = np.zeros((7, lo.size))
-    np.minimum(lo, hi, out=limits[0])
-    np.maximum(lo, hi, out=limits[1])
+    limits[0], limits[1] = lo, hi
     if not np.isfinite(limits[:2]).all():
         k = np.argmin(np.isfinite(lo) & np.isfinite(hi))
         raise DomainError(
             f"integrate_batch needs finite limits; problem {k} has [{lo[k]}, {hi[k]}]"
         )
+    if (hi < lo).any():
+        k = np.argmax(hi < lo)
+        raise DomainError(f"integrate_batch needs lo <= hi; problem {k} has [{lo[k]}, {hi[k]}]")
     lo, hi = limits[0], limits[1]
     np.subtract(hi, lo, out=limits[2])
     np.nextafter(lo, hi, out=limits[3])
@@ -469,4 +469,4 @@ def integrate_batch(
         cubic = None if every else _cubic(t)
         start, end, length, lo_open, hi_open, s_start, s_length = limits[:, rows, None]
 
-    return np.negative(result, out=result, where=flip)
+    return result

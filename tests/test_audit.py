@@ -41,8 +41,7 @@ class TestRelativeDeviation:
 
 class TestCorpus:
     def test_mtm_corpus_size(self):
-        corpus = build_mtm_corpus() + build_equal_props_corpus()
-        assert len(corpus) >= 200
+        assert (len(build_mtm_corpus()), len(build_equal_props_corpus())) == (180, 216)
 
     def test_corpus_respects_mass_condition(self):
         for case in build_mtm_corpus() + build_equal_props_corpus():

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, and output plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ class TestRun:
             reports[name] = out.read_bytes()
         assert reports["plain"].startswith(b"model: ")
         assert reports["plain"] == reports["commented"] == reports["csv"]
+
+    def test_fit_warns_of_a_second_solution(self, tmp_path, capsys):
+        # sigma near 0.974 and 5.748 both solve these trimmed equations.
+        p = tmp_path / "normal.txt"
+        p.write_text("".join(f"{x!r}\n" for x in np.random.default_rng(500).normal(5, 1, 500).tolist()))
+        argv = ["fit", "--family", "normal(?,?)", "--data", str(p), "--transform", "identity",
+                "--trim", "0.1,0.1", "--transform", "power(2)", "--trim", "0.05,0.25"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^warning: second solution found at \[4\.948485\d*\s+5\.748329\d*\]$", out, re.M)
 
     def test_fit_empty_sample(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"

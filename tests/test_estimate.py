@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import robust_lmoments.estimate as estimate_module
 import robust_lmoments.moments as moments_module
 from robust_lmoments import (
     ConvergenceError,
+    DistributionModel,
     DivergenceError,
     DomainError,
     Exponential,
@@ -31,7 +33,7 @@ from robust_lmoments import (
     population_moment,
     sample_moment,
 )
-from robust_lmoments.models import ModelTemplate
+from robust_lmoments.models import ModelTemplate, _check_unit
 
 IDENT = Identity()
 
@@ -460,6 +462,62 @@ def test_a_second_root_is_found_in_any_unit():
         result = fit(parse_model_template("normal(?,?)"), c * x, specs)
         assert result.non_unique
         np.testing.assert_allclose(result.alt_theta / c, [4.94405608, 1.64030158], rtol=1e-8)
+
+
+@dataclass(frozen=True)
+class FreeGumbel(DistributionModel):
+    """A user family whose parameters have no defaults, so that ``fit``
+    starts from its moment start alone (all ones, the base class's)."""
+
+    mu: float
+    beta: float
+
+    family = "free-gumbel"
+    param_bounds = ((-math.inf, math.inf), (0.0, math.inf))
+    param_units = ("x", "x")
+
+    def quantiles(self, u):
+        u = _check_unit(u, self._infinite_ends)
+        return self.mu - self.beta * np.log(-np.log(u))
+
+    def quantile_densities(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.beta / (u * -np.log(u))
+
+
+@dataclass(frozen=True)
+class CappedGumbel(FreeGumbel):
+    """Defaults whose beta = 1 lies outside the family's bounds: a default
+    member that cannot be built, and hence no second start."""
+
+    mu: float = 0.0
+    beta: float = 1.0
+
+    family = "capped-gumbel"
+    param_bounds = ((-math.inf, math.inf), (0.0, 0.8))
+
+    @classmethod
+    def moment_start(cls, x):
+        beta = float(np.std(x)) * math.sqrt(6.0) / math.pi
+        return (float(np.mean(x)) - 0.5772156649015329 * beta, beta)
+
+
+@pytest.mark.parametrize(
+    "cls, theta",
+    [
+        (FreeGumbel, [2.0032770961905477, 0.4906107535602845]),
+        (CappedGumbel, [2.0032770961883024, 0.49061075355378514]),
+    ],
+    ids=["no-defaults", "default-outside-bounds"],
+)
+def test_a_family_without_a_default_member_fits_from_its_moment_start(cls, theta):
+    # theta-hat as fitted when CappedGumbel's default member was still built
+    # and its carried start ran beside the moment start.
+    template = ModelTemplate(cls, (None, None))
+    x = np.random.default_rng(7).gumbel(2.0, 0.5, 2000)
+    specs = [MomentSpec(IDENT, 0.1, 0.1), MomentSpec(IDENT, 0.05, 0.25)]
+    assert len(estimate_module._initial_guesses(template, x, np.sort(x))) == 1
+    np.testing.assert_allclose(fit(template, x, specs).theta_hat, theta, rtol=1e-12, atol=0)
 
 
 class TestLockstep:

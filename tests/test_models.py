@@ -110,12 +110,17 @@ class TestQuantiles:
             Uniform(0, 1).quantiles(1.5)
 
     def test_invalid_params(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^uniform requires hi > lo"):
             Uniform(1.0, 0.0)
-        with pytest.raises(DomainError):
-            Exponential(-1.0)
-        with pytest.raises(DomainError):
-            Normal(0.0, 0.0)
+        for make, message in [
+            (lambda: Exponential(-1.0), r"exponential scale must lie in \(0, inf\), got -1\.0"),
+            (lambda: Normal(0.0, 0.0), r"normal sigma must lie in \(0, inf\), got 0\.0"),
+            (lambda: Pareto(0.0, 1.0), r"pareto shape must lie in \(0, inf\), got 0\.0"),
+            (lambda: Pareto(2.0, -1.0), r"pareto xm must lie in \(0, inf\), got -1\.0"),
+            (lambda: Lognormal(0.0, -0.5), r"lognormal sigma must lie in \(0, inf\), got -0\.5"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                make()
 
 
 class TestCompositeH:
@@ -267,6 +272,13 @@ class TestQuantileGrads:
     def test_fallback_refuses_a_parameter_it_cannot_step(self):
         with pytest.raises(DomainError, match="cannot difference parameter 1"):
             NarrowGumbel(0.5, 1.0).quantile_grads(np.array([0.5]))
+
+    def test_a_user_family_refuses_a_member_outside_its_bounds(self):
+        # Refused when built, by the parameter its bounds hold, and not
+        # later by the difference as "cannot difference parameter 0".
+        with pytest.raises(DomainError, match=r"^scalar-gumbel beta must lie in \(0, 1\), got 2\.0$"):
+            BoundedGumbel(0.5, 2.0)
+        assert not ModelTemplate.all_free(BoundedGumbel(0.5, 0.5)).admits([0.5, 2.0])
 
 
 class TestParsing:

@@ -70,6 +70,11 @@ def test_nan_limit_is_domain_error(lo, hi):
         integrate(lambda u: u, lo, hi)
 
 
+def test_reversed_limits_are_a_domain_error():
+    with pytest.raises(DomainError, match=r"must have lo <= hi, got \[0\.9, 0\.1\]"):
+        integrate(lambda u: u, 0.9, 0.1)
+
+
 def test_extremely_bad_integrand_behavior_is_divergence():
     # QUADPACK ends 1/u on (0, 1) with ier=3 and a finite estimate (about
     # 709.87); the integral diverges, so that message is not roundoff.
@@ -295,9 +300,9 @@ class TestIntegrateBatch:
         with pytest.raises(DivergenceError, match=span):
             quadrature.integrate_batch(f, [0.2, 0.5], [0.3, 0.6])
 
-    def test_reversed_limits_change_the_sign(self):
-        got = quadrature.integrate_batch(lambda u, rows: u * u, [1.0], [0.0])
-        assert got[0] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    def test_reversed_limits_are_refused(self):
+        with pytest.raises(DomainError, match=r"needs lo <= hi; problem 1 has \[0\.9, 0\.1\]"):
+            quadrature.integrate_batch(lambda u, rows: u * u, [0.0, 0.9], [1.0, 0.1])
 
     def test_oscillating_singularity_is_divergence(self):
         with pytest.raises(DivergenceError, match="did not converge"):
