@@ -18,7 +18,7 @@ floor, the least power of two above the mean |h(X)| over a spec's window.
 
 The fit runs Newton from two starts in lockstep: the family's
 method-of-moments start, and its default member carried into the data's
-units (``_initial_guesses``), so that both, and the one-parameter
+units (``_carried_default``), so that both, and the one-parameter
 bisection after them, take the same steps in any unit of the data.  Each
 round evaluates the next point of every live start in one call of the
 moment map, whose batched specs share one ``integrate_batch`` call and one
@@ -197,31 +197,38 @@ def _evaluate_each(template, points, specs, target) -> list:
 
 def _initial_guesses(template: ModelTemplate, sample, xs) -> list[np.ndarray]:
     """The family's method-of-moments start, and its default member carried
-    into the data's units (``xs``, the sample sorted): c is the distance
-    between the sample's quartiles over the default member's, and each
-    parameter in the data's unit (``DistributionModel.param_units``) is
-    multiplied by c, each in its logarithm moved by log c, each shape kept."""
+    into the data's units (``_carried_default``) where it is another root's
+    start; each only if it binds, but the first start at least."""
+    full = template.cls.moment_start(np.asarray(sample, dtype=float))
+    starts = [np.array([full[i] for i in template.free_indices], dtype=float)]
+    alt = _carried_default(template, xs)
+    if alt is not None and not _same_root(alt, starts[0]):
+        starts.append(alt)
+    return [s for s in starts if template.admits(s)] or [starts[0]]
+
+
+def _carried_default(template: ModelTemplate, xs) -> np.ndarray | None:
+    """The free parameters of the family's default member carried into the
+    data's units (``xs``, the sample sorted), or None for a family without
+    a default member or a sample without a unit: c is the distance between
+    the sample's quartiles over the default member's, and each parameter in
+    the data's unit (``DistributionModel.param_units``) is multiplied by c,
+    each in its logarithm moved by log c, each shape kept."""
     cls = template.cls
-    full = cls.moment_start(np.asarray(sample, dtype=float))
-    free = template.free_indices
-    starts = [np.array([full[i] for i in free], dtype=float)]
     try:
         default = cls()
     except (TypeError, DomainError):  # no defaults, or a default outside the bounds
-        return starts
+        return None
     c = 1.0
     if cls.param_units:  # else every parameter is kept, as a shape
         n = xs.size
         spread = float(xs[round(0.75 * (n - 1))] - xs[round(0.25 * (n - 1))])
         c = spread / float(np.ptp(default.quantiles(np.array([0.25, 0.75]))))
         if not c > 0:  # a sample of ties has no unit
-            return starts
+            return None
     carry = {"x": lambda p: p * c, "log x": lambda p: p + math.log(c), "1": lambda p: p}
     units = cls.param_units or ("1",) * len(default.params)
-    alt = np.array([carry[units[i]](default.params[i]) for i in free], dtype=float)
-    if not _same_root(alt, starts[0]):
-        starts.append(alt)
-    return [s for s in starts if template.admits(s)] or [starts[0]]
+    return np.array([carry[units[i]](default.params[i]) for i in template.free_indices], dtype=float)
 
 
 def moment_jacobian(template: ModelTemplate, theta, specs) -> np.ndarray:

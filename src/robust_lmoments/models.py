@@ -172,8 +172,16 @@ class DistributionModel:
     @classmethod
     def moment_start(cls, x: np.ndarray) -> tuple[float, ...]:
         """Method-of-moments starting point for fitting the family to the
-        sample ``x``; all ones for a family that defines none."""
-        return (1.0,) * len(cls.param_bounds)
+        sample ``x``.  For a family that defines none, each parameter is 1
+        where its bounds hold 1, else the midpoint of a finite interval,
+        else 1 inside its finite end."""
+        return tuple(
+            1.0 if lo < 1.0 < hi
+            else 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
+            else lo + 1.0 if math.isfinite(lo)
+            else hi - 1.0
+            for lo, hi in cls.param_bounds
+        )
 
     def quantiles(self, u: float | np.ndarray) -> float | np.ndarray:
         """The quantile F^-1(u) of a float, or elementwise of an array,

@@ -111,24 +111,28 @@ def _check_one_mode(specs: Sequence[MomentSpec]) -> None:
         raise DomainError("all specs must share one mode")
 
 
-def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode) -> float:
+def _window_moment(h: np.ndarray, lo: int, hi: int, n: int, mode: Mode):
     """The MTM or MWM moment given ``h``, the transformed order statistics
-    lo .. hi-1 (zero-based) of an ascending sample of size n; refused when
-    it is not finite, as where the transform is infinite on the window.  The
-    edge terms take Python floats, so that an edge of no mass at an infinite
-    h (0 * inf) gives NaN without a warning.  A sum that overflows is
-    refused the same way; callers take their moments inside one
+    lo .. hi-1 (zero-based) of an ascending sample of size n, along its
+    last axis: a float for one sample, an array of one moment per row for a
+    block of them.  Each row is summed on its own, so that its moment is
+    bitwise that of the row alone.  Refused when a moment is not finite, as
+    where the transform is infinite on the window; an edge of no mass at an
+    infinite h (0 * inf) gives NaN without a warning.  A sum that overflows
+    is refused the same way; callers take their moments inside one
     ``_moment_errstate``, so that the refusal alone reports it."""
+    total = h.sum(axis=-1)
     if mode is Mode.MTM:
-        moment = float(h.sum() / (hi - lo))  # == h.mean(), without its overhead
+        moment = total / (hi - lo)  # == h.mean(-1), without its overhead
     else:
-        moment = float((lo * float(h[0]) + h.sum() + (n - hi) * float(h[-1])) / n)
-    if not math.isfinite(moment):
+        with np.errstate(invalid="ignore"):
+            moment = (lo * h[..., 0] + total + (n - hi) * h[..., -1]) / n
+    if not np.isfinite(moment).all():
         raise DomainError(
             f"moment over order statistics {lo + 1} .. {hi} of n={n} is not "
             "finite: the transform is infinite or too large there"
         )
-    return moment
+    return float(moment) if h.ndim == 1 else moment
 
 
 def _moment_errstate():

@@ -17,12 +17,29 @@ spec transforms its own slice of that array.  The moments, and so the
 report, are bitwise those of quantile-then-sort.  The trimmed tails are
 never passed to the quantile; the quantile's domain check still sees the
 whole draw through its extremes u[0] and u[-1].
+
+Where the model is one of the package's families and every transform one
+of its own, ``run_mc`` draws its replications in blocks of consecutive
+rows, about 0.5 MiB each (6 rows at n = 1e4).  Each row is seeded and
+filled as its replication alone would be, and sorting the block along its
+rows gives each row the floats of its own sort.  The block's quantiles,
+transforms and moments take one numpy pass each, every row summed on its
+own.  Those passes release the GIL for a whole block, so the blocks run
+on one thread per usable core, joined before ``run_mc`` returns; the
+process's CPU affinity (``taskset``) sets the cores.  A user family or a
+custom transform may run Python code on every value, holding the GIL, and
+a custom transform ran about 15% slower in blocks than one row at a time.
+Such a run, and every ``coverage_check``, whose fits hold the GIL, draws
+one replication at a time on the calling thread.  The report is bitwise
+the same either way.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -32,7 +49,7 @@ from scipy.special import ndtri
 from .asymcov import CovMatrix, CovMethod, cov_matrix
 from .errors import DomainError, RobustLMomentsError
 from .estimate import _check_spec_count, fit
-from .models import DistributionModel, ModelTemplate, _check_unit
+from .models import _FAMILIES, _TRANSFORMS, DistributionModel, ModelTemplate, _check_unit
 from .moments import (
     _FLOOR_SLACK,
     MomentSpec,
@@ -56,6 +73,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _DEV_FLOOR = 1e-4
+# The bytes of uniforms in one block of replications: 6 rows at n = 1e4.
+_BLOCK_BYTES = 1 << 19
 
 
 def splitmix64(state: int) -> int:
@@ -142,44 +161,101 @@ class SimulationReport:
     runtime_ms: float
 
 
-def _run_replications(config: SimulationConfig, task):
-    """Apply ``task(u)`` to each replication's ascending uniforms, in index
-    order.  ``u`` is one buffer, refilled for every replication, so a task
-    must not keep it.
+def _usable_cores() -> int:
+    """The cores this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
-    A replication whose endpoint check or task raises a package error
-    counts as a failure; more than 1% failures abort the run with the
-    first cause attached.
+
+def _run_replications(config: SimulationConfig, task, rows: int, workers: int):
+    """Apply ``task(block)`` to blocks of up to ``rows`` consecutive
+    replications, each row a replication's ascending uniforms, on up to
+    ``workers`` threads, and return one result per successful replication,
+    in index order.  ``task`` returns one result per row of its block, and
+    must not keep the block: each thread refills one buffer for all its
+    blocks, whose pages so stay mapped (a block allocated afresh took about
+    250 page faults at n = 1e4).
+
+    Each row is seeded and filled as its replication alone would be, and
+    sorting the block along its rows gives every row the floats of its own
+    sort.  One endpoint check covers the block's first and last columns.
+    Where that check or the task raises a package error, the block is
+    redone one row at a time, so that a failing replication fails alone,
+    with its own cause.  A failure is counted; more than 1% failures abort
+    the run with the first cause (the lowest index) attached.
     """
-    model = config.model
-    u = np.empty(config.n)
-    results = []
-    causes: list[RobustLMomentsError] = []
-    for r in range(config.replications):
-        rng = np.random.Generator(
-            np.random.PCG64(replication_seed(config.master_seed, r))
-        )
-        rng.random(out=u)
-        u.sort()
+    n, count = config.n, config.replications
+    ends = config.model._infinite_ends
+
+    def attempt(block):
+        # What ``quantiles`` checks on the whole draw, through its
+        # extremes, before the task sees part of it.
+        _check_unit(block[:, [0, -1]], ends)
+        return list(task(block))
+
+    buffers = threading.local()
+
+    def run_block(first: int):
+        if not hasattr(buffers, "block"):
+            buffers.block = np.empty((rows, n))
+        block = buffers.block[: count - first]
+        for r, row in enumerate(block, start=first):
+            rng = np.random.Generator(
+                np.random.PCG64(replication_seed(config.master_seed, r))
+            )
+            rng.random(out=row)
+        block.sort(axis=1)
         try:
-            # What ``quantiles`` checks on the whole draw, through its
-            # extremes, before the task sees part of it.
-            _check_unit(u[0], model._infinite_ends)
-            _check_unit(u[-1], model._infinite_ends)
-            results.append(task(u))
+            return attempt(block), []
         except RobustLMomentsError as exc:
-            causes.append(exc)
-    if len(causes) > 0.01 * config.replications:
+            if len(block) == 1:
+                return [], [exc]
+        results, causes = [], []
+        for i in range(len(block)):
+            try:
+                results += attempt(block[i : i + 1])
+            except RobustLMomentsError as exc:
+                causes.append(exc)
+        return results, causes
+
+    firsts = range(0, count, rows)
+    workers = min(workers, len(firsts))
+    if workers > 1:
+        # Imported here, so that importing the package does not load the
+        # executor, which a run on the calling thread never uses.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            outcomes = list(pool.map(run_block, firsts))
+    else:
+        outcomes = [run_block(first) for first in firsts]
+    results = [result for done, _ in outcomes for result in done]
+    causes = [cause for _, failed in outcomes for cause in failed]
+    if len(causes) > 0.01 * count:
         raise RobustLMomentsError(
-            f"{len(causes)}/{config.replications} replications failed; "
+            f"{len(causes)}/{count} replications failed; "
             f"first cause: {causes[0]}"
         ) from causes[0]
     return results, len(causes)
 
 
+def _numpy_only(config: SimulationConfig) -> bool:
+    """Whether the model's quantile and every spec's transform are the
+    package's own array forms: numpy passes, which release the GIL.  A user
+    family or a custom transform may run Python code on every value."""
+    return type(config.model) in _FAMILIES.values() and all(
+        type(s.transform) in _TRANSFORMS.values() for s in config.specs
+    )
+
+
 def run_mc(config: SimulationConfig) -> SimulationReport:
     """Compare the across-replication covariance of sqrt(n)-scaled moment
-    deviations against the formula-based matrix."""
+    deviations against the formula-based matrix.  For the package's own
+    families and transforms it runs blocks of replications on every usable
+    core, else one replication at a time on the calling thread; the report
+    is bitwise the same."""
     start = time.perf_counter()
     specs = list(config.specs)
     # First, so that a divergent covariance fails before any draw.
@@ -192,23 +268,27 @@ def run_mc(config: SimulationConfig) -> SimulationReport:
     hi_all = max(hi for _, hi in windows)
     quantiles = config.model.quantiles
 
-    def deviations(u):
-        xs = quantiles(u[lo_all:hi_all])  # order statistics lo_all .. hi_all-1
-        moments = np.array(
-            [
-                _window_moment(
-                    s.transform.values(xs[lo - lo_all : hi - lo_all]), lo, hi, n, s.mode
-                )
-                for s, (lo, hi) in zip(specs, windows)
-            ]
-        )
+    def deviations(block):
+        # numpy's error state is per thread, so each block enters its own.
+        with _moment_errstate():
+            xs = quantiles(block[:, lo_all:hi_all])  # order statistics lo_all .. hi_all-1
+            moments = np.stack(
+                [
+                    _window_moment(
+                        s.transform.values(xs[:, lo - lo_all : hi - lo_all]), lo, hi, n, s.mode
+                    )
+                    for s, (lo, hi) in zip(specs, windows)
+                ],
+                axis=-1,
+            )
         return root_n * (moments - mu_pop)
 
-    # One error state for all the replications' moments, since entering
-    # one per replication would cost about 2% of a run.
-    with _moment_errstate():
-        rows, failures = _run_replications(config, deviations)
-    devs = np.vstack(rows)
+    if _numpy_only(config):
+        rows, workers = max(1, _BLOCK_BYTES // (8 * n)), _usable_cores()
+    else:
+        rows, workers = 1, 1
+    results, failures = _run_replications(config, deviations, rows, workers)
+    devs = np.vstack(results)
     if devs.shape[0] < 2:
         raise DomainError("need at least 2 successful replications for a covariance")
 
@@ -259,12 +339,16 @@ def coverage_check(config: SimulationConfig, confidence: float) -> float:
     z = math.inf if confidence == 1.0 else float(ndtri(0.5 + confidence / 2.0))
     root_n = math.sqrt(config.n)
 
-    def one(u):
-        result = fit(template, config.model.quantiles(u), list(config.specs))
+    def one(xs):
+        result = fit(template, xs, list(config.specs))
         se = np.sqrt(np.diag(result.cov_theta.entries)) / root_n
         return bool(np.all(np.abs(result.theta_hat - theta_true) <= z * se))
 
-    covered, _failures = _run_replications(config, one)
+    # One replication at a time on the calling thread: a fit holds the GIL
+    # for most of its time.
+    covered, _failures = _run_replications(
+        config, lambda block: [one(xs) for xs in config.model.quantiles(block)], 1, 1
+    )
     if not covered:
         raise DomainError("no successful replications")
     return float(np.mean(covered))

@@ -520,6 +520,51 @@ def test_a_family_without_a_default_member_fits_from_its_moment_start(cls, theta
     np.testing.assert_allclose(fit(template, x, specs).theta_hat, theta, rtol=1e-12, atol=0)
 
 
+@dataclass(frozen=True)
+class StartlessGumbel(FreeGumbel):
+    """CappedGumbel's bounds and defaults without its moment start: the fit
+    starts from the base class's."""
+
+    mu: float = 0.0
+    beta: float = 1.0
+
+    family = "startless-gumbel"
+    param_bounds = ((-math.inf, math.inf), (0.0, 0.8))
+
+
+@dataclass(frozen=True)
+class Bounded(DistributionModel):
+    """A family with one parameter of each kind of bounds."""
+
+    p: float = 0.0
+    q: float = 0.0
+    r: float = 0.0
+    s: float = 0.0
+
+    family = "bounded"
+    param_bounds = ((-math.inf, math.inf), (0.0, 0.8), (2.0, math.inf), (-math.inf, -3.0))
+
+
+def test_the_base_moment_start_lies_inside_the_bounds():
+    # 1 where the bounds hold it, else a finite interval's midpoint, else 1
+    # inside the finite end.
+    assert Bounded.moment_start(np.ones(5)) == (1.0, 0.4, 3.0, -4.0)
+
+
+def test_a_family_without_a_moment_start_or_default_member_fits():
+    # The base class's start used to be all ones, so beta = 1 outside
+    # (0, 0.8) went to Newton unfiltered and the fit failed with "beta must
+    # lie in (0, 0.8), got 1.0".
+    template = ModelTemplate(StartlessGumbel, (None, None))
+    x = np.random.default_rng(7).gumbel(2.0, 0.5, 2000)
+    specs = [MomentSpec(IDENT, 0.05, 0.25), MomentSpec(IDENT, 0.1, 0.1)]
+    starts = estimate_module._initial_guesses(template, x, np.sort(x))
+    assert [s.tolist() for s in starts] == [[1.0, 0.4]]
+    np.testing.assert_allclose(
+        fit(template, x, specs).theta_hat, [2.0032770961905477, 0.4906107535602845], rtol=1e-9
+    )
+
+
 class TestLockstep:
     """Every start's next point is evaluated in one call of the moment map."""
 

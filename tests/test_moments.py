@@ -112,6 +112,20 @@ class TestSampleKernel:
             _loop_moment(values, spec), rel=1e-13
         )
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.1, 0.25), (0.3, 0.0)])
+    def test_a_block_of_rows_gives_each_row_its_own_moment(self, a, b, mode):
+        # Each row is summed along the last axis, so its moment is bitwise
+        # that of the row alone; one row is a float.
+        block = np.sort(np.random.default_rng(6).lognormal(0.0, 1.0, (7, 997)), axis=1)
+        lo, hi = moments_module._window(997, MomentSpec(IDENT, a, b))
+        with moments_module._moment_errstate():
+            rows = [moments_module._window_moment(row[lo:hi], lo, hi, 997, mode) for row in block]
+            whole = moments_module._window_moment(block[:, lo:hi], lo, hi, 997, mode)
+        assert all(type(m) is float for m in rows)
+        assert whole.shape == (7,)
+        assert whole.tobytes() == np.array(rows).tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode", list(Mode))
     def test_non_finite_rejected(self, mode, bad):

@@ -1,7 +1,9 @@
 """Monte Carlo harness: determinism, seeding, and convergence."""
 
 import math
-from dataclasses import dataclass
+import sys
+import threading
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from robust_lmoments import (
     run_mc,
 )
 from robust_lmoments import simulate
-from robust_lmoments.models import CustomTransform, ModelTemplate, _check_unit
+from robust_lmoments.models import CustomTransform, ModelTemplate, Shifted, _check_unit
 from robust_lmoments.moments import sorted_sample_moment
 from robust_lmoments.simulate import _DEV_FLOOR, splitmix64
 
@@ -264,7 +266,7 @@ class TestRunMc:
         assert isinstance(exc.value.__cause__, DomainError)
 
     def test_divergent_covariance_refused_before_drawing(self, monkeypatch):
-        def no_draws(config, task):
+        def no_draws(config, task, rows, workers):
             raise AssertionError("drew replications")
 
         monkeypatch.setattr(simulate, "_run_replications", no_draws)
@@ -373,6 +375,177 @@ class TestSortThenQuantile:
         assert run_mc(cfg).failures == 0
 
 
+def _rows_per_block(monkeypatch, rows, n):
+    """Make each block of ``_run_replications`` hold ``rows`` rows at n."""
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", rows * 8 * n)
+
+
+def _report_bits(report) -> dict:
+    """Every field of a report but its run time, as bytes or repr."""
+    bits = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        value = getattr(value, "entries", value)  # a CovMatrix
+        bits[f.name] = _bits(value) if isinstance(value, (np.ndarray, float)) else repr(value)
+    del bits["runtime_ms"]
+    return bits
+
+
+class TestBlocks:
+    """With the package's own family and transforms, replications are drawn
+    in blocks of rows on every usable core; every report is bitwise that of
+    one replication at a time on the calling thread, which is how user
+    code runs."""
+
+    @pytest.mark.parametrize(
+        "model, specs",
+        [
+            (Pareto(3.0, 1.5), (MomentSpec(IDENT, 0.05, 0.2), MomentSpec(Log(), 0.1, 0.1))),
+            (Lognormal(0.2, 0.5), (MomentSpec(Power(2.0), 0.0, 0.1, Mode.MWM),
+                                   MomentSpec(Log(), 0.05, 0.3, Mode.MWM))),
+            (Normal(10.0, 1.0), (MomentSpec(Shifted(-10.0), 0.1, 0.05),)),
+        ],
+        ids=["pareto-mtm", "lognormal-mwm", "normal-mtm"],
+    )
+    def test_reports_are_bitwise_equal_for_any_block_and_worker_count(
+        self, monkeypatch, model, specs
+    ):
+        cfg = SimulationConfig(model, specs, n=500, replications=200, master_seed=17)
+        reports = {}
+        # Five workers on fewer cores, switching threads every microsecond.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rows in (1, 3, None):  # None: the default, two blocks here
+                for workers in (1, 2, 5):
+                    with monkeypatch.context() as m:
+                        if rows is not None:
+                            _rows_per_block(m, rows, cfg.n)
+                        m.setattr(simulate, "_usable_cores", lambda w=workers: w)
+                        reports[rows, workers] = _report_bits(run_mc(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(bits == reports[1, 1] for bits in reports.values())
+
+    def test_failures_mid_block_and_on_the_second_worker_keep_count_and_cause(
+        self, monkeypatch
+    ):
+        n, count = 100, 1000
+        cfg = SimulationConfig(Uniform(0.0, 1.0), (MomentSpec(IDENT),), n=n, replications=count, master_seed=5)
+        # Each replication's index, read off its least uniform.
+        index = {
+            float(np.random.Generator(np.random.PCG64(replication_seed(5, r))).random(n).min()): r
+            for r in range(count)
+        }
+        assert len(index) == count
+
+        def run(failing, rows, workers):
+            barrier = threading.Barrier(workers, timeout=30)
+            started, placed = set(), {}
+
+            def task(block):
+                me = threading.get_ident()
+                if me not in started:  # each worker holds its first block
+                    started.add(me)
+                    barrier.wait()
+                replications = [index[float(row[0])] for row in block]
+                placed[replications[0]] = me
+                bad = [r for r in replications if r in failing]
+                if bad:
+                    raise DomainError(f"replication {bad[0]} failed")
+                return replications
+
+            return simulate._run_replications(cfg, task, rows, workers), placed
+
+        # 4 and 7 lie mid-block of 3, and 4 and 5 fail in one block; with
+        # the first block held until the second worker starts, 3 .. 5 is
+        # that worker's first block.
+        failing = {4, 5, 7, 500, 998}
+        (results, failures), placed = run(failing, 3, 2)
+        assert placed[0] != placed[3]
+        assert (results, failures) == run(failing, 1, 1)[0]
+        assert results == [r for r in range(count) if r not in failing]
+        assert failures == 5
+
+        aborting = failing | set(range(600, 611))
+        causes = []
+        for rows, workers in ((3, 2), (1, 1)):
+            with pytest.raises(RobustLMomentsError) as exc:
+                run(aborting, rows, workers)
+            causes.append((str(exc.value), str(exc.value.__cause__)))
+        assert causes[0] == causes[1] == (
+            "16/1000 replications failed; first cause: replication 4 failed",
+            "replication 4 failed",
+        )
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_an_overflowing_sum_on_worker_blocks_fails_without_a_warning(self, monkeypatch, mode):
+        # Values of 1e308 whose window sums overflow, on 34 blocks over two
+        # workers: numpy's error state is per thread, so each block enters
+        # the moments' own.
+        _rows_per_block(monkeypatch, 3, 10)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        cfg = SimulationConfig(
+            Uniform(0.0, 1.0), (MomentSpec(Shifted(1e308), 0.1, 0.1, mode),), n=10, replications=100
+        )
+        message = r"^100/100 replications failed; first cause: moment over order statistics 2 \.\. 9 of n=10"
+        with pytest.raises(RobustLMomentsError, match=message) as exc:
+            run_mc(cfg)
+        assert isinstance(exc.value.__cause__, DomainError)
+
+    @pytest.mark.parametrize("user", ["custom-transform", "user-family"])
+    def test_user_code_runs_on_the_calling_thread(self, monkeypatch, user):
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        callers = set()
+        if user == "custom-transform":
+            def value(x):
+                callers.add(threading.get_ident())
+                return x / (1.0 + x)
+
+            model = Exponential(2.0)
+            transform = CustomTransform("seen-ratio", value, lambda x: 1.0 / (1.0 + x) ** 2)
+        else:
+            quantiles = Gumbel.quantiles
+
+            def seen(self, u):
+                callers.add(threading.get_ident())
+                return quantiles(self, u)
+
+            monkeypatch.setattr(Gumbel, "quantiles", seen)
+            model, transform = Gumbel(1.0, 2.0), IDENT
+        draws = []
+        run_replications = simulate._run_replications
+
+        def recorded(config, task, rows, workers):
+            draws.append((rows, workers))
+            return run_replications(config, task, rows, workers)
+
+        monkeypatch.setattr(simulate, "_run_replications", recorded)
+        cfg = SimulationConfig(model, (MomentSpec(transform, 0.1, 0.1),), n=200, replications=100)
+        before = threading.active_count()
+        run_mc(cfg)
+        assert draws == [(1, 1)]  # one replication at a time
+        assert callers == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_blocks_run_on_workers_that_end_with_the_run(self, monkeypatch):
+        _rows_per_block(monkeypatch, 3, 200)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        callers = set()
+        quantiles = Exponential.quantiles
+
+        def seen(self, u):
+            callers.add(threading.get_ident())
+            return quantiles(self, u)
+
+        monkeypatch.setattr(Exponential, "quantiles", seen)
+        cfg = SimulationConfig(Exponential(2.0), (MomentSpec(IDENT, 0.1, 0.1),), n=200, replications=100)
+        before = threading.active_count()
+        run_mc(cfg)
+        assert callers - {threading.get_ident()}
+        assert threading.active_count() == before
+
+
 class TestCoverage:
     def test_exponential_coverage_near_nominal(self):
         cfg = SimulationConfig(
@@ -396,7 +569,7 @@ class TestCoverage:
         assert coverage_check(cfg, 1.0) == 1.0
 
     def test_spec_count_refused_before_drawing(self, monkeypatch):
-        def no_draws(config, task):
+        def no_draws(config, task, rows, workers):
             raise AssertionError("drew replications")
 
         monkeypatch.setattr(simulate, "_run_replications", no_draws)
